@@ -6,15 +6,25 @@ triangle-free 2-matching machinery, which is out of scope).  Canonicalization
 is the bounded local search over swaps |F_A| <= |F_R| <= 2 that improves the
 lexicographic objective (edges, components, bridges, cut vertices inside 2EC
 components).
+
+Each canonicalization step applies the first improving swap in a fixed order
+(`_improving_move`).  Swaps are generated from degree deficits
+(`_candidate_swaps`): a removal F_R leaves some vertices short of degree 2,
+and only the F_A that make up every shortfall are produced, so no swap is
+built just to be rejected for its degrees.  The objective of a candidate
+comes from one low-link pass over its edges (`_objective`), which also spots
+triangle components.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
 from .errors import Infeasible, NotCanonical
-from .graph import BlockDecomposition, EdgeSubset, MultiGraph, decompose
+from .graph import (BlockDecomposition, EdgeSubset, MultiGraph, decompose,
+                    low_link)
 
 
 @dataclass
@@ -312,23 +322,50 @@ def check_canonical(h: TwoEdgeCover):
     return out
 
 
-def _objective(g: MultiGraph, members):
-    d = decompose(EdgeSubset(g, members))
-    # cut vertices restricted to 2EC (bridge-free) components
-    complex_comps = set()
+def _member_adjacency(g: MultiGraph, members):
+    """v -> [(w, eid)] over the member edges (self-loops left out)."""
     emap = g.edge_map()
-    for e in d.bridges:
-        complex_comps.add(d.component_of[emap[e][0]])
-    cutv = sum(1 for v in d.cut_vertices if d.component_of[v] not in complex_comps)
-    return (len(members), len(d.components), len(d.bridges), cutv)
+    adj = [[] for _ in range(g.n)]
+    for e in members:
+        u, v = emap[e]
+        if u != v:
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+    return adj
 
 
-def _improving_move(g: MultiGraph, members, obj):
-    """First improving swap (F_A added, F_R removed), |F_A| <= |F_R| <= 2.
+def _objective(g: MultiGraph, members):
+    """(|F|, components, bridges, cut vertices inside bridgeless components)
+    of the edge set F, from one low-link pass over its edges; None when F has
+    a triangle component (3 vertices, 3 edges)."""
+    n_comps, comp_of, bridges, cut_vertices = low_link(
+        g.n, _member_adjacency(g, members))
+    emap = g.edge_map()
+    size = [0] * n_comps
+    for c in comp_of:
+        size[c] += 1
+    if 3 in size:
+        edges = [0] * n_comps
+        for e in members:
+            edges[comp_of[emap[e][0]]] += 1
+        if any(k == 3 and edges[c] == 3 for c, k in enumerate(size)):
+            return None
+    complex_comps = {comp_of[emap[e][0]] for e in bridges}
+    cutv = sum(1 for v in cut_vertices if comp_of[v] not in complex_comps)
+    return (len(members), n_comps, len(bridges), cutv)
 
-    Candidate added edges are restricted to those that can matter: edges
-    covering a degree deficit created by the removal, edges incident to the
-    removed edges' endpoints, and edges joining distinct cover components.
+
+def _candidate_swaps(g: MultiGraph, members):
+    """Every swap (F_R, F_A), |F_A| <= |F_R| <= 2, that leaves each vertex
+    with degree >= 2, in the order of the full enumeration (see
+    `_improving_move`).
+
+    For each F_R, need[x] = 2 - (deg[x] - loss[x]) on the vertices F_R
+    pushes below degree 2.  An added edge lifts each endpoint by one, so a
+    single added edge must touch every deficit vertex, and for F_A = (a, b),
+    b must touch every vertex that a leaves short.  Those edges are looked
+    up per vertex among the non-member edges; all of them lie in the pool,
+    because a deficit vertex is an endpoint of F_R.
     """
     emap = g.edge_map()
     deg = [0] * g.n
@@ -336,67 +373,97 @@ def _improving_move(g: MultiGraph, members, obj):
         u, v = emap[e]
         deg[u] += 1
         deg[v] += 1
-    non_members = [e for e, u, v in sorted(g.edges) if e not in members and u != v]
-    d = decompose(EdgeSubset(g, members))
-    comp_of = d.component_of
+    comp_of = low_link(g.n, _member_adjacency(g, members))[1]
+    # (eid, u, v, joins two cover components), ascending by id
+    non_members = [(e, u, v, comp_of[u] != comp_of[v])
+                   for e, u, v in sorted(g.edges) if e not in members and u != v]
+    # v -> ascending ids of the non-member edges at v
+    at = [[] for _ in range(g.n)]
+    for e, u, v, _ in non_members:
+        at[u].append(e)
+        at[v].append(e)
 
-    def added_pool(removed):
-        touched = set()
-        for e in removed:
-            u, v = emap[e]
-            touched.add(u)
-            touched.add(v)
-        pool = []
-        for e in non_members:
-            u, v = emap[e]
-            if u in touched or v in touched or comp_of[u] != comp_of[v]:
-                pool.append(e)
-        return pool
+    def covering(need, after):
+        """Non-member edges with id > `after` incident to every vertex of
+        `need` (one or two vertices, each needing one more edge)."""
+        x, *rest = need
+        lst = at[x]
+        tail = lst[bisect.bisect_right(lst, after):]
+        if not rest:
+            return tail
+        y = rest[0]
+        return [e for e in tail if y in emap[e]]
 
-    def consider(removed, added):
-        # cheap degree screen before the full feasibility check
-        delta = {}
-        for e in removed:
-            u, v = emap[e]
-            delta[u] = delta.get(u, 0) - 1
-            delta[v] = delta.get(v, 0) - 1
-        for e in added:
-            u, v = emap[e]
-            delta[u] = delta.get(u, 0) + 1
-            delta[v] = delta.get(v, 0) + 1
-        if any(deg[x] + d < 2 for x, d in delta.items()):
-            return None
-        new = (members - set(removed)) | set(added)
-        if not is_tf_two_edge_cover(g, new):
-            return None
-        nobj = _objective(g, new)
-        return (new, nobj) if nobj < obj else None
-
-    mem_sorted = sorted(members)
     for fr_size in (1, 2):
-        for removed in itertools.combinations(mem_sorted, fr_size):
-            # degree feasibility screen: each endpoint losing below 2 must be
-            # coverable, otherwise skip the whole removed set quickly
+        for removed in itertools.combinations(sorted(members), fr_size):
             loss = {}
             for e in removed:
                 u, v = emap[e]
                 loss[u] = loss.get(u, 0) + 1
                 loss[v] = loss.get(v, 0) + 1
-            pool = None
-            for fa_size in range(0, fr_size + 1):
-                if fa_size == 0:
-                    if any(deg[v] - k < 2 for v, k in loss.items()):
-                        continue
-                    got = consider(removed, ())
-                    if got:
-                        return got
-                    continue
-                if pool is None:
-                    pool = added_pool(removed)
-                for added in itertools.combinations(pool, fa_size):
-                    got = consider(removed, added)
-                    if got:
-                        return got
+            # need[x]: edges x must gain to get back to degree 2
+            need = {x: k + 2 - deg[x] for x, k in loss.items() if deg[x] - k < 2}
+            total = sum(need.values())
+            if not need:
+                yield removed, ()
+            # An added edge lifts each of its two endpoints by one, so one
+            # edge can make up the shortfall only if that is one edge at
+            # each of at most two vertices.
+            one_edge = total == len(need) <= 2
+            if one_edge:
+                pool = [e for e, u, v, joins in non_members
+                        if joins or u in loss or v in loss]
+                for a in covering(need, -1) if need else pool:
+                    yield removed, (a,)
+            if fr_size == 1:
+                continue
+            # F_A = (a, b): b makes up what a leaves short.  When one edge
+            # cannot make up the whole shortfall, a must touch a deficit
+            # vertex, and it then always leaves some vertex short.
+            firsts = pool if one_edge else sorted({e for x in need for e in at[x]})
+            for a in firsts:
+                au, av = emap[a]
+                left = []       # vertices still one edge short after a
+                for x, k in need.items():
+                    if x == au or x == av:
+                        k -= 1
+                    if k:
+                        left.append(x)
+                        if k > 1:
+                            break   # b alone cannot lift x by two
+                else:
+                    if not left:
+                        for b in pool[bisect.bisect_right(pool, a):]:
+                            yield removed, (a, b)
+                    elif len(left) <= 2:
+                        for b in covering(left, a):
+                            yield removed, (a, b)
+
+
+def _improving_move(g: MultiGraph, members, obj):
+    """First improving swap (F_A added, F_R removed), |F_A| <= |F_R| <= 2.
+
+    Enumeration order: F_R over `combinations(sorted(members), 1)` then
+    `combinations(..., 2)`; for each F_R, F_A = () and then
+    `combinations(pool, 1)` and `combinations(pool, 2)`, where the pool holds
+    the non-member edges, ascending by id, that touch an endpoint of F_R or
+    join two cover components.
+
+    The first swap in this order whose result is a triangle-free 2-edge
+    cover with a smaller objective is returned.  Only the swaps that keep
+    every degree >= 2 are generated (`_candidate_swaps`).  That is exact: a
+    swap leaving a vertex below degree 2 is no 2-edge cover, so it can never
+    be returned, and skipping it keeps the order of the others, hence the
+    same first improving swap.  The generated swaps have full degrees and no
+    self-loops (the cover has none and the pool excludes them), so the only
+    part of the triangle-free test left is the triangle-component check,
+    which `_objective` makes.
+    """
+    for removed, added in _candidate_swaps(g, members):
+        new = (members - set(removed)) | set(added)
+        nobj = _objective(g, new)
+        if nobj is not None and nobj < obj:
+            return new, nobj
     return None
 
 

@@ -198,7 +198,24 @@ def _local_removal_pool(h: TwoEdgeCover, x, y):
     return sorted(pool)
 
 
-def _evaluate(g, h, old_bridges, old_cost, add, remove):
+def _keeps_degree_two(emap, deg, add, remove):
+    """True iff the cover with degrees `deg`, with `remove` taken out and
+    `add` put in, still has degree >= 2 at every endpoint of `remove`."""
+    delta = {}
+    for e in remove:
+        for x in emap[e]:
+            delta[x] = delta.get(x, 0) - 1
+    for e in add:
+        for x in emap[e]:
+            if x in delta:
+                delta[x] += 1
+    return all(deg[x] + d >= 2 for x, d in delta.items())
+
+
+def _evaluate(g, h, deg, old_bridges, old_cost, add, remove):
+    # a vertex left below degree 2 fails is_tf_two_edge_cover anyway
+    if not _keeps_degree_two(g.edge_map(), deg, add, remove):
+        return None
     new_members = (h.members - set(remove)) | set(add)
     if not is_tf_two_edge_cover(g, new_members):
         return None
@@ -224,6 +241,7 @@ def cover_bridges(g: MultiGraph, h: TwoEdgeCover, ledger: CreditLedger | None = 
     """
     if ledger is None:
         ledger = init_credits(h)
+    emap = g.edge_map()
     cur = h
     cur_cost = cost(cur, ledger)
     iterations = 0
@@ -236,6 +254,10 @@ def cover_bridges(g: MultiGraph, h: TwoEdgeCover, ledger: CreditLedger | None = 
         iterations += 1
         if iterations > len(h.members) + 10:
             raise AssertionError("bridge covering failed to terminate")
+        deg = [0] * g.n
+        for e in cur.members:
+            for x in emap[e]:
+                deg[x] += 1
         best = None  # (bridges_after, cost_after, add, remove, cover)
         found = False
         for widen in (False, True):
@@ -246,7 +268,7 @@ def cover_bridges(g: MultiGraph, h: TwoEdgeCover, ledger: CreditLedger | None = 
                 removal_sets += [(e,) for e in pool]
                 removal_sets += list(itertools.combinations(pool, 2))
                 for remove in removal_sets:
-                    got = _evaluate(g, cur, nbridges, cur_cost, add, remove)
+                    got = _evaluate(g, cur, deg, nbridges, cur_cost, add, remove)
                     if got is None:
                         continue
                     cand, new_cost = got

@@ -90,17 +90,22 @@ class MultiGraph:
     def edge_ids(self):
         return {eid for eid, _, _ in self.edges}
 
+    def redundant_edges(self):
+        """Ascending ids of the self-loops and of every parallel edge but the
+        lowest-id one of its bundle."""
+        seen = set()
+        out = []
+        for eid, u, v in sorted(self.edges):
+            key = (min(u, v), max(u, v))
+            if u == v or key in seen:
+                out.append(eid)
+            seen.add(key)
+        return out
+
     def has_self_loop_or_parallel(self):
         """Return an eid of a self-loop or a redundant parallel edge, or None."""
-        seen = {}
-        for eid, u, v in sorted(self.edges):
-            if u == v:
-                return eid
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                return eid
-            seen[key] = eid
-        return None
+        redundant = self.redundant_edges()
+        return redundant[0] if redundant else None
 
     def is_simple(self) -> bool:
         return self.has_self_loop_or_parallel() is None
@@ -207,82 +212,64 @@ def connected_components(g: MultiGraph):
     return [sorted(_mask_to_set(c)) for c in _components_masks(g.n, masks, alive)]
 
 
-def _find_bridges(g: MultiGraph):
-    """Iterative Tarjan bridge finding; parallel edges are never bridges."""
-    adj = g.adjacency()
-    n = g.n
+def low_link(n: int, adj):
+    """One iterative Tarjan low-link pass over adjacency lists.
+
+    `adj[v]` lists `(w, eid)` pairs without self-loops.  Returns
+    `(n_components, component_of, bridges, cut_vertices)`: components are
+    numbered by their smallest vertex (isolated vertices included), bridges
+    are edge ids, cut vertices are the articulation points.  The DFS skips the
+    edge it arrived by, by id, so parallel edges are never bridges.
+    """
     disc = [-1] * n
     low = [0] * n
+    component_of = [0] * n
     bridges = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, pe, it = stack[-1]
-            advanced = False
-            for w, eid in it:
-                if eid == pe:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, eid, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u, _, _ = stack[-1]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        bridges.add(pe)
-    return bridges
-
-
-def _articulation_points(g: MultiGraph):
-    adj = g.adjacency()
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
     points = set()
     timer = 0
+    n_components = 0
     for root in range(n):
         if disc[root] != -1:
             continue
-        root_children = 0
-        stack = [(root, -1, iter(adj[root]))]
         disc[root] = low[root] = timer
         timer += 1
+        component_of[root] = n_components
+        root_children = 0
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, pe, it = stack[-1]
-            advanced = False
             for w, eid in it:
                 if eid == pe:
                     continue
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    if v == root:
-                        root_children += 1
+                    component_of[w] = n_components
                     stack.append((w, eid, iter(adj[w])))
-                    advanced = True
                     break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
                 stack.pop()
                 if stack:
-                    u, _, _ = stack[-1]
-                    low[u] = min(low[u], low[v])
-                    if u != root and low[v] >= disc[u]:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] > disc[u]:
+                        bridges.add(pe)
+                    if u == root:
+                        root_children += 1
+                    elif low[v] >= disc[u]:
                         points.add(u)
         if root_children > 1:
             points.add(root)
-    return points
+        n_components += 1
+    return n_components, component_of, bridges, points
+
+
+def _find_bridges(g: MultiGraph):
+    """Bridge edge ids of g; parallel edges are never bridges."""
+    return low_link(g.n, g.adjacency())[2]
 
 
 def is_two_edge_connected(g) -> bool:
@@ -308,14 +295,12 @@ def decompose(h) -> BlockDecomposition:
         g = h.subgraph()
     else:
         g = h
-    comps = connected_components(g)
-    comps.sort(key=lambda c: c[0])
-    component_of = {}
-    for i, c in enumerate(comps):
-        for v in c:
-            component_of[v] = i
-
-    bridges = frozenset(_find_bridges(g))
+    n_comps, comp_index, bridges, cut_vertices = low_link(g.n, g.adjacency())
+    comps = [[] for _ in range(n_comps)]
+    for v, i in enumerate(comp_index):
+        comps[i].append(v)
+    component_of = dict(enumerate(comp_index))
+    bridges = frozenset(bridges)
 
     # 2EC classes: components after deleting bridges
     residual = g.without_edges(bridges)
@@ -376,7 +361,7 @@ def decompose(h) -> BlockDecomposition:
         blocks=blocks,
         bridges=bridges,
         pendant_flags=pendant_flags,
-        cut_vertices=frozenset(_articulation_points(g)),
+        cut_vertices=frozenset(cut_vertices),
         component_of=component_of,
         block_of=block_of,
         block_component=block_component,

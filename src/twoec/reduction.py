@@ -498,10 +498,11 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
             out |= _reduce(sub, cfg, solver, ctx, depth + 1)
         return out
 
-    redundant = g.has_self_loop_or_parallel()
-    if redundant is not None:
-        ctx["trace"].append({"step": "drop-redundant-edge", "edge": redundant})
-        return _reduce(g.without_edges([redundant]), cfg, solver, ctx, depth + 1)
+    redundant = g.redundant_edges()
+    if redundant:
+        for eid in redundant:
+            ctx["trace"].append({"step": "drop-redundant-edge", "edge": eid})
+        return _reduce(g.without_edges(redundant), cfg, solver, ctx, depth + 1)
 
     found = find_contractible_certificate(
         g, cfg.alpha, max_vertices=min(cfg.base_case_limit, 7),

@@ -1,13 +1,16 @@
 """Triangle-free 2-edge covers, canonical form, and canonicalization."""
 
+import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, disjoint_cycles
-from twoec.cover import (TwoEdgeCover, canonicalize, check_canonical,
-                         is_tf_two_edge_cover, min_triangle_free_cover)
+from twoec.cover import (TwoEdgeCover, _candidate_swaps, _objective,
+                         canonicalize, check_canonical, is_tf_two_edge_cover,
+                         min_triangle_free_cover)
 from twoec.errors import Infeasible
 from twoec.graph import MultiGraph
 from twoec.oracle import exact_min_tf_cover
@@ -159,3 +162,111 @@ def test_canonicalize_never_grows_and_ends_canonical(n, extra, seed):
     assert len(out) <= len(h)
     assert check_canonical(out) == []
     assert is_tf_two_edge_cover(g, out.members)
+
+
+# ---------------------------------------------------------------------------
+# canonicalization internals against independent references
+
+def random_two_edge_cover(seed):
+    """A host graph and a random 2-edge cover of it.  The host is one to
+    three random cyclic parts, the first two often joined by one edge (a
+    bridge of the cover), plus a few parallel edges.  The cover is every
+    edge, then deletions in random order that keep every degree >= 2, each
+    made with probability 0.8."""
+    rng = random.Random(seed)
+    g = MultiGraph(0)
+    starts = []
+    for i in range(rng.randrange(1, 4)):
+        part = random_2ec_small(rng.randrange(3, 8), rng.randrange(0, 8),
+                                seed * 3 + i)
+        starts.append(g.n)
+        g = MultiGraph(g.n + part.n,
+                       g.edges + [(u + g.n, v + g.n) for _, u, v in part.edges])
+    if len(starts) > 1 and rng.random() < 0.7:
+        g.add_edge(starts[0], starts[1])
+    for _ in range(rng.randrange(0, 4)):
+        _, u, v = rng.choice(g.edges)
+        g.add_edge(u, v)
+    emap = g.edge_map()
+    deg = [g.degree(v) for v in range(g.n)]
+    members = set(g.edge_ids())
+    for e in rng.sample(sorted(members), len(members)):
+        u, v = emap[e]
+        if deg[u] > 2 and deg[v] > 2 and rng.random() < 0.8:
+            members.discard(e)
+            deg[u] -= 1
+            deg[v] -= 1
+    return g, members
+
+
+def nx_cover(g, members):
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.n))
+    for e, u, v in g.edges:
+        if e in members:
+            h.add_edge(u, v, key=e)
+    return h
+
+
+def nx_objective(g, members):
+    h = nx_cover(g, members)
+    comps = list(nx.connected_components(h))
+    if any(len(c) == 3 and h.subgraph(c).number_of_edges() == 3 for c in comps):
+        return None
+    bridges = []
+    for u, v, e in list(h.edges(keys=True)):
+        h.remove_edge(u, v, key=e)
+        if nx.number_connected_components(h) > len(comps):
+            bridges.append((u, v))
+        h.add_edge(u, v, key=e)
+    complex_comps = [c for c in comps if any(u in c for u, _ in bridges)]
+    cuts = [v for v in nx.articulation_points(nx.Graph(h))
+            if not any(v in c for c in complex_comps)]
+    return (len(members), len(comps), len(bridges), len(cuts))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_objective_matches_networkx(seed):
+    g, members = random_two_edge_cover(seed)
+    assert _objective(g, members) == nx_objective(g, members)
+
+
+def naive_swaps(g, members):
+    """Every (F_R, F_A) of the full enumeration that passes the degree
+    screen, in enumeration order."""
+    emap = g.edge_map()
+    deg = [0] * g.n
+    for e in members:
+        for x in emap[e]:
+            deg[x] += 1
+    comp_of = {}
+    for i, c in enumerate(nx.connected_components(nx_cover(g, members))):
+        for v in c:
+            comp_of[v] = i
+    non_members = [e for e, u, v in sorted(g.edges)
+                   if e not in members and u != v]
+    out = []
+    for fr_size in (1, 2):
+        for removed in itertools.combinations(sorted(members), fr_size):
+            touched = {x for e in removed for x in emap[e]}
+            pool = [e for e in non_members
+                    if touched & set(emap[e])
+                    or comp_of[emap[e][0]] != comp_of[emap[e][1]]]
+            for fa_size in range(fr_size + 1):
+                for added in itertools.combinations(pool, fa_size):
+                    d = list(deg)
+                    for e in removed:
+                        for x in emap[e]:
+                            d[x] -= 1
+                    for e in added:
+                        for x in emap[e]:
+                            d[x] += 1
+                    if min(d) >= 2:
+                        out.append((removed, added))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_swap_generator_matches_naive_screen(seed):
+    g, members = random_two_edge_cover(seed)
+    assert list(_candidate_swaps(g, members)) == naive_swaps(g, members)

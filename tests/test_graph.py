@@ -3,6 +3,7 @@ contractibility certificates."""
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +46,16 @@ def test_self_loop_and_parallel_detection():
     g2 = cycle_graph(4)
     loop = g2.add_edge(2, 2)
     assert g2.has_self_loop_or_parallel() == loop
+
+
+def test_redundant_edges_lists_loops_and_extra_parallels_ascending():
+    g = cycle_graph(4)
+    assert g.redundant_edges() == []
+    p1 = g.add_edge(1, 0)
+    loop = g.add_edge(2, 2)
+    p2 = g.add_edge(0, 1)
+    assert g.redundant_edges() == [p1, loop, p2]
+    assert g.has_self_loop_or_parallel() == p1
 
 
 def test_degree_excludes_self_loops():
@@ -101,6 +112,18 @@ def test_decompose_components_partition_vertices():
 def test_bridges_match_naive_deletion_check(n, m, seed):
     g = random_graph(n, m, seed)
     assert decompose(g).bridges == frozenset(naive_bridges(g))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 9), st.integers(0, 18), st.integers(0, 10 ** 6))
+def test_components_and_cut_vertices_match_networkx(n, m, seed):
+    g = random_graph(n, m, seed)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from((u, v) for _, u, v in g.edges if u != v)
+    d = decompose(g)
+    assert d.cut_vertices == frozenset(nx.articulation_points(h))
+    assert d.components == sorted(sorted(c) for c in nx.connected_components(h))
 
 
 @settings(max_examples=80, deadline=None)

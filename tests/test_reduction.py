@@ -12,6 +12,7 @@ from twoec.errors import NotTwoEdgeConnected, Untypeable
 from twoec.generate import glued_cliques
 from twoec.graph import EdgeSubset, MultiGraph
 from twoec.oracle import exact_min_2ecss, verify_2ecss
+from twoec.pipeline import run_pipeline
 from twoec.reduction import (ReductionConfig, classify_solution_type,
                              enumerate_min_typed_subgraph, find_min_patch,
                              reduce)
@@ -225,6 +226,29 @@ def test_find_min_patch_zero_when_feasible():
     g = cycle_graph(6)
     patch, widened = find_min_patch(g, set(g.edge_ids()), bound=2)
     assert patch == set()
+
+
+def test_redundant_edge_drops_traced_one_entry_each_in_id_order():
+    g = cycle_graph(14)
+    extra = [g.add_edge(3, 4), g.add_edge(0, 1), g.add_edge(5, 5),
+             g.add_edge(4, 3)]
+    sol, ctx = run_reduce(g, n0=6)
+    assert verify_2ecss(g, sol.members)
+    drops = [t["edge"] for t in ctx["trace"]
+             if t["step"] == "drop-redundant-edge"]
+    assert drops == sorted(extra)
+
+
+def test_heavy_parallel_cycle_solves():
+    # C_20 with every edge 20 times: 380 redundant edges, far more than the
+    # recursion depth guard, so they must go in one reduction level
+    g = MultiGraph(20)
+    for _ in range(20):
+        for i in range(20):
+            g.add_edge(i, (i + 1) % 20)
+    report = run_pipeline(g)
+    assert verify_2ecss(g, report["solution"]["edges"])
+    assert report["solution"]["size"] == 20
 
 
 # ---------------------------------------------------------------------------
