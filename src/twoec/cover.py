@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import Infeasible, NotCanonical
 from .graph import (BlockDecomposition, EdgeSubset, MultiGraph, decompose,
-                    low_link)
+                    low_link, member_adjacency)
 
 
 @dataclass
@@ -92,37 +92,38 @@ def is_tf_two_edge_cover(g: MultiGraph, members) -> bool:
     """Degree >= 2 everywhere and no triangle component."""
     emap = g.edge_map()
     deg = [0] * g.n
-    adj = {v: [] for v in range(g.n)}
     for e in members:
         u, v = emap[e]
         if u == v:
             return False
         deg[u] += 1
         deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
     if any(d < 2 for d in deg):
         return False
-    # triangle components: exactly 3 vertices, each of degree 2 in the cover
-    seen = set()
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        edge_cnt = 0
-        while stack:
-            x = stack.pop()
-            edge_cnt += len(adj[x])
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        if len(comp) == 3 and edge_cnt // 2 == 3:
-            return False
-    return True
+    return _triangle_component(g, members) is None
+
+
+def _triangle_component(g: MultiGraph, members, links=None):
+    """Vertex set of the first component, by smallest vertex, of the
+    loop-free edge set that is a triangle (3 vertices, 3 edges), or None.
+    `links` is the `low_link` result for the edge set when the caller has
+    it."""
+    if links is None:
+        links = low_link(g.n, member_adjacency(g, members))
+    n_comps, comp_of = links[:2]
+    size = [0] * n_comps
+    for c in comp_of:
+        size[c] += 1
+    if 3 not in size:
+        return None
+    emap = g.edge_map()
+    edges = [0] * n_comps
+    for e in members:
+        edges[comp_of[emap[e][0]]] += 1
+    tri = next((c for c in range(n_comps) if size[c] == edges[c] == 3), None)
+    if tri is None:
+        return None
+    return {v for v, c in enumerate(comp_of) if c == tri}
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +172,7 @@ class _CoverSearch:
                 branch = [e for e in avail if e not in inc]
                 break
         if branch is None:
-            tri = self._triangle(inc)
+            tri = _triangle_component(self.g, inc)
             if tri is None:
                 if self.best is None or len(inc) < self.best[0]:
                     self.best = (len(inc), frozenset(inc))
@@ -193,36 +194,9 @@ class _CoverSearch:
         for e in undo:
             exc.discard(e)
 
-    def _triangle(self, inc):
-        adj = {}
-        for e in inc:
-            u, v = self.emap[e]
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        seen = set()
-        for s in sorted(adj):
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            seen.add(s)
-            ecnt = 0
-            while stack:
-                x = stack.pop()
-                ecnt += len(adj[x])
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            if len(comp) == 3 and ecnt // 2 == 3:
-                return comp
-        return None
-
 
 def _heuristic_cover(g: MultiGraph):
     """Greedy 2-edge cover then triangle elimination; uncertified."""
-    emap = g.edge_map()
     deg = [0] * g.n
     members = set()
     # greedily satisfy degree demands, preferring edges fixing two deficits
@@ -239,39 +213,15 @@ def _heuristic_cover(g: MultiGraph):
     if any(d < 2 for d in deg):
         raise Infeasible("a vertex has degree < 2")
     # fix triangle components by adding a crossing edge
-    changed = True
-    while changed:
-        changed = False
-        if is_tf_two_edge_cover(g, members):
+    while True:
+        tri = _triangle_component(g, members)
+        if tri is None:
             break
-        adj = {v: [] for v in range(g.n)}
-        for e in members:
-            u, v = emap[e]
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = set()
-        for s in range(g.n):
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            seen.add(s)
-            ecnt = 0
-            while stack:
-                x = stack.pop()
-                ecnt += len(adj[x])
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            if len(comp) == 3 and ecnt // 2 == 3:
-                for eid, u, v in edges:
-                    if eid not in members and (u in comp) != (v in comp):
-                        members.add(eid)
-                        changed = True
-                        break
-                break
+        eid = next((eid for eid, u, v in edges
+                    if eid not in members and (u in tri) != (v in tri)), None)
+        if eid is None:
+            break
+        members.add(eid)
     return members
 
 
@@ -322,34 +272,15 @@ def check_canonical(h: TwoEdgeCover):
     return out
 
 
-def _member_adjacency(g: MultiGraph, members):
-    """v -> [(w, eid)] over the member edges (self-loops left out)."""
-    emap = g.edge_map()
-    adj = [[] for _ in range(g.n)]
-    for e in members:
-        u, v = emap[e]
-        if u != v:
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-    return adj
-
-
 def _objective(g: MultiGraph, members):
     """(|F|, components, bridges, cut vertices inside bridgeless components)
     of the edge set F, from one low-link pass over its edges; None when F has
     a triangle component (3 vertices, 3 edges)."""
-    n_comps, comp_of, bridges, cut_vertices = low_link(
-        g.n, _member_adjacency(g, members))
+    links = low_link(g.n, member_adjacency(g, members))
+    if _triangle_component(g, members, links) is not None:
+        return None
+    n_comps, comp_of, bridges, cut_vertices = links
     emap = g.edge_map()
-    size = [0] * n_comps
-    for c in comp_of:
-        size[c] += 1
-    if 3 in size:
-        edges = [0] * n_comps
-        for e in members:
-            edges[comp_of[emap[e][0]]] += 1
-        if any(k == 3 and edges[c] == 3 for c, k in enumerate(size)):
-            return None
     complex_comps = {comp_of[emap[e][0]] for e in bridges}
     cutv = sum(1 for v in cut_vertices if comp_of[v] not in complex_comps)
     return (len(members), n_comps, len(bridges), cutv)
@@ -373,7 +304,7 @@ def _candidate_swaps(g: MultiGraph, members):
         u, v = emap[e]
         deg[u] += 1
         deg[v] += 1
-    comp_of = low_link(g.n, _member_adjacency(g, members))[1]
+    comp_of = low_link(g.n, member_adjacency(g, members))[1]
     # (eid, u, v, joins two cover components), ascending by id
     non_members = [(e, u, v, comp_of[u] != comp_of[v])
                    for e, u, v in sorted(g.edges) if e not in members and u != v]

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cover import TwoEdgeCover, check_canonical, is_tf_two_edge_cover
 from .errors import NotCanonical, Stuck
-from .graph import MultiGraph
+from .graph import MultiGraph, member_adjacency, two_ec_classes
 
 
 @dataclass
@@ -87,28 +87,7 @@ def _bridge_path_classes(h: TwoEdgeCover):
     d = h.decomposition
     g = h.host
     emap = g.edge_map()
-    # 2EC classes: components of cover minus bridges
-    adj = {v: [] for v in range(g.n)}
-    for e in h.members:
-        if e in d.bridges:
-            continue
-        u, v = emap[e]
-        adj[u].append(v)
-        adj[v].append(u)
-    class_of = {}
-    cid = 0
-    for s in range(g.n):
-        if s in class_of:
-            continue
-        stack = [s]
-        class_of[s] = cid
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in class_of:
-                    class_of[y] = cid
-                    stack.append(y)
-        cid += 1
+    class_of = two_ec_classes(g.n, member_adjacency(g, h.members), d.bridges)[1]
     tree = {}
     for e in d.bridges:
         u, v = emap[e]

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .cover import TwoEdgeCover, check_canonical, is_tf_two_edge_cover
 from .credits import cost
-from .errors import (BudgetExceeded, CaseLadderExhausted, StructuredViolation)
+from .errors import CaseLadderExhausted, StructuredViolation
 from .graph import (MultiGraph, certify_contractible, contract_many,
                     find_cycle_through_edges, induced_subgraph,
                     max_matching_across)
@@ -274,20 +274,14 @@ def hamiltonian_path_between(g_induced: MultiGraph, u: int, v: int):
     return dfs(u, {u}, [])
 
 
-def _matching_to(g, h, cg, a, b):
-    """Maximum matching between the host vertex sets of nodes a and b."""
-    return max_matching_across(g, cg.node_vertices[a], cg.node_vertices[b])
-
-
 def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: int):
     """Merge the huge component C_L (a trivial segment) with a neighbor."""
     adj = cg.contracted.adjacency()
     neighbors = sorted({w for w, _ in adj[l]})
-    emap = g.edge_map()
     last_violation = None
     for a in neighbors:
         cls = cg.node_class[a]
-        m = _matching_to(g, h, cg, a, l)
+        m = max_matching_across(g, cg.node_vertices[a], cg.node_vertices[l])
         if cls == "Large2EC" or cls == "Complex":
             # any two matching edges merge the components
             if len(m) >= 2:
@@ -299,7 +293,7 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
                 last_violation = StructuredViolation(
                     f"no 3-matching between components {a} and {l}",
                     vertices=set(cg.node_vertices[a]) | set(cg.node_vertices[l]),
-                    edges=h.component_edges(_node_component(cg, a)))
+                    edges=h.component_edges(a))
                 continue
             comp_a = set(cg.node_vertices[a])
             if cls in ("C4", "C5"):
@@ -312,7 +306,7 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
                 if got:
                     return got
                 # Case 3: the component is contractible; report upstream
-                ce = h.component_edges(_node_component(cg, a))
+                ce = h.component_edges(a)
                 just = certify_contractible(g, ce, Fraction(5, 4))
                 last_violation = StructuredViolation(
                     f"C6/C7 component {a} admits no glue move", vertices=comp_a,
@@ -321,14 +315,10 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
         last_violation = last_violation or StructuredViolation(
             f"no valid trivial glue against neighbor {a}",
             vertices=set(cg.node_vertices[a]) | set(cg.node_vertices[l]),
-            edges=h.component_edges(_node_component(cg, a)))
+            edges=h.component_edges(a))
     if last_violation is not None:
         raise last_violation
     raise CaseLadderExhausted(f"huge node {l} has no neighbors")
-
-
-def _node_component(cg: ComponentGraph, node):
-    return node   # node i corresponds to decomposition component i
 
 
 def _swap_adjacent_pair(g: MultiGraph, h: TwoEdgeCover, comp_a, matching):
@@ -402,10 +392,7 @@ def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGr
             req = set(fa) | set(fl)
             if len(req) < 3:
                 continue
-            try:
-                cyc = find_cycle_through_edges(cgg, req, budget)
-            except BudgetExceeded:
-                raise
+            cyc = find_cycle_through_edges(cgg, req, budget)
             if cyc is None:
                 continue
             key = frozenset(cyc)
@@ -495,7 +482,7 @@ def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
                 return got
     if small:
         a = small[0]
-        ce = h.component_edges(_node_component(cg, a))
+        ce = h.component_edges(a)
         just = certify_contractible(g, ce, Fraction(5, 4))
         raise StructuredViolation(
             f"no cycle-based merge for small node {a} in its segment",

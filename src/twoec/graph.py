@@ -8,7 +8,7 @@ graphs can be mapped back to the original by id alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded
@@ -107,9 +107,6 @@ class MultiGraph:
         redundant = self.redundant_edges()
         return redundant[0] if redundant else None
 
-    def is_simple(self) -> bool:
-        return self.has_self_loop_or_parallel() is None
-
     def copy(self) -> "MultiGraph":
         return MultiGraph(self.n, list(self.edges), next_eid=self._next_eid)
 
@@ -205,11 +202,30 @@ def _mask_to_set(mask):
     return out
 
 
+def _groups(count, index_of):
+    """Sorted vertex lists of the `count` groups in the vertex -> group map."""
+    groups = [[] for _ in range(count)]
+    for v, i in enumerate(index_of):
+        groups[i].append(v)
+    return groups
+
+
 def connected_components(g: MultiGraph):
     """Vertex sets of the connected components (isolated vertices included)."""
-    masks = g.neighbor_masks()
-    alive = (1 << g.n) - 1 if g.n else 0
-    return [sorted(_mask_to_set(c)) for c in _components_masks(g.n, masks, alive)]
+    return _groups(*low_link(g.n, g.adjacency())[:2])
+
+
+def member_adjacency(g: MultiGraph, members):
+    """v -> [(w, eid)] over the member edges (self-loops left out), the
+    adjacency `low_link` takes."""
+    emap = g.edge_map()
+    adj = [[] for _ in range(g.n)]
+    for e in members:
+        u, v = emap[e]
+        if u != v:
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+    return adj
 
 
 def low_link(n: int, adj):
@@ -267,9 +283,13 @@ def low_link(n: int, adj):
     return n_components, component_of, bridges, points
 
 
-def _find_bridges(g: MultiGraph):
-    """Bridge edge ids of g; parallel edges are never bridges."""
-    return low_link(g.n, g.adjacency())[2]
+def two_ec_classes(n: int, adj, bridges):
+    """(n_classes, class_of): the 2EC classes of the edge set behind `adj`,
+    i.e. the `low_link` components once its `bridges` are dropped, numbered
+    by their smallest vertex."""
+    if bridges:
+        adj = [[(w, e) for w, e in nbrs if e not in bridges] for nbrs in adj]
+    return low_link(n, adj)[:2]
 
 
 def is_two_edge_connected(g) -> bool:
@@ -279,14 +299,8 @@ def is_two_edge_connected(g) -> bool:
     """
     if isinstance(g, EdgeSubset):
         g = g.subgraph()
-    if g.n == 0:
-        return True
-    if g.n == 1:
-        return True
-    comps = connected_components(g)
-    if len(comps) != 1:
-        return False
-    return not _find_bridges(g)
+    n_comps, _, bridges, _ = low_link(g.n, g.adjacency())
+    return n_comps <= 1 and not bridges
 
 
 def decompose(h) -> BlockDecomposition:
@@ -295,20 +309,12 @@ def decompose(h) -> BlockDecomposition:
         g = h.subgraph()
     else:
         g = h
-    n_comps, comp_index, bridges, cut_vertices = low_link(g.n, g.adjacency())
-    comps = [[] for _ in range(n_comps)]
-    for v, i in enumerate(comp_index):
-        comps[i].append(v)
+    adj = g.adjacency()
+    n_comps, comp_index, bridges, cut_vertices = low_link(g.n, adj)
+    comps = _groups(n_comps, comp_index)
     component_of = dict(enumerate(comp_index))
     bridges = frozenset(bridges)
-
-    # 2EC classes: components after deleting bridges
-    residual = g.without_edges(bridges)
-    res_comps = connected_components(residual)
-    class_of = {}
-    for i, c in enumerate(res_comps):
-        for v in c:
-            class_of[v] = i
+    class_of = two_ec_classes(g.n, adj, bridges)[1]
 
     block_edges = {}
     for eid, u, v in g.edges:
@@ -604,7 +610,6 @@ def _max_independent_subset(g: MultiGraph, candidates):
     """Largest independent subset of `candidates` (brute force, small sets only)."""
     cand = sorted(candidates)
     masks = g.neighbor_masks()
-    best = []
     for r in range(len(cand), 0, -1):
         for combo in itertools.combinations(cand, r):
             ok = True
@@ -617,9 +622,7 @@ def _max_independent_subset(g: MultiGraph, candidates):
                     break
             if ok:
                 return list(combo)
-        if best:
-            break
-    return best
+    return []
 
 
 def forced_edge_lower_bound(g: MultiGraph, s):

@@ -9,8 +9,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import Infeasible, NotTwoEdgeConnected
-from .graph import (EdgeSubset, MultiGraph, connected_components, decompose,
-                    is_two_edge_connected)
+from .graph import EdgeSubset, MultiGraph, is_two_edge_connected
 
 DEFAULT_BUDGET = 5 * 10 ** 6
 

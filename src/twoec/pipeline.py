@@ -192,7 +192,3 @@ def run_pipeline(g: MultiGraph, cfg: PipelineConfig | None = None) -> dict:
 
 def serialize_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def solution_edges(report: dict):
-    return report["solution"]["edges"]

@@ -23,7 +23,8 @@ from .errors import (BudgetExceeded, NotTwoEdgeConnected, PatchNotFound,
 from .graph import (EdgeSubset, MultiGraph, contract,
                     find_contractible_certificate, find_vertex_cut,
                     induced_subgraph, is_two_edge_connected,
-                    iterate_vertex_cuts)
+                    iterate_vertex_cuts, low_link, member_adjacency,
+                    two_ec_classes)
 
 SOLUTION_TYPES = ("A", "B1", "B2", "C1", "C2", "C3")
 TYPE_ORDER = {t: i for i, t in enumerate(SOLUTION_TYPES)}      # A strongest
@@ -77,44 +78,37 @@ class _TypedBranchFailed(Exception):
 # solution-type classification
 
 def classify_solution_type(h: EdgeSubset, cut) -> str:
-    g = h.host
-    emap = g.edge_map()
-    edges = [(e, emap[e][0], emap[e][1]) for e in sorted(h.members)]
-    return _classify(g.n, edges, set(cut))
+    adj = member_adjacency(h.host, h.members)
+    return _classify(adj, set(cut), low_link(h.host.n, adj))
 
 
-def _classify(n, edges, cut) -> str:
-    """Type of the edge set w.r.t. the 3 cut vertices, or Untypeable."""
-    adj = {v: [] for v in range(n)}
-    for e, u, v in edges:
-        if u != v:
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-    comps = []
-    seen = set()
-    for s in range(n):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        while stack:
-            x = stack.pop()
-            for y, _ in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
+def _classify(adj, cut, links) -> str:
+    """Type of the edge set behind `adj` w.r.t. the 3 cut vertices, or
+    Untypeable; `links` is the `low_link` result for `adj`."""
+    n_comps, comp_of, bridges, _ = links
+    comps = [set() for _ in range(n_comps)]
+    for v, c in enumerate(comp_of):
+        comps[c].add(v)
     if any(not (c & cut) for c in comps):
         raise Untypeable("a component contains none of the cut vertices")
-    if len(comps) > 3:
-        raise Untypeable(f"{len(comps)} components")
+    if n_comps > 3:
+        raise Untypeable(f"{n_comps} components")
 
-    infos = [_component_shape(adj, comp, cut) for comp in comps]
+    n_classes, class_of = two_ec_classes(len(adj), adj, bridges)
+    # degree of each 2EC class in its component's bridge tree
+    tree_deg = [0] * n_classes
+    for v, nbrs in enumerate(adj):
+        for _, e in nbrs:
+            if e in bridges:
+                tree_deg[class_of[v]] += 1
+    classes = [set() for _ in range(n_comps)]
+    for v, c in enumerate(class_of):
+        classes[comp_of[v]].add(c)
+    infos = [_component_shape(classes[i], comps[i] & cut, class_of, tree_deg)
+             for i in range(n_comps)]
     # info: (num_classes, is_path, end_cut_counts, cuts_here, cut_to_class_distinct)
 
-    if len(comps) == 1:
+    if n_comps == 1:
         nclasses, is_path, end_counts, cuts_here, distinct = infos[0]
         if nclasses == 1:
             return "A"
@@ -123,7 +117,7 @@ def _classify(n, edges, cut) -> str:
         if distinct == 3:
             return "C1"
         raise Untypeable("single component fits neither A, B1 nor C1")
-    if len(comps) == 2:
+    if n_comps == 2:
         infos.sort(key=lambda i: len(i[3]), reverse=True)
         big, small = infos
         if len(small[3]) != 1:
@@ -138,76 +132,16 @@ def _classify(n, edges, cut) -> str:
     raise Untypeable("three components but not three isolated super-nodes")
 
 
-def _component_shape(adj, comp, cut):
-    """Contract the 2EC classes of one component and summarize the shape."""
-    # bridges within the component
-    sub_adj = {v: adj[v] for v in comp}
-    bridges = _local_bridges(sub_adj, comp)
-    class_of = {}
-    cid = 0
-    for s in sorted(comp):
-        if s in class_of:
-            continue
-        stack = [s]
-        class_of[s] = cid
-        while stack:
-            x = stack.pop()
-            for y, e in adj[x]:
-                if e in bridges or y not in comp:
-                    continue
-                if y not in class_of:
-                    class_of[y] = cid
-                    stack.append(y)
-        cid += 1
-    nclasses = cid
-    tree_deg = {c: 0 for c in range(nclasses)}
-    for e, (x, y) in bridges.items():
-        tree_deg[class_of[x]] += 1
-        tree_deg[class_of[y]] += 1
-    is_path = nclasses >= 2 and all(d <= 2 for d in tree_deg.values()) \
-        and sum(1 for d in tree_deg.values() if d == 1) == 2
-    cuts_here = comp & cut
-    end_classes = [c for c, d in tree_deg.items() if d == 1]
+def _component_shape(classes, cuts_here, class_of, tree_deg):
+    """Summarize one component from its 2EC classes and their bridge-tree
+    degrees."""
+    degs = [tree_deg[c] for c in classes]
+    is_path = len(classes) >= 2 and max(degs) <= 2 and degs.count(1) == 2
     end_counts = tuple(sorted(
-        sum(1 for x in cuts_here if class_of[x] == c) for c in end_classes)) \
-        if is_path else ()
+        sum(1 for x in cuts_here if class_of[x] == c)
+        for c in classes if tree_deg[c] == 1)) if is_path else ()
     distinct = len({class_of[x] for x in cuts_here})
-    return (nclasses, is_path, end_counts, cuts_here, distinct)
-
-
-def _local_bridges(adj, comp):
-    """Bridges of the subgraph induced on comp; returns {eid: (u, v)}."""
-    disc = {}
-    low = {}
-    out = {}
-    timer = [0]
-    for root in sorted(comp):
-        if root in disc:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        while stack:
-            v, pe, it = stack[-1]
-            advanced = False
-            for w, eid in it:
-                if eid == pe or w not in comp:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = timer[0]
-                    timer[0] += 1
-                    stack.append((w, eid, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        out[pe] = (u, v)
-    return out
+    return (len(classes), is_path, end_counts, cuts_here, distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -291,84 +225,41 @@ class _TypedSearch:
                 return []
             return [e for e in avail if e not in inc]
         # components of the partial solution (isolated vertices included)
-        adj = {v: [] for v in range(g.n)}
-        for e in inc:
-            u, v = self.emap[e]
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-        comps = []
-        seen = set()
-        for s in range(g.n):
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            seen.add(s)
-            while stack:
-                x = stack.pop()
-                for y, _ in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(comp)
-        if len(comps) < self.needed:
+        adj = member_adjacency(g, inc)
+        links = low_link(g.n, adj)
+        n_comps, comp_of, bridges, _ = links
+        if n_comps < self.needed:
             return []              # adding edges can only merge further
         # 2) a component without a cut vertex must grow outward
-        for comp in comps:
-            if not (comp & self.cut):
-                out = [e for e, u, v in self.cands
-                       if e not in exc and e not in inc
-                       and (u in comp) != (v in comp)]
-                return out
+        with_cut = {comp_of[x] for x in self.cut}
+        lone = next((c for c in range(n_comps) if c not in with_cut), None)
+        if lone is not None:
+            return [e for e, u, v in self.cands
+                    if e not in exc and e not in inc
+                    and (comp_of[u] == lone) != (comp_of[v] == lone)]
         # 3) too many components: some pair must merge
-        if len(comps) > self.needed:
-            comp_of = {}
-            for i, c in enumerate(comps):
-                for v in c:
-                    comp_of[v] = i
+        if n_comps > self.needed:
             return [e for e, u, v in self.cands
                     if e not in exc and e not in inc and comp_of[u] != comp_of[v]]
         # right component count; try classification
-        edges = [(e, *self.emap[e]) for e in sorted(inc)]
         try:
-            cls = _classify(g.n, edges, self.cut)
+            cls = _classify(adj, self.cut, links)
         except Untypeable:
             cls = None
         if cls == self.t:
             return None            # feasible leaf
         # 4) type-A shape repair: branch across a leaf 2EC class
-        if self.t == "A" and len(comps) == 1:
-            adj_small = {v: adj[v] for v in range(g.n)}
-            bridges = _local_bridges(adj_small, set(range(g.n)))
-            if bridges:
-                bridge_ids = set(bridges)
-                class_of = {}
-                cid = 0
-                for s in range(g.n):
-                    if s in class_of:
-                        continue
-                    stack = [s]
-                    class_of[s] = cid
-                    while stack:
-                        x = stack.pop()
-                        for y, e in adj[x]:
-                            if e in bridge_ids or y in class_of:
-                                continue
-                            class_of[y] = cid
-                            stack.append(y)
-                    cid += 1
-                counts = {}
-                for e in bridge_ids:
-                    u, v = self.emap[e]
-                    counts[class_of[u]] = counts.get(class_of[u], 0) + 1
-                    counts[class_of[v]] = counts.get(class_of[v], 0) + 1
-                leaf = min(c for c, k in counts.items() if k == 1)
-                members = {v for v in range(g.n) if class_of[v] == leaf}
-                return [e for e, u, v in self.cands
-                        if e not in exc and e not in inc
-                        and (u in members) != (v in members)
-                        and e not in bridge_ids]
+        if self.t == "A" and n_comps == 1 and bridges:
+            class_of = two_ec_classes(g.n, adj, bridges)[1]
+            counts = {}
+            for e in bridges:
+                for x in self.emap[e]:
+                    counts[class_of[x]] = counts.get(class_of[x], 0) + 1
+            leaf = min(c for c, k in counts.items() if k == 1)
+            return [e for e, u, v in self.cands
+                    if e not in exc and e not in inc
+                    and (class_of[u] == leaf) != (class_of[v] == leaf)
+                    and e not in bridges]
         # 5) generic completeness fallback: any strict superset solution
         #    contains some currently-undecided edge
         return [e for e, _, _ in self.cands if e not in exc and e not in inc]
@@ -399,33 +290,8 @@ def enumerate_min_typed_subgraph(g1: MultiGraph, cut, t: str,
 def _two_ec_class_of(g: MultiGraph, members):
     """Vertex -> 2EC-class id for the subgraph `members` (bridges split
     classes; isolated vertices are their own class)."""
-    emap = g.edge_map()
-    sub = EdgeSubset(g, frozenset(members)).subgraph()
-    from .graph import _find_bridges   # internal reuse, same graph semantics
-    bridges = _find_bridges(sub)
-    adj = {v: [] for v in range(g.n)}
-    for e in members:
-        if e in bridges:
-            continue
-        u, v = emap[e]
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    class_of = {}
-    cid = 0
-    for s in range(g.n):
-        if s in class_of:
-            continue
-        stack = [s]
-        class_of[s] = cid
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in class_of:
-                    class_of[y] = cid
-                    stack.append(y)
-        cid += 1
-    return class_of
+    adj = member_adjacency(g, members)
+    return two_ec_classes(g.n, adj, low_link(g.n, adj)[2])[1]
 
 
 def find_min_patch(g: MultiGraph, base, bound: int, widen_to: int | None = None):
@@ -477,10 +343,21 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
     threshold = min(cfg.base_case_limit, cfg.enumeration_budget)
     if n <= threshold:
         res = oracle.exact_min_2ecss(g, cfg.oracle_node_budget)
-        if res is None or not res.certified:
-            raise BudgetExceeded("exact solve ran out of budget")
-        ctx["trace"].append({"step": "brute-force", "n": n, "size": res.value})
-        return set(res.witness.members)
+        if res is not None:
+            if not res.certified:
+                _note(ctx, f"exact solve at n={n} ran out of its node budget; "
+                           f"using its best solution")
+            ctx["trace"].append({"step": "brute-force", "n": n,
+                                 "size": res.value})
+            return set(res.witness.members)
+        _note(ctx, f"exact solve at n={n} ran out of its node budget "
+                   f"without a solution; reducing further")
+        if n == 2:
+            # the dispatch would drop one edge of the only parallel pair
+            # kept and leave a bridge; any two parallel edges are optimal
+            pair = sorted(e for e, u, v in g.edges if u != v)[:2]
+            ctx["trace"].append({"step": "brute-force", "n": n, "size": 2})
+            return set(pair)
     if n <= cfg.base_case_limit:
         # eligible for a full exact solve, but over the configured budget
         if ctx["certified"]:
@@ -742,34 +619,12 @@ def _simple_typed_branch(g, g2, map2, cut, t, opt1, bound, recurse, ctx):
 
 def _c2_patterns(g1, local_cut, sols):
     """Which cut pair spans the path component, for each minimum C2 set."""
-    emap = g1.edge_map()
     patterns = {}
     for sol in sols:
-        adj = {x: [] for x in range(g1.n)}
-        for e in sol:
-            a, b = emap[e]
-            adj[a].append(b)
-            adj[b].append(a)
+        comp_of = _component_map(g1, sol)
         # the two cut vertices in one component form the path pair
-        reach = {}
-        for x in local_cut:
-            if x in reach:
-                continue
-            comp = {x}
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for z in adj[y]:
-                    if z not in comp:
-                        comp.add(z)
-                        stack.append(z)
-            for c in local_cut:
-                if c in comp:
-                    reach[c] = x
-        groups = {}
-        for c in local_cut:
-            groups.setdefault(reach[c], []).append(c)
-        pair = next(tuple(sorted(v)) for v in groups.values() if len(v) == 2)
+        pair = next(p for p in itertools.combinations(sorted(local_cut), 2)
+                    if comp_of[p[0]] == comp_of[p[1]])
         patterns.setdefault(pair, []).append(sol)
     return patterns
 
@@ -884,27 +739,7 @@ def _with_vertex(g: MultiGraph) -> MultiGraph:
 
 
 def _component_map(g1, sol):
-    emap = g1.edge_map()
-    adj = {x: [] for x in range(g1.n)}
-    for e in sol:
-        a, b = emap[e]
-        adj[a].append(b)
-        adj[b].append(a)
-    comp_of = {}
-    cid = 0
-    for s in range(g1.n):
-        if s in comp_of:
-            continue
-        stack = [s]
-        comp_of[s] = cid
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp_of:
-                    comp_of[y] = cid
-                    stack.append(y)
-        cid += 1
-    return comp_of
+    return low_link(g1.n, member_adjacency(g1, sol))[1]
 
 
 def _edge_between_comps(g1, sol, comp_of, x, y):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, disjoint_cycles
 from twoec.cover import (TwoEdgeCover, _candidate_swaps, _objective,
-                         canonicalize, check_canonical, is_tf_two_edge_cover,
-                         min_triangle_free_cover)
+                         _triangle_component, canonicalize, check_canonical,
+                         is_tf_two_edge_cover, min_triangle_free_cover)
 from twoec.errors import Infeasible
 from twoec.graph import MultiGraph
 from twoec.oracle import exact_min_tf_cover
@@ -270,3 +270,38 @@ def naive_swaps(g, members):
 def test_swap_generator_matches_naive_screen(seed):
     g, members = random_two_edge_cover(seed)
     assert list(_candidate_swaps(g, members)) == naive_swaps(g, members)
+
+
+def nx_triangle_components(g, members):
+    """Vertex sets of the triangle components (3 vertices, 3 edges), in
+    order of their smallest vertex."""
+    h = nx_cover(g, members)
+    return [c for c in sorted(nx.connected_components(h), key=min)
+            if len(c) == 3 and h.subgraph(c).number_of_edges() == 3]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_triangle_component_and_tf_cover_match_networkx(seed):
+    # seeded multigraphs with parallel edges and self-loops: a triangle,
+    # sometimes with doubled edges, on each block of three vertices, plus a
+    # few random edges, so triangle components are common
+    rng = random.Random(seed)
+    n = 3 * rng.randint(1, 4)
+    g = MultiGraph(n)
+    for b in range(0, n, 3):
+        for u, v in ((b, b + 1), (b + 1, b + 2), (b, b + 2)):
+            for _ in range(rng.choice((1, 1, 1, 2))):
+                g.add_edge(u, v)
+        if rng.random() < 0.1:
+            g.add_edge(b, b)
+    for _ in range(rng.randint(0, n // 2)):
+        g.add_edge(rng.randrange(n), rng.randrange(n))
+    members = {e for e, _, _ in g.edges if rng.random() < 0.9}
+    loop_free = {e for e in members if len(set(g.edge(e))) == 2}
+    tris = nx_triangle_components(g, loop_free)
+    assert _triangle_component(g, loop_free) == (tris[0] if tris else None)
+    h = nx_cover(g, members)
+    expect = (nx.number_of_selfloops(h) == 0
+              and all(d >= 2 for _, d in h.degree())
+              and not nx_triangle_components(g, members))
+    assert is_tf_two_edge_cover(g, members) == expect

@@ -16,7 +16,8 @@ from twoec.graph import (EdgeSubset, MultiGraph, certify_contractible,
                          find_cycle_through_edges, find_vertex_cut,
                          forced_edge_lower_bound, induced_subgraph,
                          is_two_edge_connected, iterate_vertex_cuts,
-                         max_matching_across)
+                         low_link, max_matching_across, member_adjacency,
+                         two_ec_classes)
 
 
 def random_graph(n, m, seed):
@@ -132,6 +133,43 @@ def test_2ec_iff_connected_and_bridgeless(n, m, seed):
     g = random_graph(n, m, seed)
     expect = len(connected_components(g)) == 1 and not naive_bridges(g)
     assert is_two_edge_connected(g) == expect
+
+
+def nx_numbered(n, groups):
+    """vertex -> group index, groups numbered by their smallest vertex."""
+    index = [0] * n
+    for i, c in enumerate(sorted(groups, key=min)):
+        for v in c:
+            index[v] = i
+    return index
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_member_adjacency_and_two_ec_classes_match_networkx(seed):
+    # seeded multigraphs with parallel edges and self-loops, and a random
+    # member subset of their edges
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    g = random_graph(n, rng.randint(0, 3 * n), seed)
+    members = {e for e, _, _ in g.edges if rng.random() < 0.7}
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from((u, v, e) for e, u, v in g.edges
+                     if e in members and u != v)
+    adj = member_adjacency(g, members)
+    assert sorted((min(u, w), max(u, w), e)
+                  for u, nbrs in enumerate(adj) for w, e in nbrs) == \
+        sorted((min(u, v), max(u, v), e) for u, v, e in h.edges(keys=True)
+               for _ in range(2))
+    n_comps, comp_of, bridges, _ = low_link(n, adj)
+    assert comp_of == nx_numbered(n, nx.connected_components(h))
+    sub = MultiGraph(n, [(e, u, v) for e, u, v in g.edges if e in members])
+    assert bridges == naive_bridges(sub)
+    h.remove_edges_from([(u, v, e) for u, v, e in h.edges(keys=True)
+                         if e in bridges])
+    classes = list(nx.connected_components(h))
+    assert two_ec_classes(n, adj, bridges) == (
+        len(classes), nx_numbered(n, classes))
 
 
 # ---------------------------------------------------------------------------

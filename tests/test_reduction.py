@@ -1,6 +1,8 @@
 """Recursive reduction: dispatch steps, typed enumeration, 3-cut handling,
 and end-to-end feasibility/optimality against the oracle."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -8,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, disjoint_cycles
-from twoec.errors import NotTwoEdgeConnected, Untypeable
-from twoec.generate import glued_cliques
+from twoec.errors import BudgetExceeded, NotTwoEdgeConnected, Untypeable
+from twoec.generate import glued_cliques, random_2ec
 from twoec.graph import EdgeSubset, MultiGraph
 from twoec.oracle import exact_min_2ecss, verify_2ecss
-from twoec.pipeline import run_pipeline
-from twoec.reduction import (ReductionConfig, classify_solution_type,
+from twoec.pipeline import PipelineConfig, run_pipeline
+from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
+                             classify_solution_type,
                              enumerate_min_typed_subgraph, find_min_patch,
                              reduce)
 
@@ -212,6 +215,64 @@ def test_typed_enum_tie_order_and_compat_filter():
     assert val is None
 
 
+def typed_sample():
+    """Seeded (graph, cut, edge subset, type) samples on random_2ec graphs,
+    n 6-10, with a random 3-vertex set as the cut.  Dropping every edge at
+    one or two cut vertices makes the multi-component types common."""
+    rng = random.Random(2408)
+    out = []
+    for _ in range(400):
+        n = rng.randint(6, 10)
+        g = random_2ec(n, seed=rng.randrange(10 ** 6))
+        cut = tuple(sorted(rng.sample(range(n), 3)))
+        p = rng.choice((0.3, 0.5, 0.7, 0.9))
+        cut_off = set(rng.sample(cut, rng.randint(0, 2)))
+        members = frozenset(e for e, u, v in g.edges
+                            if rng.random() < p and not ({u, v} & cut_off))
+        try:
+            t = classify_solution_type(EdgeSubset(g, members), cut)
+        except Untypeable:
+            t = "Untypeable"
+        out.append((g, cut, members, t))
+    return out
+
+
+def digest(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_classification_golden():
+    # recorded before the typed layer moved onto graph.low_link
+    sample = typed_sample()
+    types = [t for *_, t in sample]
+    assert set(types) == set(SOLUTION_TYPES) | {"Untypeable"}
+    assert digest(types) == (
+        "2776f1ed99b8f0d7a1bd246d40ad0885e409e6c22887641b4db2c2de1b3fdcfc")
+
+
+def test_typed_enumeration_golden():
+    # every type on the first 20 samples with n <= 8.  The solutions stay in
+    # the order the search found them and the node budget runs out on some
+    # searches, so the record pins the branching order as well
+    results = []
+    small = [s for s in typed_sample() if s[0].n <= 8][:20]
+    for g, cut, _, _ in small:
+        for t in SOLUTION_TYPES:
+            try:
+                val, sols = enumerate_min_typed_subgraph(
+                    g, cut, t, node_budget=20000, collect_all=True)
+            except BudgetExceeded:
+                results.append("budget")
+                continue
+            results.append([val, [sorted(s) for s in sols]])
+    found = {t for t, r in zip(SOLUTION_TYPES * len(small), results)
+             if r != "budget" and r[0] is not None}
+    assert found == set(SOLUTION_TYPES)
+    assert "budget" in results
+    assert digest(results) == (
+        "fa46d05be5b756bc65d0a6496d84ff5460027a181f3fb6aa2fb0dfda0d8a104a")
+
+
 # ---------------------------------------------------------------------------
 # patches
 
@@ -249,6 +310,39 @@ def test_heavy_parallel_cycle_solves():
     report = run_pipeline(g)
     assert verify_2ecss(g, report["solution"]["edges"])
     assert report["solution"]["size"] == 20
+
+
+def test_exact_budget_exhaustion_uses_the_incumbent():
+    g = random_2ec(10, seed=3)
+    report = run_pipeline(g, PipelineConfig(oracle_node_budget=20))
+    assert verify_2ecss(g, report["solution"]["edges"])
+    assert not report["certified"]
+    assert any("exact solve" in note for note in report["notes"])
+
+
+def test_exact_budget_exhaustion_on_two_vertices():
+    # dropping redundant edges would leave a bridge, so the pair is kept
+    g = MultiGraph(2, [(0, 1), (1, 1), (1, 0), (0, 1)])
+    report = run_pipeline(g, PipelineConfig(oracle_node_budget=1))
+    assert report["solution"]["edges"] == [0, 2]
+    assert not report["certified"]
+
+
+@pytest.mark.parametrize("budget", (5, 20, 1000))
+def test_exact_budget_exhaustion_never_crashes(budget):
+    # with budget 5 the exact solve finds no solution at all, so small
+    # graphs, 2-vertex ones included, go down the dispatch instead
+    fired = 0
+    for n in range(6, 21):
+        for seed in range(15):
+            g = random_2ec(n, seed=seed)
+            report = run_pipeline(g, PipelineConfig(oracle_node_budget=budget,
+                                                    oracle_mode="off"))
+            assert verify_2ecss(g, report["solution"]["edges"]), (n, seed)
+            if any("exact solve" in note for note in report["notes"]):
+                fired += 1
+                assert not report["certified"], (n, seed)
+    assert fired
 
 
 # ---------------------------------------------------------------------------
