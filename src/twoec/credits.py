@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cover import TwoEdgeCover, check_canonical, is_tf_two_edge_cover
 from .errors import NotCanonical, Stuck
-from .graph import MultiGraph, member_adjacency, two_ec_classes
+from .graph import MultiGraph
 
 
 @dataclass
@@ -85,9 +85,8 @@ def _bridge_path_classes(h: TwoEdgeCover):
     tree whose edges are the bridges.
     """
     d = h.decomposition
-    g = h.host
-    emap = g.edge_map()
-    class_of = two_ec_classes(g.n, member_adjacency(g, h.members), d.bridges)[1]
+    emap = h.host.edge_map()
+    class_of = d.class_of
     tree = {}
     for e in d.bridges:
         u, v = emap[e]

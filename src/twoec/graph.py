@@ -8,6 +8,7 @@ graphs can be mapped back to the original by id alone.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -151,6 +152,7 @@ class BlockDecomposition:
     component_of: dict        # vertex -> component index
     block_of: dict            # edge id (non-bridge) -> block index
     block_component: list     # per-block component index
+    class_of: list            # vertex -> 2EC-class index (numbered by smallest vertex)
 
 
 @dataclass(frozen=True)
@@ -170,37 +172,6 @@ class ContractionMap:
 
 # ---------------------------------------------------------------------------
 # connectivity
-
-def _components_masks(n, masks, alive_mask):
-    """Connected components (as bitmasks) of the vertices set in alive_mask."""
-    comps = []
-    remaining = alive_mask
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= masks[v] & alive_mask & ~comp
-            comp |= nxt
-            frontier = nxt
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
-
-
-def _mask_to_set(mask):
-    out = set()
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        out.add(v)
-        mask &= mask - 1
-    return out
-
 
 def _groups(count, index_of):
     """Sorted vertex lists of the `count` groups in the vertex -> group map."""
@@ -329,38 +300,19 @@ def decompose(h) -> BlockDecomposition:
             block_of[eid] = i
 
     emap = g.edge_map()
+    # degree of each 2EC class in its component's bridge tree
+    tree_deg = Counter(class_of[x] for eid in bridges for x in emap[eid])
+
+    # pendant: block B of a complex component C with C \ V(B) connected.
+    # V(B) is B's 2EC class, and removing a class splits the bridge tree
+    # into one piece per incident bridge, so B is pendant iff its class is
+    # a leaf of the tree.
     block_component = []
-    block_vertices = []
-    for b in blocks:
-        vs = set()
-        for eid in b:
-            u, v = emap[eid]
-            vs.add(u)
-            vs.add(v)
-        block_vertices.append(vs)
-        block_component.append(component_of[next(iter(vs))])
-
-    # pendant: block B of a complex component C with C \ V(B) connected
-    complex_comps = set()
-    for eid in bridges:
-        u, _ = emap[eid]
-        complex_comps.add(component_of[u])
-
-    masks = g.neighbor_masks()
     pendant_flags = []
-    for bi, b in enumerate(blocks):
-        ci = block_component[bi]
-        if ci not in complex_comps:
-            pendant_flags.append(False)
-            continue
-        rest = set(comps[ci]) - block_vertices[bi]
-        if not rest:
-            pendant_flags.append(True)
-            continue
-        rest_mask = 0
-        for v in rest:
-            rest_mask |= 1 << v
-        pendant_flags.append(len(_components_masks(g.n, masks, rest_mask)) == 1)
+    for b in blocks:
+        x = emap[b[0]][0]
+        block_component.append(component_of[x])
+        pendant_flags.append(tree_deg[class_of[x]] == 1)
 
     return BlockDecomposition(
         components=comps,
@@ -371,6 +323,7 @@ def decompose(h) -> BlockDecomposition:
         component_of=component_of,
         block_of=block_of,
         block_component=block_component,
+        class_of=class_of,
     )
 
 
@@ -417,24 +370,48 @@ def max_matching_across(g: MultiGraph, v1, v2):
 # ---------------------------------------------------------------------------
 # vertex cuts
 
+def _residual(adj, removed):
+    """`adj` with the `removed` vertices left isolated; every list that no
+    removed vertex touches is shared, not copied."""
+    touched = {w for x in removed for w, _ in adj[x]}
+    return [[] if v in removed
+            else [(w, e) for w, e in nbrs if w not in removed] if v in touched
+            else nbrs
+            for v, nbrs in enumerate(adj)]
+
+
+def splitting_vertices(adj, removed):
+    """The vertices v outside `removed` such that G - removed - v has at
+    least two components, from one low-link pass over G - removed (`adj` as
+    `MultiGraph.adjacency` gives it)."""
+    n_comps, comp_of, _, points = low_link(len(adj), _residual(adj, removed))
+    n_alive = n_comps - len(removed)   # removed vertices are isolated
+    size = Counter(comp_of)
+    # an articulation point splits its component; otherwise deleting v
+    # leaves the other components intact and drops v's only if it is {v}
+    return {v for v, c in enumerate(comp_of) if v not in removed
+            and (v in points or n_alive - (size[c] == 1) >= 2)}
+
+
 def iterate_vertex_cuts(g: MultiGraph, k: int):
     """Yield CutCertificates for every k-subset whose removal disconnects g,
-    in lexicographic order of the cut vertex ids."""
-    masks = g.neighbor_masks()
+    in lexicographic order of the cut vertex ids.
+
+    S + (v,) is a cut exactly when v splits G - S, for S running over the
+    lexicographic (k-1)-prefixes, so each prefix costs one low-link pass.
+    """
+    adj = g.adjacency()
     n = g.n
-    full = (1 << n) - 1
-    for cut in itertools.combinations(range(n), k):
-        cut_mask = 0
-        for v in cut:
-            cut_mask |= 1 << v
-        alive = full & ~cut_mask
-        if alive == 0:
-            continue
-        comps = _components_masks(n, masks, alive)
-        if len(comps) < 2:
-            continue
-        comp_sets = tuple(frozenset(_mask_to_set(c)) for c in comps)
-        yield _classify_cut(frozenset(cut), comp_sets, k)
+    for prefix in itertools.combinations(range(n), k - 1):
+        splitters = splitting_vertices(adj, set(prefix))
+        for v in range(prefix[-1] + 1 if prefix else 0, n):
+            if v not in splitters:
+                continue
+            cut = frozenset(prefix + (v,))
+            count, comp_of = low_link(n, _residual(adj, cut))[:2]
+            comp_sets = tuple(frozenset(c) for c in _groups(count, comp_of)
+                              if c[0] not in cut)
+            yield _classify_cut(cut, comp_sets, k)
 
 
 def _classify_cut(cut, comp_sets, k):

@@ -175,7 +175,10 @@ def run_pipeline(g: MultiGraph, cfg: PipelineConfig | None = None) -> dict:
     run_oracle = cfg.oracle_mode == "force" or (
         cfg.oracle_mode == "auto" and g.n <= cfg.oracle_auto_max_n)
     if run_oracle:
-        res = oracle.exact_min_2ecss(g, cfg.oracle_node_budget)
+        # the reduction's base case has solved small inputs exactly already,
+        # on the same graph and with the same node budget
+        res = ctx["exact"] if "exact" in ctx else \
+            oracle.exact_min_2ecss(g, cfg.oracle_node_budget)
         if res is not None and res.certified:
             opt = res.value
             report["oracle"] = {"opt": opt, "nodes": res.nodes_explored}

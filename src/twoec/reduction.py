@@ -24,7 +24,7 @@ from .graph import (EdgeSubset, MultiGraph, contract,
                     find_contractible_certificate, find_vertex_cut,
                     induced_subgraph, is_two_edge_connected,
                     iterate_vertex_cuts, low_link, member_adjacency,
-                    two_ec_classes)
+                    splitting_vertices, two_ec_classes)
 
 SOLUTION_TYPES = ("A", "B1", "B2", "C1", "C2", "C3")
 TYPE_ORDER = {t: i for i, t in enumerate(SOLUTION_TYPES)}      # A strongest
@@ -48,7 +48,6 @@ class ReductionConfig:
     oracle_node_budget: int = 5 * 10 ** 6
     typed_enum_max: int = 20              # G1 size cap for typed enumeration
     typed_node_budget: int = 400_000
-    cycle_budget: int = 10 ** 6
     contractible_scan_budget: int = 4000
     max_depth: int = 300
 
@@ -317,8 +316,9 @@ def find_min_patch(g: MultiGraph, base, bound: int, widen_to: int | None = None)
 # the reduction driver
 
 def reduce(g: MultiGraph, cfg: ReductionConfig, structured_solver):
-    """Returns (EdgeSubset solution, trace list).  The trace records every
-    applied step with enough data to replay reassembly."""
+    """Returns (EdgeSubset solution, ctx).  `ctx["trace"]` records every
+    applied step with enough data to replay reassembly; `ctx["exact"]` holds
+    the exact base case's result when g itself was small enough for it."""
     ctx = {"certified": cfg.certified, "trace": [], "notes": []}
     members = _reduce(g, cfg, structured_solver, ctx, 0)
     sol = EdgeSubset(g, frozenset(members))
@@ -343,6 +343,8 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
     threshold = min(cfg.base_case_limit, cfg.enumeration_budget)
     if n <= threshold:
         res = oracle.exact_min_2ecss(g, cfg.oracle_node_budget)
+        if depth == 0:
+            ctx["exact"] = res         # the input's own exact solve
         if res is not None:
             if not res.certified:
                 _note(ctx, f"exact solve at n={n} ran out of its node budget; "
@@ -454,15 +456,17 @@ def _subgraph_on(g, c_edges, s):
 
 
 def _find_irrelevant_edge(g: MultiGraph):
-    """Smallest-eid edge whose endpoints form a 2-vertex cut."""
-    pairs = {}
-    for e, u, v in sorted(g.edges):
-        if u != v:
-            pairs.setdefault((min(u, v), max(u, v)), e)
-    for cert in iterate_vertex_cuts(g, 2):
-        key = tuple(sorted(cert.cut))
-        if key in pairs:
-            return pairs[key]
+    """Lowest-id edge of the lexicographically first endpoint pair {u, v}
+    that is a 2-vertex cut, or None.
+
+    {u, v} with u < v is a cut exactly when v splits G - u, so each u costs
+    one low-link pass that tests only u's edges to higher vertices."""
+    adj = g.adjacency()
+    for u in range(g.n):
+        splitters = splitting_vertices(adj, {u})
+        for w, e in adj[u]:   # sorted: the first hit is its pair's lowest id
+            if w > u and w in splitters:
+                return e
     return None
 
 

@@ -1,6 +1,7 @@
 """Core graph layer: decomposition, cuts, matchings, cycle search,
 contractibility certificates."""
 
+import itertools
 import random
 
 import networkx as nx
@@ -218,6 +219,82 @@ def test_cut_enumeration_is_lexicographic():
     g = cycle_graph(5)
     cuts = [tuple(sorted(c.cut)) for c in iterate_vertex_cuts(g, 2)]
     assert cuts == sorted(cuts)
+
+
+def naive_vertex_cuts(g, k):
+    """(cut, components of G - cut ordered by smallest vertex) for every
+    separating k-subset, in lexicographic order."""
+    out = []
+    for cut in itertools.combinations(range(g.n), k):
+        h = nx.MultiGraph()
+        h.add_nodes_from(v for v in range(g.n) if v not in cut)
+        h.add_edges_from((u, v) for _, u, v in g.edges
+                         if u not in cut and v not in cut)
+        comps = sorted(map(frozenset, nx.connected_components(h)), key=min)
+        if len(comps) >= 2:
+            out.append((frozenset(cut), tuple(comps)))
+    return out
+
+
+def cut_scan_graphs():
+    """Seeded multigraphs with self-loops and parallel edges (sparse ones are
+    often disconnected), plus graphs where a prefix of a cut already splits
+    the graph: cliques sharing one or two vertices, disjoint cycles."""
+    graphs = []
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        graphs.append(random_graph(n, rng.randint(0, 3 * n), seed))
+    for shared in (1, 2):
+        g = MultiGraph(9 - shared)
+        for side in (range(5), range(5 - shared, 9 - shared)):
+            for u, v in itertools.combinations(side, 2):
+                g.add_edge(u, v)
+        g.add_edge(0, 0)
+        g.add_edge(0, 1)
+        graphs.append(g)
+    graphs.append(disjoint_cycles([3, 1, 4]))
+    return graphs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vertex_cuts_match_networkx(k):
+    for g in cut_scan_graphs():
+        certs = list(iterate_vertex_cuts(g, k))
+        assert [(c.cut, c.residual_components) for c in certs] == \
+            naive_vertex_cuts(g, k), g.edges
+        for c in certs:
+            assert c.side_a in c.residual_components
+            assert c.side_a | c.side_b == frozenset(range(g.n)) - c.cut
+            assert len(c.side_a) == min(map(len, c.residual_components))
+
+
+def naive_pendant_flags(g, d):
+    """Per block B of component C: C has a bridge and C - V(B) is empty or
+    connected, in g with all its edges."""
+    emap = g.edge_map()
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((u, v) for _, u, v in g.edges)
+    flags = []
+    for block in d.blocks:
+        comp = nx.node_connected_component(h, emap[block[0]][0])
+        complex_ = any(emap[e][0] in comp for e in d.bridges)
+        rest = comp - {x for e in block for x in emap[e]}
+        flags.append(complex_ and (not rest or nx.is_connected(h.subgraph(rest))))
+    return flags
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_pendant_flags_match_naive_check(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    g = random_graph(n, rng.randint(0, 3 * n), seed)
+    members = frozenset(e for e, _, _ in g.edges if rng.random() < 0.8)
+    for h in (g, EdgeSubset(g, members)):
+        sub = h.subgraph() if isinstance(h, EdgeSubset) else h
+        d = decompose(h)
+        assert d.pendant_flags == naive_pendant_flags(sub, d)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,8 +16,9 @@ from twoec.generate import glued_cliques, random_2ec
 from twoec.graph import EdgeSubset, MultiGraph
 from twoec.oracle import exact_min_2ecss, verify_2ecss
 from twoec.pipeline import PipelineConfig, run_pipeline
+from twoec import oracle
 from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
-                             classify_solution_type,
+                             _find_irrelevant_edge, classify_solution_type,
                              enumerate_min_typed_subgraph, find_min_patch,
                              reduce)
 
@@ -343,6 +345,59 @@ def test_exact_budget_exhaustion_never_crashes(budget):
                 fired += 1
                 assert not report["certified"], (n, seed)
     assert fired
+
+
+def naive_irrelevant_edge(g):
+    """Lowest-id edge of the lexicographically first endpoint pair that is a
+    2-vertex cut."""
+    for u, v in sorted({(min(a, b), max(a, b)) for _, a, b in g.edges
+                        if a != b}):
+        h = nx.MultiGraph()
+        h.add_nodes_from(x for x in range(g.n) if x not in (u, v))
+        h.add_edges_from((a, b) for _, a, b in g.edges
+                         if {a, b}.isdisjoint((u, v)))
+        if nx.number_connected_components(h) >= 2:
+            return min(e for e, a, b in g.edges if {a, b} == {u, v})
+    return None
+
+
+def test_irrelevant_edge_matches_naive_scan():
+    graphs = [random_2ec(n, seed=seed) for n in (6, 9, 12) for seed in range(10)]
+    graphs += [random_2ec_small(n, n // 3, seed)
+               for n in (5, 8, 11) for seed in range(10)]
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        g = MultiGraph(n)
+        for _ in range(rng.randint(0, 3 * n)):
+            g.add_edge(rng.randrange(n), rng.randrange(n))
+        graphs.append(g)
+    found = [_find_irrelevant_edge(g) for g in graphs]
+    assert found == [naive_irrelevant_edge(g) for g in graphs]
+    assert any(e is None for e in found) and any(e is not None for e in found)
+
+
+@pytest.mark.parametrize("mode", ("off", "auto", "force"))
+def test_small_input_is_solved_exactly_once(monkeypatch, mode):
+    # the report's oracle block reuses the reduction's depth-0 exact solve
+    calls = []
+    real = oracle.exact_min_2ecss
+
+    def counting(g, budget):
+        calls.append(g.n)
+        return real(g, budget)
+
+    g = random_2ec(10, seed=4)
+    cfg = PipelineConfig(oracle_mode=mode)
+    res = real(g, cfg.oracle_node_budget)
+    monkeypatch.setattr(oracle, "exact_min_2ecss", counting)
+    report = run_pipeline(g, cfg)
+    assert calls == [10]
+    if mode == "off":
+        assert "oracle" not in report
+    else:
+        assert report["oracle"] == {"opt": res.value,
+                                    "nodes": res.nodes_explored}
 
 
 # ---------------------------------------------------------------------------
