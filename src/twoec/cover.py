@@ -1,7 +1,8 @@
 """Triangle-free 2-edge covers and their canonical form.
 
 The minimum triangle-free 2-edge cover is computed by an exact desk-scale
-branch-and-bound (a deliberate substitute for the polynomial-time
+branch-and-bound, `graph.DegreeSearch` with a completion that branches across
+triangle components (a deliberate substitute for the polynomial-time
 triangle-free 2-matching machinery, which is out of scope).  Canonicalization
 is the bounded local search over swaps |F_A| <= |F_R| <= 2 that improves the
 lexicographic objective (edges, components, bridges, cut vertices inside 2EC
@@ -22,9 +23,9 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import Infeasible, NotCanonical
-from .graph import (BlockDecomposition, EdgeSubset, MultiGraph, decompose,
-                    low_link, member_adjacency)
+from .errors import BudgetExceeded, Infeasible, NotCanonical
+from .graph import (BlockDecomposition, DegreeSearch, EdgeSubset, MultiGraph,
+                    decompose, low_link, member_adjacency)
 
 
 @dataclass
@@ -129,70 +130,19 @@ def _triangle_component(g: MultiGraph, members, links=None):
 # ---------------------------------------------------------------------------
 # minimum triangle-free 2-edge cover (exact, with heuristic fallback)
 
-class _CoverSearch:
-    """Branch and bound on edge inclusion.  Branching: smallest deficient
-    vertex, candidate edges ascending by id; then triangle components."""
+def _tf_completion(g: MultiGraph):
+    """`DegreeSearch` completion for a triangle-free cover: feasible without
+    a triangle component, else branch over the undecided edges leaving the
+    first one."""
+    edges = sorted(g.edges)
 
-    def __init__(self, g: MultiGraph, budget_nodes: int):
-        self.g = g
-        self.emap = g.edge_map()
-        self.cands = [(eid, u, v) for eid, u, v in sorted(g.edges) if u != v]
-        self.by_vertex = {v: [] for v in range(g.n)}
-        for eid, u, v in self.cands:
-            self.by_vertex[u].append(eid)
-            self.by_vertex[v].append(eid)
-        self.budget = budget_nodes
-        self.nodes = 0
-        self.best = None
-        self.exhausted = False
-
-    def solve(self):
-        self._go(set(), set())
-        return self.best
-
-    def _go(self, inc, exc):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            self.exhausted = True
-            return
-        deg = [0] * self.g.n
-        for e in inc:
-            u, v = self.emap[e]
-            deg[u] += 1
-            deg[v] += 1
-        deficit = sum(max(0, 2 - d) for d in deg)
-        if self.best is not None and len(inc) + (deficit + 1) // 2 >= self.best[0]:
-            return
-        branch = None
-        for v in range(self.g.n):
-            if deg[v] < 2:
-                avail = [e for e in self.by_vertex[v] if e not in exc]
-                if len(avail) < 2:
-                    return
-                branch = [e for e in avail if e not in inc]
-                break
-        if branch is None:
-            tri = _triangle_component(self.g, inc)
-            if tri is None:
-                if self.best is None or len(inc) < self.best[0]:
-                    self.best = (len(inc), frozenset(inc))
-                return
-            branch = [e for e, u, v in self.cands
-                      if e not in exc and e not in inc
-                      and (u in tri) != (v in tri)]
-            if not branch:
-                return
-        undo = []
-        for e in branch:
-            inc.add(e)
-            self._go(inc, exc)
-            inc.discard(e)
-            exc.add(e)
-            undo.append(e)
-            if self.exhausted:
-                break
-        for e in undo:
-            exc.discard(e)
+    def complete(inc, exc):
+        tri = _triangle_component(g, inc)
+        if tri is None:
+            return None
+        return [e for e, u, v in edges if e not in exc and e not in inc
+                and (u in tri) != (v in tri)]
+    return complete
 
 
 def _heuristic_cover(g: MultiGraph):
@@ -231,12 +181,16 @@ def min_triangle_free_cover(g: MultiGraph, budget: int = 14,
     if any(g.degree(v) < 2 for v in range(g.n)):
         raise Infeasible("a vertex has degree < 2")
     if g.n <= budget:
-        search = _CoverSearch(g, budget_nodes)
-        best = search.solve()
-        if best is not None and not search.exhausted:
-            return TwoEdgeCover(g, best[1], certified_minimum=True)
-        if best is None and not search.exhausted:
-            raise Infeasible("no triangle-free 2-edge cover exists")
+        search = DegreeSearch(g, (), budget_nodes, _tf_completion(g),
+                              "triangle-free cover node budget")
+        try:
+            best, sols = search.solve()
+        except BudgetExceeded:
+            pass                   # fall back to the heuristic cover
+        else:
+            if best is None:
+                raise Infeasible("no triangle-free 2-edge cover exists")
+            return TwoEdgeCover(g, sols[0], certified_minimum=True)
     members = _heuristic_cover(g)
     if not is_tf_two_edge_cover(g, members):
         raise Infeasible("heuristic could not remove all triangle components")

@@ -328,6 +328,93 @@ def decompose(h) -> BlockDecomposition:
 
 
 # ---------------------------------------------------------------------------
+# include/exclude search on degree demands
+
+class DegreeSearch:
+    """Branch and bound for the minimum edge sets of g in which every vertex
+    outside `exempt` has degree >= 2 and which `complete` accepts.
+
+    While some vertex is short of degree 2 the search branches on the
+    smallest one, over its undecided edges ascending by id (self-loops are
+    never used).  Once none is short, `complete(inc, exc)` returns None
+    (feasible), [] (dead end) or the undecided edges to branch on.  Each
+    branch edge is tried included, then excluded for the siblings after it.
+    The bound is |inc| + ceil(deficit / 2); degrees and the deficit are
+    updated on every include and undo.  `solve()` returns (minimum size,
+    minimum sets) or (None, []): with `collect_all` every minimum set in the
+    order found, else the first.  Opening more than `node_budget` nodes
+    raises BudgetExceeded(what).
+    """
+
+    def __init__(self, g: MultiGraph, exempt, node_budget: int, complete,
+                 what: str, collect_all: bool = False):
+        self.emap = g.edge_map()
+        self.by_vertex = [[] for _ in range(g.n)]
+        for e, u, v in sorted(g.edges):
+            if u != v:
+                self.by_vertex[u].append(e)
+                self.by_vertex[v].append(e)
+        self.demand = [0 if v in exempt else 2 for v in range(g.n)]
+        self.deg = [0] * g.n
+        self.deficit = sum(self.demand)
+        self.budget = node_budget
+        self.complete = complete
+        self.what = what
+        self.collect_all = collect_all
+        self.nodes = 0
+        self.best = None
+        self.found = {}            # minimum sets, in the order found
+
+    def solve(self):
+        self._go(set(), set())
+        return self.best, list(self.found)
+
+    def _go(self, inc, exc):
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExceeded(self.what)
+        if self.best is not None:
+            lb = len(inc) + (self.deficit + 1) // 2
+            if lb > self.best or (not self.collect_all and lb >= self.best):
+                return
+        deg, demand = self.deg, self.demand
+        if self.deficit:
+            v = next(v for v, d in enumerate(deg) if d < demand[v])
+            avail = [e for e in self.by_vertex[v] if e not in exc]
+            if len(avail) < 2:
+                return
+            branch = [e for e in avail if e not in inc]
+        else:
+            branch = self.complete(inc, exc)
+            if branch is None:
+                self._record(inc)
+                return
+        for e in branch:
+            ends = self.emap[e]
+            inc.add(e)
+            for x in ends:
+                if deg[x] < demand[x]:
+                    self.deficit -= 1
+                deg[x] += 1
+            self._go(inc, exc)
+            inc.discard(e)
+            for x in ends:
+                deg[x] -= 1
+                if deg[x] < demand[x]:
+                    self.deficit += 1
+            exc.add(e)
+        exc.difference_update(branch)
+
+    def _record(self, inc):
+        # the bound lets through no set larger than the best, and ties only
+        # with collect_all
+        if self.best is None or len(inc) < self.best:
+            self.best = len(inc)
+            self.found = {}
+        self.found.setdefault(frozenset(inc))
+
+
+# ---------------------------------------------------------------------------
 # matchings
 
 def max_matching_across(g: MultiGraph, v1, v2):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import oracle
 from .errors import (BudgetExceeded, NotTwoEdgeConnected, PatchNotFound,
                      StructuredViolation, Untypeable)
-from .graph import (EdgeSubset, MultiGraph, contract,
+from .graph import (DegreeSearch, EdgeSubset, MultiGraph, contract,
                     find_contractible_certificate, find_vertex_cut,
                     induced_subgraph, is_two_edge_connected,
                     iterate_vertex_cuts, low_link, member_adjacency,
@@ -44,7 +44,6 @@ class ReductionConfig:
     alpha: Fraction = Fraction(5, 4)
     epsilon: Fraction = Fraction(1, 24)
     enumeration_budget: int = 12          # n0: exact-solve vertex cap
-    certified: bool = True
     oracle_node_budget: int = 5 * 10 ** 6
     typed_enum_max: int = 20              # G1 size cap for typed enumeration
     typed_node_budget: int = 400_000
@@ -146,141 +145,66 @@ def _component_shape(classes, cuts_here, class_of, tree_deg):
 # ---------------------------------------------------------------------------
 # minimum typed subgraph enumeration
 
-class _TypedSearch:
-    """Branch and bound for the minimum edge set of a given type in g1.
+def _typed_completion(g1: MultiGraph, cut, t):
+    """`DegreeSearch` completion for type t, called once every non-cut
+    vertex has degree 2."""
+    needed = _NEEDED_COMPONENTS[t]
+    emap = g1.edge_map()
+    cands = [(e, u, v) for e, u, v in sorted(g1.edges) if u != v]
 
-    Vertices outside the cut need degree >= 2 (their solution edges are
-    confined to g1); cut vertices may be isolated.  Pruning uses the fact
-    that adding edges can only merge components.
-    """
-
-    def __init__(self, g1: MultiGraph, cut, t, node_budget, collect_all):
-        self.g = g1
-        self.cut = set(cut)
-        self.t = t
-        self.needed = _NEEDED_COMPONENTS[t]
-        self.emap = g1.edge_map()
-        self.cands = [(e, u, v) for e, u, v in sorted(g1.edges) if u != v]
-        self.by_vertex = {v: [] for v in range(g1.n)}
-        for e, u, v in self.cands:
-            self.by_vertex[u].append(e)
-            self.by_vertex[v].append(e)
-        self.budget = node_budget
-        self.nodes = 0
-        self.collect_all = collect_all
-        self.best_val = None
-        self.solutions = []
-
-    def solve(self):
-        self._go(set(), set())
-        return self.best_val, self.solutions
-
-    def _go(self, inc, exc):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceeded(f"typed enumeration budget for {self.t}")
-        deg = [0] * self.g.n
-        for e in inc:
-            u, v = self.emap[e]
-            deg[u] += 1
-            deg[v] += 1
-        deficit = sum(max(0, 2 - deg[v]) for v in range(self.g.n)
-                      if v not in self.cut)
-        lb = len(inc) + (deficit + 1) // 2
-        if self.best_val is not None:
-            if lb > self.best_val or (not self.collect_all and lb >= self.best_val):
-                return
-        branch = self._branch(inc, exc, deg)
-        if branch is None:
-            val = len(inc)
-            if self.best_val is None or val < self.best_val:
-                self.best_val = val
-                self.solutions = [frozenset(inc)]
-            elif val == self.best_val and self.collect_all:
-                fs = frozenset(inc)
-                if fs not in self.solutions:
-                    self.solutions.append(fs)
-            return
-        if branch == []:
-            return
-        undo = []
-        for e in branch:
-            inc.add(e)
-            self._go(inc, exc)
-            inc.discard(e)
-            exc.add(e)
-            undo.append(e)
-        for e in undo:
-            exc.discard(e)
-
-    def _branch(self, inc, exc, deg):
-        g = self.g
-        # 1) degree-deficient non-cut vertex
-        for v in range(g.n):
-            if v in self.cut or deg[v] >= 2:
-                continue
-            avail = [e for e in self.by_vertex[v] if e not in exc]
-            if len(avail) < 2:
-                return []
-            return [e for e in avail if e not in inc]
+    def complete(inc, exc):
         # components of the partial solution (isolated vertices included)
-        adj = member_adjacency(g, inc)
-        links = low_link(g.n, adj)
+        adj = member_adjacency(g1, inc)
+        links = low_link(g1.n, adj)
         n_comps, comp_of, bridges, _ = links
-        if n_comps < self.needed:
+        if n_comps < needed:
             return []              # adding edges can only merge further
-        # 2) a component without a cut vertex must grow outward
-        with_cut = {comp_of[x] for x in self.cut}
+        # a component without a cut vertex must grow outward
+        with_cut = {comp_of[x] for x in cut}
         lone = next((c for c in range(n_comps) if c not in with_cut), None)
         if lone is not None:
-            return [e for e, u, v in self.cands
+            return [e for e, u, v in cands
                     if e not in exc and e not in inc
                     and (comp_of[u] == lone) != (comp_of[v] == lone)]
-        # 3) too many components: some pair must merge
-        if n_comps > self.needed:
-            return [e for e, u, v in self.cands
+        # too many components: some pair must merge
+        if n_comps > needed:
+            return [e for e, u, v in cands
                     if e not in exc and e not in inc and comp_of[u] != comp_of[v]]
         # right component count; try classification
         try:
-            cls = _classify(adj, self.cut, links)
+            if _classify(adj, cut, links) == t:
+                return None
         except Untypeable:
-            cls = None
-        if cls == self.t:
-            return None            # feasible leaf
-        # 4) type-A shape repair: branch across a leaf 2EC class
-        if self.t == "A" and n_comps == 1 and bridges:
-            class_of = two_ec_classes(g.n, adj, bridges)[1]
+            pass
+        # type-A shape repair: branch across a leaf 2EC class
+        if t == "A" and n_comps == 1 and bridges:
+            class_of = two_ec_classes(g1.n, adj, bridges)[1]
             counts = {}
             for e in bridges:
-                for x in self.emap[e]:
+                for x in emap[e]:
                     counts[class_of[x]] = counts.get(class_of[x], 0) + 1
             leaf = min(c for c, k in counts.items() if k == 1)
-            return [e for e, u, v in self.cands
+            return [e for e, u, v in cands
                     if e not in exc and e not in inc
                     and (class_of[u] == leaf) != (class_of[v] == leaf)
                     and e not in bridges]
-        # 5) generic completeness fallback: any strict superset solution
-        #    contains some currently-undecided edge
-        return [e for e, _, _ in self.cands if e not in exc and e not in inc]
+        # generic completeness fallback: any strict superset solution
+        # contains some currently-undecided edge
+        return [e for e, _, _ in cands if e not in exc and e not in inc]
+    return complete
 
 
 def enumerate_min_typed_subgraph(g1: MultiGraph, cut, t: str,
                                  node_budget: int = 400_000,
-                                 collect_all: bool = False,
-                                 compat_check=None):
+                                 collect_all: bool = False):
     """(min value, list of minimum edge sets) of type t, or (None, []).
 
-    `compat_check(edge_set) -> bool` optionally filters solutions that cannot
-    extend to a feasible whole-graph solution."""
-    s = _TypedSearch(g1, cut, t, node_budget, collect_all)
-    val, sols = s.solve()
-    if val is None:
-        return None, []
-    if compat_check is not None:
-        sols = [x for x in sols if compat_check(x)]
-        if not sols:
-            return None, []
-    return val, sols
+    Vertices outside the cut need degree >= 2 (their solution edges are
+    confined to g1); cut vertices may be isolated."""
+    cut = set(cut)
+    return DegreeSearch(g1, cut, node_budget, _typed_completion(g1, cut, t),
+                        f"typed enumeration budget for {t}",
+                        collect_all).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +230,9 @@ def find_min_patch(g: MultiGraph, base, bound: int, widen_to: int | None = None)
     top = widen_to if widen_to is not None else bound
     for size in range(0, top + 1):
         for combo in itertools.combinations(useful, size):
-            if oracle.verify_2ecss(g, base | set(combo)):
+            adj = member_adjacency(g, base.union(combo))
+            n_comps, _, bridges, _ = low_link(g.n, adj)
+            if n_comps <= 1 and not bridges:
                 return set(combo), size > bound
     raise PatchNotFound(
         f"no patch of size <= {top} completes the assembled solution")
@@ -319,7 +245,7 @@ def reduce(g: MultiGraph, cfg: ReductionConfig, structured_solver):
     """Returns (EdgeSubset solution, ctx).  `ctx["trace"]` records every
     applied step with enough data to replay reassembly; `ctx["exact"]` holds
     the exact base case's result when g itself was small enough for it."""
-    ctx = {"certified": cfg.certified, "trace": [], "notes": []}
+    ctx = {"certified": True, "trace": [], "notes": []}
     members = _reduce(g, cfg, structured_solver, ctx, 0)
     sol = EdgeSubset(g, frozenset(members))
     if not oracle.verify_2ecss(g, sol.members):

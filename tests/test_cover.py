@@ -1,6 +1,8 @@
 """Triangle-free 2-edge covers, canonical form, and canonicalization."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import networkx as nx
@@ -12,6 +14,7 @@ from twoec.cover import (TwoEdgeCover, _candidate_swaps, _objective,
                          _triangle_component, canonicalize, check_canonical,
                          is_tf_two_edge_cover, min_triangle_free_cover)
 from twoec.errors import Infeasible
+from twoec.generate import random_2ec
 from twoec.graph import MultiGraph
 from twoec.oracle import exact_min_tf_cover
 
@@ -89,6 +92,26 @@ def test_min_cover_infeasible_low_degree():
     g = MultiGraph(3, [(0, 1), (1, 2)])
     with pytest.raises(Infeasible):
         min_triangle_free_cover(g)
+
+
+def test_min_cover_golden():
+    # recorded before the exact cover search moved onto graph.DegreeSearch.
+    # The node budgets 30 and 300 run out on most of these graphs, so the
+    # record pins the fallback to the heuristic cover as well as the
+    # branching order of the exact search
+    rng = random.Random(5150)
+    results = []
+    for _ in range(300):
+        n = rng.randint(5, 14)
+        g = random_2ec(n, seed=rng.randrange(10 ** 6))
+        for budget in (30, 300, None):
+            h = (min_triangle_free_cover(g) if budget is None
+                 else min_triangle_free_cover(g, budget_nodes=budget))
+            results.append([sorted(h.members), h.certified_minimum])
+    exact = [c for _, c in results]
+    assert any(exact[0::3]) and not all(exact[0::3]) and all(exact[2::3])
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
+        "79098f52a9069d853208d259cf4b7d779a6a0f12ac034c9b15339a83e41560bb")
 
 
 def test_heuristic_path_flagged_uncertified():

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import (complete_graph, cycle_graph, disjoint_cycles,
                       naive_bridges, petersen)
 from twoec.errors import BudgetExceeded
-from twoec.graph import (EdgeSubset, MultiGraph, certify_contractible,
+from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
+                         certify_contractible,
                          connected_components, contract, contract_many,
                          decompose, find_contractible_certificate,
                          find_cycle_through_edges, find_vertex_cut,
@@ -295,6 +296,56 @@ def test_pendant_flags_match_naive_check(seed):
         sub = h.subgraph() if isinstance(h, EdgeSubset) else h
         d = decompose(h)
         assert d.pendant_flags == naive_pendant_flags(sub, d)
+
+
+# ---------------------------------------------------------------------------
+# include/exclude search
+
+def naive_min_degree_sets(g, exempt):
+    """All minimum sets of loop-free edges giving every vertex outside
+    `exempt` degree >= 2, by size-ordered subset scan: (size, sets) or
+    (None, [])."""
+    edges = [(e, u, v) for e, u, v in g.edges if u != v]
+    for size in range(len(edges) + 1):
+        found = []
+        for combo in itertools.combinations(edges, size):
+            deg = [0] * g.n
+            for _, u, v in combo:
+                deg[u] += 1
+                deg[v] += 1
+            if all(deg[v] >= 2 for v in range(g.n) if v not in exempt):
+                found.append(frozenset(e for e, _, _ in combo))
+        if found:
+            return size, found
+    return None, []
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_degree_search_matches_brute_force(seed):
+    # n <= 7 multigraphs with parallel edges and self-loops; the exempt set
+    # is empty, three vertices or random
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    g = random_graph(n, rng.randint(n, min(3 * n, 11)), seed)
+    exempt = {0: set(), 1: set(range(min(3, n)))}.get(
+        seed % 3, {v for v in range(n) if rng.random() < 0.3})
+    size, sets = naive_min_degree_sets(g, exempt)
+    best, found = DegreeSearch(g, exempt, 10 ** 6, lambda inc, exc: None,
+                               "test", collect_all=True).solve()
+    assert best == size
+    assert len(found) == len(set(found)) and set(found) == set(sets)
+    best, found = DegreeSearch(g, exempt, 10 ** 6, lambda inc, exc: None,
+                               "test").solve()
+    assert best == size and len(found) == (size is not None)
+    assert set(found) <= set(sets)
+
+
+def test_degree_search_budget_raises_with_its_message():
+    g = complete_graph(6)
+    search = DegreeSearch(g, (), 5, lambda inc, exc: None, "tiny budget")
+    with pytest.raises(BudgetExceeded, match="^tiny budget$"):
+        search.solve()
+    assert search.nodes == 6
 
 
 # ---------------------------------------------------------------------------

@@ -210,13 +210,6 @@ def test_typed_enum_impossible_type_absent():
     assert val is None and sols == []
 
 
-def test_typed_enum_tie_order_and_compat_filter():
-    g = cycle_graph(8)
-    val, sols = enumerate_min_typed_subgraph(
-        g, (0, 2, 4), "A", compat_check=lambda s: False)
-    assert val is None
-
-
 def typed_sample():
     """Seeded (graph, cut, edge subset, type) samples on random_2ec graphs,
     n 6-10, with a random 3-vertex set as the cut.  Dropping every edge at
