@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="5/4")
     p.add_argument("--epsilon", default="1/24")
     p.add_argument("--enum-budget", type=int, default=12,
-                   help="max vertex count for exact solves inside the reduction")
+                   help="max vertex count (>= 2) for exact solves in the reduction")
     p.add_argument("--oracle", choices=["off", "auto", "force"], default="auto")
     p.add_argument("--trace", action="store_true",
                    help="include the reduction trace in the report")

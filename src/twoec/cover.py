@@ -352,7 +352,7 @@ def _improving_move(g: MultiGraph, members, obj):
     return None
 
 
-def canonicalize(g: MultiGraph, h: TwoEdgeCover, max_iters: int | None = None) -> TwoEdgeCover:
+def canonicalize(g: MultiGraph, h: TwoEdgeCover) -> TwoEdgeCover:
     """Local search to canonical form; raises NotCanonical if it stalls short.
 
     The objective strictly decreases each iteration, so the loop terminates;
@@ -362,8 +362,7 @@ def canonicalize(g: MultiGraph, h: TwoEdgeCover, max_iters: int | None = None) -
         raise ValueError("input is not a triangle-free 2-edge cover")
     members = set(h.members)
     obj = _objective(g, members)
-    if max_iters is None:
-        max_iters = (len(members) + 1) * (g.n + 2) * 4 + 100
+    max_iters = (len(members) + 1) * (g.n + 2) * 4 + 100
     iters = 0
     while True:
         got = _improving_move(g, members, obj)

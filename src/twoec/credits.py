@@ -18,6 +18,8 @@ from .cover import TwoEdgeCover, check_canonical, is_tf_two_edge_cover
 from .errors import NotCanonical, Stuck
 from .graph import MultiGraph
 
+MAX_EAR = 4        # longest ear (in non-cover edges) bridge covering tries
+
 
 @dataclass
 class CreditLedger:
@@ -209,7 +211,7 @@ def _evaluate(g, h, deg, old_bridges, old_cost, add, remove):
 
 
 def cover_bridges(g: MultiGraph, h: TwoEdgeCover, ledger: CreditLedger | None = None,
-                  max_ear: int = 4, observer=None):
+                  observer=None):
     """Transform a canonical cover into a bridgeless canonical cover.
 
     Iterates strictly-bridge-decreasing, cost-non-increasing moves; raises
@@ -239,7 +241,7 @@ def cover_bridges(g: MultiGraph, h: TwoEdgeCover, ledger: CreditLedger | None = 
         best = None  # (bridges_after, cost_after, add, remove, cover)
         found = False
         for widen in (False, True):
-            for x, y, add in _ear_candidates(g, cur, max_ear):
+            for x, y, add in _ear_candidates(g, cur, MAX_EAR):
                 pool = _local_removal_pool(cur, x, y) if not widen else \
                     sorted(cur.members)
                 removal_sets = [()]

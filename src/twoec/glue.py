@@ -11,10 +11,10 @@ from fractions import Fraction
 
 from .cover import TwoEdgeCover, check_canonical, is_tf_two_edge_cover
 from .credits import cost
-from .errors import CaseLadderExhausted, StructuredViolation
+from .errors import CaseLadderExhausted, PatchNotFound, StructuredViolation
 from .graph import (MultiGraph, certify_contractible, contract_many,
-                    find_cycle_through_edges, induced_subgraph,
-                    max_matching_across)
+                    find_cycle_through_edges, find_min_patch,
+                    induced_subgraph, max_matching_across)
 
 
 @dataclass
@@ -370,7 +370,7 @@ def _c67_glue(g: MultiGraph, h: TwoEdgeCover, cg, a, l, matching):
 
 
 def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
-                                 l: int, a: int, budget: int = 10 ** 6):
+                                 l: int, a: int):
     """Candidates for merging a C4/C5 node `a` with the huge node `l`:
     cycles of the component graph through both, obtained by requiring one pair
     of edges at each node, resolved to outcome (a) (Hamiltonian path through
@@ -392,7 +392,7 @@ def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGr
             req = set(fa) | set(fl)
             if len(req) < 3:
                 continue
-            cyc = find_cycle_through_edges(cgg, req, budget)
+            cyc = find_cycle_through_edges(cgg, req)
             if cyc is None:
                 continue
             key = frozenset(cyc)
@@ -453,22 +453,15 @@ def _attachment_points(emap, cyc, comp_a):
 
 
 def _nine_edge_patch(g: MultiGraph, comp_a, comp_d, u, v):
-    """9-edge set F over G[V(C_A) u V(C_D)] such that F plus a virtual u-v
-    edge is a 2EC spanning subgraph of that induced graph."""
-    vs = sorted(comp_a | comp_d)
-    sub, vmap = induced_subgraph(g, vs)
-    virtual = None
-    if u != v:
-        virtual = sub.add_edge(vmap[u], vmap[v])
-    from .oracle import verify_2ecss
-    cand_edges = sorted(e for e, _, _ in sub.edges if e != virtual)
-    for combo in itertools.combinations(cand_edges, 9):
-        members = set(combo)
-        if virtual is not None:
-            members.add(virtual)
-        if verify_2ecss(sub, members):
-            return list(combo)
-    return None
+    """Smallest edge set F, at most 9 edges, over G[V(C_A) u V(C_D)] such
+    that F plus a virtual u-v edge is a 2EC spanning subgraph of that
+    induced graph; None if there is none."""
+    sub, vmap = induced_subgraph(g, comp_a | comp_d)
+    base = {sub.add_edge(vmap[u], vmap[v])} if u != v else set()
+    try:
+        return find_min_patch(sub, base, bound=9)[0]
+    except PatchNotFound:
+        return None
 
 
 def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,

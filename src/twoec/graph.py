@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, PatchNotFound
 
 
 class MultiGraph:
@@ -325,6 +325,34 @@ def decompose(h) -> BlockDecomposition:
         block_component=block_component,
         class_of=class_of,
     )
+
+
+# ---------------------------------------------------------------------------
+# patch search
+
+def find_min_patch(g: MultiGraph, base, bound: int, widen_to: int | None = None):
+    """Smallest F (|F| <= bound, or widen_to with a flag) making base + F a
+    2-ECSS of g, the first in id order among those of its size.
+
+    Candidates are the non-loop edges outside base that join two different
+    2EC classes of base: an edge inside one class is never needed, since its
+    ends stay 2-edge-connected without it.  Each candidate set costs one
+    low-link pass.  Returns (patch set, widened flag); raises PatchNotFound.
+    """
+    base = set(base)
+    adj = member_adjacency(g, base)
+    class_of = two_ec_classes(g.n, adj, low_link(g.n, adj)[2])[1]
+    useful = [e for e, u, v in sorted(g.edges)
+              if e not in base and u != v and class_of[u] != class_of[v]]
+    top = widen_to if widen_to is not None else bound
+    for size in range(0, top + 1):
+        for combo in itertools.combinations(useful, size):
+            n_comps, _, bridges, _ = low_link(
+                g.n, member_adjacency(g, base.union(combo)))
+            if n_comps <= 1 and not bridges:
+                return set(combo), size > bound
+    raise PatchNotFound(
+        f"no patch of size <= {top} completes the assembled solution")
 
 
 # ---------------------------------------------------------------------------
@@ -717,12 +745,30 @@ def forced_edge_lower_bound(g: MultiGraph, s):
     return max(bound, len(forced_edges))
 
 
-def certify_contractible(g: MultiGraph, c_edges, alpha: Fraction, exact_inside=None):
+def min_edges_inside(g: MultiGraph, s):
+    """Minimum number of edges with both endpoints in s over all 2-ECSS of g,
+    or None when |s| > 8, n > 24 or more than 24 such edges.
+
+    Adding an outside edge never hurts, so the count is the size of the
+    smallest patch to all the outside edges; every patch edge lies inside s.
+    Raises PatchNotFound when g is not 2-edge-connected.
+    """
+    if len(s) > 8 or g.n > 24:
+        return None
+    inside = [e for e, u, v in g.edges if u != v and u in s and v in s]
+    if len(inside) > 24:
+        return None
+    outside = {e for e, u, v in g.edges if u != v and not (u in s and v in s)}
+    return len(find_min_patch(g, outside, bound=len(inside))[0])
+
+
+def certify_contractible(g: MultiGraph, c_edges, alpha: Fraction):
     """Check that the 2EC subgraph with edge set c_edges is alpha-contractible.
 
-    Returns a justification string when certified, else None.  `exact_inside`
-    is an optional callback (g, vertex_set) -> minimum number of solution
-    edges inside the set over all 2-ECSS of g (oracle class (ii)).
+    Returns a justification string when certified, else None.  The forced
+    edges of `forced_edge_lower_bound` are tried first, then the exact
+    minimum number of solution edges inside V(C), which the patch search
+    `min_edges_inside` computes.
     """
     emap = g.edge_map()
     s = set()
@@ -734,15 +780,14 @@ def certify_contractible(g: MultiGraph, c_edges, alpha: Fraction, exact_inside=N
     lb = forced_edge_lower_bound(g, s)
     if lb >= need:
         return f"forced-degree: {lb} forced edges >= |E(C)|/alpha = {need}"
-    if exact_inside is not None:
-        m = exact_inside(g, s)
-        if m is not None and m >= need:
-            return f"exact: min edges inside = {m} >= {need}"
+    m = min_edges_inside(g, s)
+    if m is not None and m >= need:
+        return f"exact: min edges inside = {m} >= {need}"
     return None
 
 
 def find_contractible_certificate(g: MultiGraph, alpha: Fraction, max_vertices: int,
-                                  cycle_budget: int = 20000, exact_inside=None):
+                                  cycle_budget: int = 20000):
     """Scan for an alpha-contractible 2EC subgraph with <= max_vertices vertices.
 
     Candidates are short induced cycles rich in interior vertices.  Absence of
@@ -783,7 +828,7 @@ def find_contractible_certificate(g: MultiGraph, alpha: Fraction, max_vertices: 
                 s_mask |= 1 << v
             if not any(masks[v] & ~s_mask == 0 for v in vs):
                 continue
-            just = certify_contractible(g, eids, alpha, exact_inside)
+            just = certify_contractible(g, eids, alpha)
             if just is not None:
                 return set(eids), just
     return None

@@ -25,6 +25,7 @@ from .graph import EdgeSubset, MultiGraph, is_two_edge_connected
 from .reduction import ReductionConfig, reduce, verify_approx_bound
 
 SCHEMA_VERSION = 1
+ORACLE_AUTO_MAX_N = 14     # largest input the "auto" oracle mode solves
 
 
 @dataclass
@@ -33,9 +34,7 @@ class PipelineConfig:
     epsilon: Fraction = Fraction(1, 24)
     enumeration_budget: int = 12
     oracle_mode: str = "auto"          # off | auto | force
-    oracle_auto_max_n: int = 14
     oracle_node_budget: int = 5 * 10 ** 6
-    cover_exact_max_n: int = 14
     seed: int | None = None            # echoed into the report only
     trace: bool = False
     timings: bool = False              # wall times break byte-determinism
@@ -103,7 +102,7 @@ def _violation_from_stuck(sub: MultiGraph, h: TwoEdgeCover,
 def _structured_leaf_solver(cfg: PipelineConfig, leaf_records: list):
     def solve(sub: MultiGraph):
         record = {"n": sub.n, "m": sub.m}
-        h = min_triangle_free_cover(sub, budget=cfg.cover_exact_max_n)
+        h = min_triangle_free_cover(sub)
         record["cover_size"] = len(h)
         record["cover_certified"] = h.certified_minimum
         try:
@@ -173,7 +172,7 @@ def run_pipeline(g: MultiGraph, cfg: PipelineConfig | None = None) -> dict:
 
     opt = None
     run_oracle = cfg.oracle_mode == "force" or (
-        cfg.oracle_mode == "auto" and g.n <= cfg.oracle_auto_max_n)
+        cfg.oracle_mode == "auto" and g.n <= ORACLE_AUTO_MAX_N)
     if run_oracle:
         # the reduction's base case has solved small inputs exactly already,
         # on the same graph and with the same node budget

@@ -5,6 +5,10 @@ self-loop/parallel removal, contractible-subgraph contraction, irrelevant-edge
 removal, non-isolating-2-cut split (substituted procedure), large-3-cut
 elimination, and finally the structured-leaf solver callback.
 
+`graph.find_min_patch` answers every "smallest completion" question: the
+patches that rejoin split sides and the exact inside count that certifies a
+contractible subgraph.  The oracle serves the base case and final check only.
+
 Edge ids are stable across induced subgraphs and contractions, so recursive
 solutions compose by plain set union; dummy edges added for the 3-cut gadgets
 get fresh ids and are stripped from recursive answers before reassembly.
@@ -21,22 +25,18 @@ from . import oracle
 from .errors import (BudgetExceeded, NotTwoEdgeConnected, PatchNotFound,
                      StructuredViolation, Untypeable)
 from .graph import (DegreeSearch, EdgeSubset, MultiGraph, contract,
-                    find_contractible_certificate, find_vertex_cut,
-                    induced_subgraph, is_two_edge_connected,
+                    find_contractible_certificate, find_min_patch,
+                    find_vertex_cut, induced_subgraph, is_two_edge_connected,
                     iterate_vertex_cuts, low_link, member_adjacency,
                     splitting_vertices, two_ec_classes)
 
 SOLUTION_TYPES = ("A", "B1", "B2", "C1", "C2", "C3")
 TYPE_ORDER = {t: i for i, t in enumerate(SOLUTION_TYPES)}      # A strongest
-COMPATIBLE = {
-    "A": set(SOLUTION_TYPES),
-    "B1": {"A", "B1", "B2", "C1", "C2"},
-    "B2": {"A", "B1", "B2"},
-    "C1": {"A", "B1", "C1"},
-    "C2": {"A", "B1"},
-    "C3": {"A"},
-}
 _NEEDED_COMPONENTS = {"A": 1, "B1": 1, "C1": 1, "B2": 2, "C2": 2, "C3": 3}
+
+TYPED_NODE_BUDGET = 400_000       # per typed enumeration
+CONTRACTIBLE_SCAN_BUDGET = 4000   # cycle-search nodes per contractibility scan
+MAX_DEPTH = 300                   # recursion guard
 
 
 @dataclass
@@ -46,9 +46,6 @@ class ReductionConfig:
     enumeration_budget: int = 12          # n0: exact-solve vertex cap
     oracle_node_budget: int = 5 * 10 ** 6
     typed_enum_max: int = 20              # G1 size cap for typed enumeration
-    typed_node_budget: int = 400_000
-    contractible_scan_budget: int = 4000
-    max_depth: int = 300
 
     def __post_init__(self):
         self.alpha = Fraction(self.alpha)
@@ -57,6 +54,10 @@ class ReductionConfig:
             raise ValueError("alpha must be >= 5/4")
         if not (0 < self.epsilon <= Fraction(1, 24)):
             raise ValueError("epsilon must lie in (0, 1/24]")
+        if self.enumeration_budget < 2:
+            # a smaller cap sends 1- and 2-vertex graphs down the dispatch,
+            # which cannot solve them
+            raise ValueError("enumeration_budget must be >= 2")
 
     @property
     def base_case_limit(self) -> int:
@@ -195,7 +196,7 @@ def _typed_completion(g1: MultiGraph, cut, t):
 
 
 def enumerate_min_typed_subgraph(g1: MultiGraph, cut, t: str,
-                                 node_budget: int = 400_000,
+                                 node_budget: int = TYPED_NODE_BUDGET,
                                  collect_all: bool = False):
     """(min value, list of minimum edge sets) of type t, or (None, []).
 
@@ -205,37 +206,6 @@ def enumerate_min_typed_subgraph(g1: MultiGraph, cut, t: str,
     return DegreeSearch(g1, cut, node_budget, _typed_completion(g1, cut, t),
                         f"typed enumeration budget for {t}",
                         collect_all).solve()
-
-
-# ---------------------------------------------------------------------------
-# patch search
-
-def _two_ec_class_of(g: MultiGraph, members):
-    """Vertex -> 2EC-class id for the subgraph `members` (bridges split
-    classes; isolated vertices are their own class)."""
-    adj = member_adjacency(g, members)
-    return two_ec_classes(g.n, adj, low_link(g.n, adj)[2])[1]
-
-
-def find_min_patch(g: MultiGraph, base, bound: int, widen_to: int | None = None):
-    """Smallest F (|F| <= bound, or widen_to with a flag) making base + F a
-    2-ECSS of g.  Candidates are edges joining distinct 2EC classes of base.
-
-    Returns (patch set, widened flag); raises PatchNotFound.
-    """
-    base = set(base)
-    class_of = _two_ec_class_of(g, base)
-    useful = [e for e, u, v in sorted(g.edges)
-              if e not in base and u != v and class_of[u] != class_of[v]]
-    top = widen_to if widen_to is not None else bound
-    for size in range(0, top + 1):
-        for combo in itertools.combinations(useful, size):
-            adj = member_adjacency(g, base.union(combo))
-            n_comps, _, bridges, _ = low_link(g.n, adj)
-            if n_comps <= 1 and not bridges:
-                return set(combo), size > bound
-    raise PatchNotFound(
-        f"no patch of size <= {top} completes the assembled solution")
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +229,7 @@ def _note(ctx, message):
 
 
 def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
-    if depth > cfg.max_depth:
+    if depth > MAX_DEPTH:
         raise AssertionError("reduction recursion exceeded its depth guard")
     if not is_two_edge_connected(g):
         raise NotTwoEdgeConnected(
@@ -311,8 +281,7 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
 
     found = find_contractible_certificate(
         g, cfg.alpha, max_vertices=min(cfg.base_case_limit, 7),
-        cycle_budget=cfg.contractible_scan_budget,
-        exact_inside=oracle.exact_inside_oracle)
+        cycle_budget=CONTRACTIBLE_SCAN_BUDGET)
     if found is not None:
         c_edges, justification = found
         return _contract_step(g, cfg, solver, ctx, depth, c_edges,
@@ -358,7 +327,9 @@ def _contract_step(g, cfg, solver, ctx, depth, c_edges, label, justification):
         u, v = emap[e]
         s.add(u)
         s.add(v)
-    if not is_two_edge_connected(_subgraph_on(g, c_edges, s)):
+    # V(C) is one bridgeless component; every other vertex is isolated
+    n_comps, _, bridges, _ = low_link(g.n, member_adjacency(g, c_edges))
+    if n_comps != g.n - len(s) + 1 or bridges:
         raise AssertionError("contraction witness is not 2EC")
     if len(s) < 2:
         raise AssertionError("contraction witness too small")
@@ -368,17 +339,6 @@ def _contract_step(g, cfg, solver, ctx, depth, c_edges, label, justification):
     cm = contract(g, s)
     rest = _reduce(cm.result, cfg, solver, ctx, depth + 1)
     return set(c_edges) | rest
-
-
-def _subgraph_on(g, c_edges, s):
-    vs = sorted(s)
-    vmap = {v: i for i, v in enumerate(vs)}
-    emap = g.edge_map()
-    sub = MultiGraph(len(vs))
-    for e in c_edges:
-        u, v = emap[e]
-        sub.add_edge(vmap[u], vmap[v], e)
-    return sub
 
 
 def _find_irrelevant_edge(g: MultiGraph):
@@ -485,8 +445,8 @@ def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
     opts = {}
     for t in SOLUTION_TYPES:
         collect = t in ("C2", "C3")
-        val, sols = enumerate_min_typed_subgraph(
-            g1, local_cut, t, cfg.typed_node_budget, collect_all=collect)
+        val, sols = enumerate_min_typed_subgraph(g1, local_cut, t,
+                                                 collect_all=collect)
         if val is None:
             continue
         # compatibility with the far side: a 2EC far side admits type A,
@@ -664,8 +624,7 @@ def _c3_branch(g, g1, map1, g2, map2, cut, sols, recurse, ctx):
 
 
 def _with_vertex(g: MultiGraph) -> MultiGraph:
-    out = MultiGraph(g.n + 1, list(g.edges), next_eid=g._next_eid)
-    return out
+    return MultiGraph(g.n + 1, list(g.edges), next_eid=g._next_eid)
 
 
 def _component_map(g1, sol):

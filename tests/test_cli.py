@@ -1,5 +1,6 @@
 """CLI: parsing, report shape, exit codes, determinism, DOT export."""
 
+import io
 import json
 
 import pytest
@@ -135,3 +136,16 @@ def test_cli_trace_flag(tmp_path, capsys):
 def test_cli_bad_epsilon_is_usage_error(tmp_path, capsys):
     p = write_c8(tmp_path)
     assert main([str(p), "--epsilon", "1/2"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("budget, text", [
+    ("1", "2 2\n0 1\n0 1\n"),          # the 2-vertex double edge
+    ("0", "3 3\n0 1\n1 2\n2 0\n"),    # a triangle
+])
+def test_cli_enum_budget_below_two_is_usage_error(monkeypatch, capsys,
+                                                   budget, text):
+    # budgets 0 and 1 used to fail these valid inputs with exit 2
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(text.encode())))
+    assert main(["-", "--enum-budget", budget]) == EXIT_USAGE
+    assert "bad configuration" in capsys.readouterr().err

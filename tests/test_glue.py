@@ -1,5 +1,6 @@
 """Gluing phase: component graph, segments, make_huge, and the glue ladder."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,9 @@ from conftest import cycle_graph, disjoint_cycles
 from twoec.cover import TwoEdgeCover, check_canonical
 from twoec.credits import cost
 from twoec.errors import StructuredViolation
-from twoec.glue import (build_component_graph, compute_segments, glue_all,
-                        make_huge)
-from twoec.graph import MultiGraph, is_two_edge_connected
+from twoec.glue import (_nine_edge_patch, build_component_graph,
+                        compute_segments, glue_all, make_huge)
+from twoec.graph import MultiGraph, induced_subgraph, is_two_edge_connected
 from twoec.oracle import verify_2ecss
 
 
@@ -201,3 +202,50 @@ def test_glue_single_component_is_noop():
     h = cover_of(g, set(g.edge_ids()))
     final, steps = glue_all(g, h)
     assert steps == [] and final.members == h.members
+
+
+# ---------------------------------------------------------------------------
+# the 9-edge replacement of outcome (b)
+
+def c5_c4_pair(chords):
+    """C5 on 0-4 and C4 on 5-8 joined by `chords`; vertex 9 stands for the
+    rest of the host, attached where the virtual u-v edge goes."""
+    g = MultiGraph(10)
+    for i in range(5):
+        g.add_edge(i, (i + 1) % 5)
+    for i in range(4):
+        g.add_edge(5 + i, 5 + (i + 1) % 4)
+    for u, v in chords:
+        g.add_edge(u, v)
+    g.add_edge(1, 9)
+    g.add_edge(4, 9)
+    return g
+
+
+def brute_force_patch_size(sub, virtual):
+    edges = sorted(e for e, _, _ in sub.edges if e != virtual)
+    for k in range(len(edges) + 1):
+        for combo in itertools.combinations(edges, k):
+            if verify_2ecss(sub, set(combo) | {virtual}):
+                return k
+    return None
+
+
+def test_nine_edge_patch_is_a_minimum_completion():
+    # 1-0-5-8-7-6-2-3-4 is a Hamiltonian path of the pair, so 8 edges
+    # close it with the virtual 1-4 edge; the chord 1-3 is a distraction
+    g = c5_c4_pair([(0, 5), (6, 2), (3, 8), (1, 3)])
+    comp_a, comp_d = {0, 1, 2, 3, 4}, {5, 6, 7, 8}
+    f = _nine_edge_patch(g, comp_a, comp_d, 1, 4)
+    assert f is not None and len(f) <= 9
+    sub, vmap = induced_subgraph(g, comp_a | comp_d)
+    assert f <= {e for e, _, _ in sub.edges}
+    virtual = sub.add_edge(vmap[1], vmap[4])
+    assert verify_2ecss(sub, f | {virtual})
+    assert len(f) == brute_force_patch_size(sub, virtual) == 8
+
+
+def test_nine_edge_patch_none_without_completion():
+    # a single chord between the cycles leaves it a bridge
+    g = c5_c4_pair([(0, 5)])
+    assert _nine_edge_patch(g, {0, 1, 2, 3, 4}, {5, 6, 7, 8}, 1, 4) is None

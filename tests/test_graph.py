@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (complete_graph, cycle_graph, disjoint_cycles,
                       naive_bridges, petersen)
-from twoec.errors import BudgetExceeded
+from twoec import oracle
+from twoec.errors import BudgetExceeded, PatchNotFound
 from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
                          certify_contractible,
                          connected_components, contract, contract_many,
@@ -19,7 +20,7 @@ from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
                          forced_edge_lower_bound, induced_subgraph,
                          is_two_edge_connected, iterate_vertex_cuts,
                          low_link, max_matching_across, member_adjacency,
-                         two_ec_classes)
+                         min_edges_inside, two_ec_classes)
 
 
 def random_graph(n, m, seed):
@@ -508,3 +509,44 @@ def test_no_false_certificate_on_petersen():
     # Petersen has no small contractible subgraph at alpha = 5/4: every vertex
     # has a neighbor outside any <= 7-vertex cycle (girth 5, 3-regular)
     assert find_contractible_certificate(petersen(), Fraction(5, 4), 7) is None
+
+
+def random_2ec_multigraph(rng, n):
+    """A Hamiltonian cycle in random vertex order plus random extra edges,
+    parallel edges and self-loops included."""
+    order = rng.sample(range(n), n)
+    g = MultiGraph(n)
+    for i in range(n):
+        g.add_edge(order[i], order[(i + 1) % n])
+    for _ in range(rng.randint(0, n)):
+        g.add_edge(rng.randrange(n), rng.randrange(n))
+    for _ in range(rng.randint(0, 3)):
+        _, u, v = rng.choice(g.edges)
+        g.add_edge(u, v if rng.random() < 0.7 else u)
+    return g
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_min_edges_inside_matches_oracle(seed):
+    # the patch search against the reference's subset scan over inside edges
+    rng = random.Random(seed)
+    values = set()
+    for _ in range(60):
+        g = random_2ec_multigraph(rng, rng.randint(4, 12))
+        s = set(rng.sample(range(g.n), rng.randint(2, min(8, g.n))))
+        got = min_edges_inside(g, s)
+        assert got == oracle.min_edges_inside(g, s), (g.edges, s)
+        values.add(got)
+    assert len(values) >= 4
+
+
+def test_min_edges_inside_caps_and_non_2ec_input():
+    c10 = cycle_graph(10)
+    assert min_edges_inside(c10, set(range(8))) == 7
+    assert min_edges_inside(c10, set(range(9))) is None     # |s| > 8
+    assert min_edges_inside(complete_graph(8), set(range(8))) is None  # 28 > 24
+    assert min_edges_inside(cycle_graph(24), {0, 1}) == 1
+    assert min_edges_inside(cycle_graph(25), {0, 1}) is None  # n > 24
+    path = MultiGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(PatchNotFound):
+        min_edges_inside(path, {0, 1})

@@ -57,6 +57,13 @@ def test_config_rejects_bad_alpha_epsilon():
         ReductionConfig(epsilon=0)
 
 
+def test_config_rejects_enumeration_budget_below_two():
+    for budget in (-1, 0, 1):
+        with pytest.raises(ValueError, match="enumeration_budget"):
+            ReductionConfig(enumeration_budget=budget)
+    assert ReductionConfig(enumeration_budget=2).enumeration_budget == 2
+
+
 def test_config_thresholds():
     cfg = ReductionConfig()
     assert cfg.base_case_limit == 96
