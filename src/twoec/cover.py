@@ -240,10 +240,10 @@ def _objective(g: MultiGraph, members):
     return (len(members), n_comps, len(bridges), cutv)
 
 
-def _candidate_swaps(g: MultiGraph, members):
+def _candidate_swaps(g: MultiGraph, members, shrink_only=False):
     """Every swap (F_R, F_A), |F_A| <= |F_R| <= 2, that leaves each vertex
     with degree >= 2, in the order of the full enumeration (see
-    `_improving_move`).
+    `_improving_move`); with `shrink_only`, only those with |F_A| < |F_R|.
 
     For each F_R, need[x] = 2 - (deg[x] - loss[x]) on the vertices F_R
     pushes below degree 2.  An added edge lifts each endpoint by one, so a
@@ -291,6 +291,8 @@ def _candidate_swaps(g: MultiGraph, members):
             total = sum(need.values())
             if not need:
                 yield removed, ()
+            if fr_size == 1 and shrink_only:
+                continue
             # An added edge lifts each of its two endpoints by one, so one
             # edge can make up the shortfall only if that is one edge at
             # each of at most two vertices.
@@ -300,7 +302,7 @@ def _candidate_swaps(g: MultiGraph, members):
                         if joins or u in loss or v in loss]
                 for a in covering(need, -1) if need else pool:
                     yield removed, (a,)
-            if fr_size == 1:
+            if fr_size == 1 or shrink_only:
                 continue
             # F_A = (a, b): b makes up what a leaves short.  When one edge
             # cannot make up the whole shortfall, a must touch a deficit
@@ -343,8 +345,18 @@ def _improving_move(g: MultiGraph, members, obj):
     self-loops (the cover has none and the pool excludes them), so the only
     part of the triangle-free test left is the triangle-component check,
     which `_objective` makes.
+
+    Two more cuts are exact for the same reason, as they drop only swaps
+    that cannot improve.  A 2-edge cover has |F| >= n, and with |F| = n every
+    degree is 2, so it has no bridge and no cut vertex: (n, 1, 0, 0) is the
+    smallest objective, and at it there is no move.  At (|F|, 1, 0, 0) a swap
+    that keeps |F| cannot get below the last three entries, so only the
+    swaps with |F_A| < |F_R| are generated, in the same order.
     """
-    for removed, added in _candidate_swaps(g, members):
+    if obj == (g.n, 1, 0, 0):
+        return None
+    for removed, added in _candidate_swaps(g, members,
+                                           shrink_only=obj[1:] == (1, 0, 0)):
         new = (members - set(removed)) | set(added)
         nobj = _objective(g, new)
         if nobj is not None and nobj < obj:
@@ -357,6 +369,8 @@ def canonicalize(g: MultiGraph, h: TwoEdgeCover) -> TwoEdgeCover:
 
     The objective strictly decreases each iteration, so the loop terminates;
     the iteration counter enforces the polynomial bound as a hard assertion.
+    The search stops at (n, 1, 0, 0), a spanning cycle, which no cover beats
+    (see `_improving_move`).
     """
     if not is_tf_two_edge_cover(g, h.members):
         raise ValueError("input is not a triangle-free 2-edge cover")

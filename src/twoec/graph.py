@@ -174,10 +174,12 @@ class ContractionMap:
 # connectivity
 
 def _groups(count, index_of):
-    """Sorted vertex lists of the `count` groups in the vertex -> group map."""
+    """Sorted vertex lists of the `count` groups in the vertex -> group map;
+    vertices mapped to -1 belong to none."""
     groups = [[] for _ in range(count)]
     for v, i in enumerate(index_of):
-        groups[i].append(v)
+        if i >= 0:
+            groups[i].append(v)
     return groups
 
 
@@ -199,7 +201,7 @@ def member_adjacency(g: MultiGraph, members):
     return adj
 
 
-def low_link(n: int, adj):
+def low_link(n: int, adj, removed=()):
     """One iterative Tarjan low-link pass over adjacency lists.
 
     `adj[v]` lists `(w, eid)` pairs without self-loops.  Returns
@@ -207,10 +209,18 @@ def low_link(n: int, adj):
     numbered by their smallest vertex (isolated vertices included), bridges
     are edge ids, cut vertices are the articulation points.  The DFS skips the
     edge it arrived by, by id, so parallel edges are never bridges.
+
+    The pass runs on G - `removed` without copying `adj`: a removed vertex
+    starts out visited with discovery index n, above every index the pass
+    hands out, so it is never entered and never lowers a low value.  Only the
+    kept vertices are numbered into components; a removed vertex gets -1.
     """
     disc = [-1] * n
     low = [0] * n
     component_of = [0] * n
+    for x in removed:
+        disc[x] = n
+        component_of[x] = -1
     bridges = set()
     points = set()
     timer = 0
@@ -485,27 +495,20 @@ def max_matching_across(g: MultiGraph, v1, v2):
 # ---------------------------------------------------------------------------
 # vertex cuts
 
-def _residual(adj, removed):
-    """`adj` with the `removed` vertices left isolated; every list that no
-    removed vertex touches is shared, not copied."""
-    touched = {w for x in removed for w, _ in adj[x]}
-    return [[] if v in removed
-            else [(w, e) for w, e in nbrs if w not in removed] if v in touched
-            else nbrs
-            for v, nbrs in enumerate(adj)]
-
-
 def splitting_vertices(adj, removed):
     """The vertices v outside `removed` such that G - removed - v has at
     least two components, from one low-link pass over G - removed (`adj` as
-    `MultiGraph.adjacency` gives it)."""
-    n_comps, comp_of, _, points = low_link(len(adj), _residual(adj, removed))
-    n_alive = n_comps - len(removed)   # removed vertices are isolated
-    size = Counter(comp_of)
-    # an articulation point splits its component; otherwise deleting v
-    # leaves the other components intact and drops v's only if it is {v}
-    return {v for v, c in enumerate(comp_of) if v not in removed
-            and (v in points or n_alive - (size[c] == 1) >= 2)}
+    `MultiGraph.adjacency` gives it).
+
+    With three or more components every kept vertex splits; with two, every
+    kept vertex but an isolated one, whose deletion takes its component
+    along; with one, exactly the articulation points.
+    """
+    n_comps, _, _, points = low_link(len(adj), adj, removed)
+    if n_comps == 1:
+        return points
+    return {v for v, nbrs in enumerate(adj) if v not in removed
+            and (n_comps >= 3 or any(w not in removed for w, _ in nbrs))}
 
 
 def iterate_vertex_cuts(g: MultiGraph, k: int):
@@ -523,9 +526,7 @@ def iterate_vertex_cuts(g: MultiGraph, k: int):
             if v not in splitters:
                 continue
             cut = frozenset(prefix + (v,))
-            count, comp_of = low_link(n, _residual(adj, cut))[:2]
-            comp_sets = tuple(frozenset(c) for c in _groups(count, comp_of)
-                              if c[0] not in cut)
+            comp_sets = tuple(map(frozenset, _groups(*low_link(n, adj, cut)[:2])))
             yield _classify_cut(cut, comp_sets, k)
 
 
@@ -698,6 +699,9 @@ def find_cycle_through_edges(g: MultiGraph, f, budget: int = 10 ** 6):
 # ---------------------------------------------------------------------------
 # contractibility certificates
 
+INSIDE_COUNT_MAX_N = 24   # above this many vertices `min_edges_inside` gives up
+
+
 def _max_independent_subset(g: MultiGraph, candidates):
     """Largest independent subset of `candidates` (brute force, small sets only)."""
     cand = sorted(candidates)
@@ -753,7 +757,7 @@ def min_edges_inside(g: MultiGraph, s):
     smallest patch to all the outside edges; every patch edge lies inside s.
     Raises PatchNotFound when g is not 2-edge-connected.
     """
-    if len(s) > 8 or g.n > 24:
+    if len(s) > 8 or g.n > INSIDE_COUNT_MAX_N:
         return None
     inside = [e for e, u, v in g.edges if u != v and u in s and v in s]
     if len(inside) > 24:
@@ -786,6 +790,42 @@ def certify_contractible(g: MultiGraph, c_edges, alpha: Fraction):
     return None
 
 
+def _no_certifiable_candidate(g: MultiGraph, alpha: Fraction, limit: int):
+    """True when no cycle C of at most `limit` vertices passes
+    `certify_contractible(g, C, alpha)`.
+
+    Above INSIDE_COUNT_MAX_N vertices the exact inside count is never
+    computed, so only the forced-degree bound can certify.  A cycle has at
+    least 3 edges, so when 3 / alpha > 2 it needs a bound of at least 3 on
+    its vertex set s, |s| <= limit.  The bound is 2|W| for an independent
+    set W of vertices whose neighbors all lie in s, or the number of edges of
+    s at its degree-2 vertices, at most two per such vertex.  So s holds two
+    non-adjacent vertices v, w with N[v] | N[w] inside s, or two degree-2
+    vertices, which lie within distance limit // 2 on the cycle.  Without
+    either pair in g, no cycle can be certified.  Returns False whenever the
+    exact count could run or 3 / alpha <= 2.
+    """
+    n = g.n
+    if n <= INSIDE_COUNT_MAX_N or 3 / alpha <= 2:
+        return False
+    closed = [m | 1 << v for v, m in enumerate(g.neighbor_masks())]
+    for v, w in itertools.combinations(range(n), 2):
+        if not closed[v] >> w & 1 and (closed[v] | closed[w]).bit_count() <= limit:
+            return False
+    adj = g.adjacency()
+    deg2 = {v for v in range(n) if len(adj[v]) == 2}
+    for v in deg2:
+        # breadth-first search from v, limit // 2 levels deep
+        seen = {v}
+        level = [v]
+        for _ in range(limit // 2):
+            level = [w for x in level for w, _ in adj[x] if w not in seen]
+            if deg2.intersection(level):
+                return False
+            seen.update(level)
+    return True
+
+
 def find_contractible_certificate(g: MultiGraph, alpha: Fraction, max_vertices: int,
                                   cycle_budget: int = 20000):
     """Scan for an alpha-contractible 2EC subgraph with <= max_vertices vertices.
@@ -793,11 +833,17 @@ def find_contractible_certificate(g: MultiGraph, alpha: Fraction, max_vertices: 
     Candidates are short induced cycles rich in interior vertices.  Absence of
     a result is NOT a refutation; contractibility is only ever confirmed.
     Returns (edge_id_set, justification) or None.
+
+    The cycle enumeration is skipped, with the same None, when
+    `_no_certifiable_candidate` shows that no candidate can pass
+    `certify_contractible`.
     """
     masks = g.neighbor_masks()
     adj = g.adjacency()
     n = g.n
     limit = min(max_vertices, 7)
+    if _no_certifiable_candidate(g, alpha, limit):
+        return None
 
     seen_sets = set()
     budget = [cycle_budget]

@@ -1,8 +1,11 @@
 """Core graph layer: decomposition, cuts, matchings, cycle search,
 contractibility certificates."""
 
+import hashlib
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -12,15 +15,17 @@ from conftest import (complete_graph, cycle_graph, disjoint_cycles,
                       naive_bridges, petersen)
 from twoec import oracle
 from twoec.errors import BudgetExceeded, PatchNotFound
+from twoec.generate import random_2ec
 from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
-                         certify_contractible,
+                         _no_certifiable_candidate, certify_contractible,
                          connected_components, contract, contract_many,
                          decompose, find_contractible_certificate,
                          find_cycle_through_edges, find_vertex_cut,
                          forced_edge_lower_bound, induced_subgraph,
                          is_two_edge_connected, iterate_vertex_cuts,
                          low_link, max_matching_across, member_adjacency,
-                         min_edges_inside, two_ec_classes)
+                         min_edges_inside, splitting_vertices,
+                         two_ec_classes)
 
 
 def random_graph(n, m, seed):
@@ -269,6 +274,44 @@ def test_vertex_cuts_match_networkx(k):
             assert c.side_a in c.residual_components
             assert c.side_a | c.side_b == frozenset(range(g.n)) - c.cut
             assert len(c.side_a) == min(map(len, c.residual_components))
+
+
+def test_low_link_with_removed_vertices_matches_networkx():
+    # seeded multigraphs with parallel edges and self-loops, less 0-3
+    # vertices; some of the removed sets disconnect a connected graph
+    disconnecting = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng.randint(n, 3 * n), seed)
+        removed = set(rng.sample(range(n), rng.randint(0, min(3, n))))
+        kept = [v for v in range(n) if v not in removed]
+        h = nx.MultiGraph()
+        h.add_nodes_from(kept)
+        h.add_edges_from((u, v, e) for e, u, v in g.edges
+                         if u != v and u not in removed and v not in removed)
+        adj = g.adjacency()
+        n_comps, comp_of, bridges, points = low_link(n, adj, removed)
+        comps = sorted(nx.connected_components(h), key=min)
+        assert n_comps == len(comps)
+        assert [comp_of[v] for v in kept] == [
+            next(i for i, c in enumerate(comps) if v in c) for v in kept]
+        assert all(comp_of[v] == -1 for v in removed)
+        naive = set()
+        for u, v, e in list(h.edges(keys=True)):
+            h.remove_edge(u, v, key=e)
+            if nx.number_connected_components(h) > n_comps:
+                naive.add(e)
+            h.add_edge(u, v, key=e)
+        assert bridges == naive
+        assert points == set(nx.articulation_points(nx.Graph(h)))
+        assert splitting_vertices(adj, removed) == {
+            v for v in kept
+            if nx.number_connected_components(
+                h.subgraph(set(kept) - {v})) >= 2}
+        if n_comps > 1 and low_link(n, adj)[0] == 1:
+            disconnecting += 1
+    assert disconnecting >= 5
 
 
 def naive_pendant_flags(g, d):
@@ -550,3 +593,100 @@ def test_min_edges_inside_caps_and_non_2ec_input():
     path = MultiGraph(3, [(0, 1), (1, 2)])
     with pytest.raises(PatchNotFound):
         min_edges_inside(path, {0, 1})
+
+
+def hamiltonian_union(rng, n, k):
+    """The union of k random Hamiltonian cycles on n vertices, parallel
+    edges dropped: 2-edge-connected, degrees at most 2k, few short cycles."""
+    pairs = set()
+    for _ in range(k):
+        order = rng.sample(range(n), n)
+        pairs |= {tuple(sorted((order[i - 1], order[i]))) for i in range(n)}
+    return MultiGraph(n, sorted(pairs))
+
+
+def subdivided(g, picked):
+    """g with each picked edge (u, v) replaced by a path u - x - v through a
+    new degree-2 vertex x."""
+    edges = [(u, v) for _, u, v in g.edges]
+    for j, (u, v) in enumerate(picked):
+        edges.remove((u, v))
+        edges += [(u, g.n + j), (g.n + j, v)]
+    return MultiGraph(g.n + len(picked), edges)
+
+
+def contractibility_sample():
+    """Seeded graphs for the contractibility scan: n 25-32 random-2ec graphs
+    at the default density (kept to n <= 27, where the cycles of at most 7
+    vertices can be listed) and at p 0.12-0.2, unions of three Hamiltonian
+    cycles with 0-3 edges subdivided by degree-2 vertices, and a C5 with one
+    or two interior vertices hung on a sparse host; then n 20-24 graphs,
+    where the exact inside count runs."""
+    rng = random.Random(4242)
+    graphs = []
+    for _ in range(3):
+        graphs.append(random_2ec(rng.randint(25, 27),
+                                 seed=rng.randrange(10 ** 6)))
+    for _ in range(6):
+        graphs.append(random_2ec(rng.randint(25, 32), p=rng.uniform(0.12, 0.2),
+                                 seed=rng.randrange(10 ** 6)))
+    for i in range(8):
+        g = hamiltonian_union(rng, rng.randint(25, 29), 3)
+        graphs.append(subdivided(g, [(u, v) for _, u, v in
+                                     rng.sample(g.edges, i % 4)]))
+    for i in range(6):
+        # the C5 takes vertices 0-4 and the host is sparse, so the scan meets
+        # the C5 before its budget runs out; cycle vertices 0 and 2 (both, or
+        # only 0) get no host neighbor
+        host = random_2ec(rng.randint(20, 27), p=rng.uniform(0.12, 0.2),
+                          seed=rng.randrange(10 ** 6))
+        g = MultiGraph(host.n + 5, [(u + 5, v + 5) for _, u, v in host.edges])
+        for j in range(5):
+            g.add_edge(j, (j + 1) % 5)
+        for j in ((1, 3, 4) if i % 2 else (1, 2, 3, 4)):
+            g.add_edge(j, 5 + rng.randrange(host.n))
+        graphs.append(g)
+    small = []
+    for _ in range(8):
+        p = rng.choice((None, rng.uniform(0.15, 0.25)))
+        small.append(random_2ec(rng.randint(20, 24), p=p,
+                                seed=rng.randrange(10 ** 6)))
+    return graphs, small
+
+
+def test_contractible_scan_golden():
+    # recorded before the scan learned to skip graphs where no candidate
+    # can be certified
+    graphs, small = contractibility_sample()
+    results = []
+    for g in graphs + small:
+        for alpha in (Fraction(5, 4), Fraction(3, 2), Fraction(2)):
+            got = find_contractible_certificate(g, alpha, max_vertices=7,
+                                                cycle_budget=4000)
+            results.append(got and [sorted(got[0]), got[1]])
+    assert any(results) and not all(results)
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
+        "5b54cdd53144a518a798e5347e8d0fd93a141428137a5f032151beaffdaeff2a")
+
+
+def test_contractible_skip_is_sound():
+    # whenever the skip fires, no cycle of at most 7 vertices is certified;
+    # it never fires where the exact inside count runs or 3 / alpha <= 2
+    graphs, small = contractibility_sample()
+    fired = 0
+    for g in graphs:
+        assert not _no_certifiable_candidate(g, Fraction(3, 2), 7)
+        assert not _no_certifiable_candidate(g, Fraction(2), 7)
+        if not _no_certifiable_candidate(g, Fraction(5, 4), 7):
+            continue
+        fired += 1
+        eid = {frozenset((u, v)): e for e, u, v in g.edges}
+        h = nx.Graph([(u, v) for _, u, v in g.edges])
+        for cycle in nx.simple_cycles(h, length_bound=7):
+            edges = [eid[frozenset((u, cycle[i - 1]))]
+                     for i, u in enumerate(cycle)]
+            assert certify_contractible(g, edges, Fraction(5, 4)) is None
+    assert 0 < fired < len(graphs)
+    for g in small:
+        for alpha in (Fraction(5, 4), Fraction(3, 2), Fraction(2)):
+            assert not _no_certifiable_candidate(g, alpha, 7)
