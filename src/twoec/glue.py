@@ -152,7 +152,11 @@ def _huge_node(cg: ComponentGraph):
 
 def _shortest_cycle_through(cg: ComponentGraph, node, min_len=2, forbid_nodes=()):
     """Shortest cycle (host edge-id list) through `node` in the component
-    graph; length-2 cycles use a parallel pair when min_len == 2."""
+    graph; length-2 cycles use a parallel pair when min_len == 2.
+
+    With min_len >= 3 the search from a neighbour w never takes a second
+    w-node edge: a simple cycle through >= 3 nodes cannot use one, and taking
+    it would end the search at a 2-cycle before any longer path is tried."""
     g = cg.contracted
     adj = g.adjacency()
     forbidden = set(forbid_nodes)
@@ -169,6 +173,8 @@ def _shortest_cycle_through(cg: ComponentGraph, node, min_len=2, forbid_nodes=()
                 for y, e2 in adj[x]:
                     if e2 == eid or y in forbidden or y in prev:
                         continue
+                    if min_len >= 3 and x == w and y == node:
+                        continue
                     prev[y] = (x, e2)
                     nxt.append(y)
             if node in prev:
@@ -182,8 +188,6 @@ def _shortest_cycle_through(cg: ComponentGraph, node, min_len=2, forbid_nodes=()
             path.append(prev[x][1])
             x = prev[x][0]
         cyc = [eid] + path[::-1]
-        if len(cyc) < min_len:
-            continue
         if best is None or (len(cyc), sorted(cyc)) < (len(best), sorted(best)):
             best = cyc
     return best

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from conftest import cycle_graph, disjoint_cycles
@@ -13,6 +14,7 @@ from twoec.glue import (_nine_edge_patch, build_component_graph,
                         compute_segments, glue_all, make_huge)
 from twoec.graph import MultiGraph, induced_subgraph, is_two_edge_connected
 from twoec.oracle import verify_2ecss
+from twoec.pipeline import PipelineConfig, run_pipeline
 
 
 def cover_of(g, edge_ids):
@@ -202,6 +204,32 @@ def test_glue_single_component_is_noop():
     h = cover_of(g, set(g.edge_ids()))
     final, steps = glue_all(g, h)
     assert steps == [] and final.members == h.members
+
+
+def generalized_petersen(n, k):
+    """GP(n, k): outer cycle 0..n-1, spokes i - n+i, inner star polygon."""
+    gp = nx.Graph()
+    for i in range(n):
+        gp.add_edge(i, (i + 1) % n)
+        gp.add_edge(i, n + i)
+        gp.add_edge(n + i, n + (i + k) % n)
+    gp = nx.convert_node_labels_to_integers(gp)
+    g = MultiGraph(gp.number_of_nodes())
+    for u, v in sorted(gp.edges()):
+        g.add_edge(u, v)
+    return g
+
+
+@pytest.mark.parametrize("n,k", [(14, 3), (14, 5), (15, 6), (18, 6), (19, 3),
+                                 (20, 3), (24, 5), (26, 3)])
+def test_nontrivial_segment_cycle_skips_parallel_links(n, k):
+    # the huge node's segment has parallel component-graph edges; the cycle
+    # of >= 3 nodes through it must not stop at the 2-cycle they close
+    g = generalized_petersen(n, k)
+    rep = run_pipeline(g, PipelineConfig(oracle_mode="off"))
+    assert verify_2ecss(g, set(rep["solution"]["edges"]))
+    kinds = [s["kind"] for leaf in rep["leaves"] for s in leaf["glue_steps"]]
+    assert "NonTrivialSegmentGlue" in kinds
 
 
 # ---------------------------------------------------------------------------
