@@ -1,14 +1,17 @@
 """Gluing phase: component graph, segments, make_huge, and the glue ladder."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 
 from conftest import cycle_graph, disjoint_cycles
-from twoec.cover import TwoEdgeCover, check_canonical
-from twoec.credits import cost
+from test_acceptance import glue_stress_cases
+from twoec.cover import TwoEdgeCover, canonicalize, check_canonical
+from twoec.credits import cost, cover_bridges
 from twoec.errors import StructuredViolation
 from twoec.glue import (_nine_edge_patch, build_component_graph,
                         compute_segments, glue_all, make_huge)
@@ -89,6 +92,17 @@ def test_make_huge_merges_and_bounds_delta():
     assert step.cost_delta <= 3
     cg = build_component_graph(g, out)
     assert cg.n == 1 or any(len(vs) >= 10 for vs in cg.node_vertices)
+
+
+def test_make_huge_adds_a_second_cycle():
+    # the shortest first cycle is a parallel pair: it merges two C4s into 8
+    # vertices, so a second cycle through the merged node is needed
+    g, cover = ring_of_cycles([4, 4, 4], links=2)
+    h = cover_of(g, cover)
+    out, step = make_huge(g, h)
+    assert step.kind == "MakeHuge" and step.cost_delta == 3
+    assert [len(vs) for vs in build_component_graph(g, out).node_vertices] == [12]
+    assert verify_2ecss(g, out.members)
 
 
 def test_make_huge_noop_when_huge_exists():
@@ -230,6 +244,44 @@ def test_nontrivial_segment_cycle_skips_parallel_links(n, k):
     assert verify_2ecss(g, set(rep["solution"]["edges"]))
     kinds = [s["kind"] for leaf in rep["leaves"] for s in leaf["glue_steps"]]
     assert "NonTrivialSegmentGlue" in kinds
+
+
+def from_networkx(gx):
+    gx = nx.convert_node_labels_to_integers(gx)
+    g = MultiGraph(gx.number_of_nodes())
+    for u, v in sorted(gx.edges()):
+        g.add_edge(u, v)
+    return g
+
+
+def test_glue_golden():
+    # recorded before segments moved onto graph.two_ec_classes: the steps
+    # (kind, added, removed, cost delta) and the final members of glue runs
+    # that reach every step kind
+    results = []
+    for g, cover in glue_stress_cases():
+        h, _ = cover_bridges(g, canonicalize(g, TwoEdgeCover(g, frozenset(cover))))
+        final, steps = glue_all(g, h)
+        results.append([[[s.kind, sorted(s.added), sorted(s.removed),
+                          str(s.cost_delta)] for s in steps],
+                        sorted(final.members)])
+    hosts = [generalized_petersen(n, k) for n, k in
+             [(10, 2), (13, 2), (16, 2), (14, 3), (14, 5), (15, 6), (18, 6),
+              (19, 3), (20, 3), (24, 5), (26, 3)]]
+    hosts += [from_networkx(nx.random_regular_graph(3, 30, seed=0)),
+              from_networkx(nx.random_regular_graph(3, 34, seed=1)),
+              from_networkx(nx.pappus_graph()),
+              from_networkx(nx.desargues_graph()),
+              from_networkx(nx.moebius_kantor_graph())]
+    for g in hosts:
+        rep = run_pipeline(g, PipelineConfig(oracle_mode="off"))
+        results.append([[[s["kind"], s["added"], s["removed"], s["cost_delta"]]
+                         for leaf in rep["leaves"] for s in leaf["glue_steps"]],
+                        rep["solution"]["edges"]])
+    kinds = {s[0] for steps, _ in results for s in steps}
+    assert kinds == {"MakeHuge", "TrivialSegmentGlue", "NonTrivialSegmentGlue"}
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
+        "14fbbd70e21b70619aea7c0800ad1fc987530509aced48008ba4d37195ed0f33")
 
 
 # ---------------------------------------------------------------------------
