@@ -80,52 +80,10 @@ def assert_cost_bound(h: TwoEdgeCover, ledger: CreditLedger | None = None):
 # ---------------------------------------------------------------------------
 # bridge covering
 
-def _bridge_path_classes(h: TwoEdgeCover):
-    """(component_of, class_of, tree adjacency) for the cover's bridge forest.
-
-    Vertices of one cover component fall into 2EC classes; the classes form a
-    tree whose edges are the bridges.
-    """
-    d = h.decomposition
-    emap = h.host.edge_map()
-    class_of = d.class_of
-    tree = {}
-    for e in d.bridges:
-        u, v = emap[e]
-        tree.setdefault(class_of[u], []).append((class_of[v], e))
-        tree.setdefault(class_of[v], []).append((class_of[u], e))
-    return d.component_of, class_of, tree
-
-
-def _bridges_between(tree, a, b):
-    """Bridge ids on the unique tree path between classes a and b (may be [])."""
-    if a == b:
-        return []
-    prev = {a: (None, None)}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        if x == b:
-            break
-        for y, e in tree.get(x, ()):
-            if y not in prev:
-                prev[y] = (x, e)
-                stack.append(y)
-    if b not in prev:
-        return []
-    out = []
-    x = b
-    while prev[x][0] is not None:
-        out.append(prev[x][1])
-        x = prev[x][0]
-    return out
-
-
 def _ear_candidates(g: MultiGraph, h: TwoEdgeCover, max_len: int):
     """Paths of 1..max_len non-cover edges whose ends lie in one cover
     component but different 2EC classes (so the ear covers >= 1 bridge)."""
-    comp_of, class_of, _tree = _bridge_path_classes(h)
-    emap = g.edge_map()
+    comp_of, class_of = h.decomposition.component_of, h.decomposition.class_of
     non_cover = [(e, u, v) for e, u, v in sorted(g.edges)
                  if e not in h.members and u != v]
     nc_adj = {}

@@ -1,6 +1,15 @@
 """Gluing phase: merge the components of a bridgeless canonical cover into a
 single spanning 2EC component at non-increasing cost (one initial step may pay
 up to +3 to create a huge component that absorbs the rest).
+
+Each component is one node of the component graph.  A huge node (>= 10
+vertices) absorbs one neighbour per step.  Its segment is its 2EC class in
+the component graph with parallel edges collapsed: when that is the node
+alone, a trivial-segment step merges it with a neighbour across a matching;
+otherwise a non-trivial-segment step adds a cycle of >= 3 nodes through it,
+replacing a C4/C5 node's cycle by a Hamiltonian path where one is on it.
+When no move merges a small node, the step raises `StructuredViolation`
+with that node's component as the witness, and the reduction contracts it.
 """
 
 from __future__ import annotations
@@ -11,10 +20,10 @@ from fractions import Fraction
 
 from .cover import TwoEdgeCover, check_canonical, is_tf_two_edge_cover
 from .credits import cost
-from .errors import CaseLadderExhausted, PatchNotFound, StructuredViolation
+from .errors import CaseLadderExhausted, StructuredViolation
 from .graph import (MultiGraph, certify_contractible, contract_many,
-                    find_cycle_through_edges, find_min_patch,
-                    induced_subgraph, max_matching_across)
+                    find_cycle_through_edges, induced_subgraph, low_link,
+                    max_matching_across, member_adjacency, two_ec_classes)
 
 
 @dataclass
@@ -26,12 +35,6 @@ class ComponentGraph:
     @property
     def n(self):
         return self.contracted.n
-
-
-@dataclass
-class Segment:
-    nodes: frozenset
-    trivial: bool
 
 
 @dataclass
@@ -60,84 +63,18 @@ def build_component_graph(g: MultiGraph, h: TwoEdgeCover) -> ComponentGraph:
     )
 
 
-def compute_segments(cg: ComponentGraph):
-    """Biconnected pieces with >= 3 nodes are non-trivial segments; every node
-    outside all of them is its own trivial segment."""
-    # simplified adjacency (parallel edges collapsed)
-    n = cg.n
-    nbrs = [set() for _ in range(n)]
-    for _, u, v in cg.contracted.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    simple = MultiGraph(n)
-    for u in range(n):
-        for v in sorted(nbrs[u]):
-            if v > u:
-                simple.add_edge(u, v)
-    pieces = _biconnected_vertex_sets(simple)
-    segments = []
-    covered = set()
-    for piece in pieces:
-        if len(piece) >= 3:
-            segments.append(Segment(frozenset(piece), trivial=False))
-            covered |= piece
-    for v in range(n):
-        if v not in covered:
-            segments.append(Segment(frozenset([v]), trivial=True))
-    return segments
-
-
-def _biconnected_vertex_sets(g: MultiGraph):
-    adj = g.adjacency()
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    timer = [0]
-    estack = []
-    pieces = []
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        while stack:
-            v, pe, it = stack[-1]
-            advanced = False
-            for w, eid in it:
-                if eid == pe:
-                    continue
-                if disc[w] == -1:
-                    estack.append((v, w))
-                    disc[w] = low[w] = timer[0]
-                    timer[0] += 1
-                    stack.append((w, eid, iter(adj[w])))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    estack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        piece = set()
-                        while estack:
-                            a, b = estack[-1]
-                            if disc[a] >= disc[v]:
-                                estack.pop()
-                                piece.add(a)
-                                piece.add(b)
-                            else:
-                                break
-                        if estack and estack[-1] == (u, v):
-                            estack.pop()
-                        piece.add(u)
-                        piece.add(v)
-                        pieces.append(piece)
-    return pieces
+def segment_of(cg: ComponentGraph, l: int) -> frozenset:
+    """The nodes of l's 2EC class in the component graph with parallel edges
+    collapsed.  In a simple graph a class of >= 2 nodes holds a cycle of
+    >= 3 nodes through l, so the segment is non-trivial exactly when it has
+    more than one node."""
+    simple = {}
+    for eid, u, v in cg.contracted.edges:
+        simple.setdefault((min(u, v), max(u, v)), eid)
+    adj = member_adjacency(cg.contracted, simple.values())
+    bridges = low_link(cg.n, adj)[2]
+    class_of = two_ec_classes(cg.n, adj, bridges)[1]
+    return frozenset(v for v in range(cg.n) if class_of[v] == class_of[l])
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +236,21 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
                     vertices=set(cg.node_vertices[a]) | set(cg.node_vertices[l]),
                     edges=h.component_edges(a))
                 continue
-            comp_a = set(cg.node_vertices[a])
             if cls in ("C4", "C5"):
                 # two of the >=3 matched endpoints in C_A are cycle-adjacent
-                got = _swap_adjacent_pair(g, h, comp_a, m)
+                got = _swap_adjacent_pair(g, h, cg, a, m)
                 if got:
                     return got
             else:
-                got = _c67_glue(g, h, cg, a, l, m)
+                got = _c67_glue(g, h, cg, a, m)
                 if got:
                     return got
                 # Case 3: the component is contractible; report upstream
                 ce = h.component_edges(a)
                 just = certify_contractible(g, ce, Fraction(5, 4))
                 last_violation = StructuredViolation(
-                    f"C6/C7 component {a} admits no glue move", vertices=comp_a,
+                    f"C6/C7 component {a} admits no glue move",
+                    vertices=set(cg.node_vertices[a]),
                     edges=ce, justification=just)
                 continue
         last_violation = last_violation or StructuredViolation(
@@ -325,18 +262,17 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
     raise CaseLadderExhausted(f"huge node {l} has no neighbors")
 
 
-def _swap_adjacent_pair(g: MultiGraph, h: TwoEdgeCover, comp_a, matching):
+def _swap_adjacent_pair(g: MultiGraph, h: TwoEdgeCover, cg, a, matching):
     """C4/C5 case: remove the cycle edge between two adjacent matched
     endpoints, add their two matching edges."""
     emap = g.edge_map()
+    comp_a = set(cg.node_vertices[a])
     ends = {}
     for eid in matching:
         u, v = emap[eid]
         inside = u if u in comp_a else v
         ends[inside] = eid
-    comp_edges = [e for e in h.members
-                  if emap[e][0] in comp_a and emap[e][1] in comp_a]
-    for e in sorted(comp_edges):
+    for e in h.component_edges(a):
         u, v = emap[e]
         if u in ends and v in ends and ends[u] != ends[v]:
             got = _apply(g, h, (ends[u], ends[v]), (e,), "TrivialSegmentGlue")
@@ -345,7 +281,7 @@ def _swap_adjacent_pair(g: MultiGraph, h: TwoEdgeCover, comp_a, matching):
     return None
 
 
-def _c67_glue(g: MultiGraph, h: TwoEdgeCover, cg, a, l, matching):
+def _c67_glue(g: MultiGraph, h: TwoEdgeCover, cg, a, matching):
     """C6/C7 case: find two matching edges whose C_A endpoints admit a
     Hamiltonian path in G[V(C_A)]; replace the cycle by path + both edges.
     A 4-matching (when available) widens the candidate pairs, which is how the
@@ -353,8 +289,7 @@ def _c67_glue(g: MultiGraph, h: TwoEdgeCover, cg, a, l, matching):
     emap = g.edge_map()
     comp_a = set(cg.node_vertices[a])
     sub, vmap = induced_subgraph(g, comp_a)
-    comp_edges = [e for e in h.members
-                  if emap[e][0] in comp_a and emap[e][1] in comp_a]
+    comp_edges = set(h.component_edges(a))
     ends = {}
     for eid in matching:
         u, v = emap[eid]
@@ -366,7 +301,7 @@ def _c67_glue(g: MultiGraph, h: TwoEdgeCover, cg, a, l, matching):
         if path is None:
             continue
         added = set(path) | {ends[u], ends[v]}
-        removed = set(comp_edges) - set(path)
+        removed = comp_edges - set(path)
         got = _apply(g, h, added, removed, "TrivialSegmentGlue")
         if got:
             return got
@@ -375,10 +310,11 @@ def _c67_glue(g: MultiGraph, h: TwoEdgeCover, cg, a, l, matching):
 
 def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
                                  l: int, a: int):
-    """Candidates for merging a C4/C5 node `a` with the huge node `l`:
-    cycles of the component graph through both, obtained by requiring one pair
-    of edges at each node, resolved to outcome (a) (Hamiltonian path through
-    C_A) or (b) (9-edge replacement absorbing a trivial C4 neighbor)."""
+    """Candidate (added, removed) moves merging a C4/C5 node `a` with the huge
+    node `l`.  Each is a cycle of the component graph through both (found by
+    requiring one pair of edges at each node) whose two attachment points in
+    C_A are joined by a Hamiltonian path of G[V(C_A)]; the move adds the
+    cycle and the path and drops C_A's other edges."""
     cgg = cg.contracted
     adj = cgg.adjacency()
     emap = g.edge_map()
@@ -386,10 +322,7 @@ def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGr
     edges_at_a = sorted({e for _, e in adj[a]})
     edges_at_l = sorted({e for _, e in adj[l]})
     sub_a, vmap_a = induced_subgraph(g, comp_a)
-    comp_a_edges = [e for e in h.members
-                    if emap[e][0] in comp_a and emap[e][1] in comp_a]
-
-    cycles = []
+    comp_a_edges = set(h.component_edges(a))
     seen = set()
     for fa in itertools.combinations(edges_at_a, 2):
         for fl in itertools.combinations(edges_at_l, 2):
@@ -397,50 +330,16 @@ def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGr
             if len(req) < 3:
                 continue
             cyc = find_cycle_through_edges(cgg, req)
-            if cyc is None:
+            if cyc is None or frozenset(cyc) in seen:
                 continue
-            key = frozenset(cyc)
-            if key in seen:
+            seen.add(frozenset(cyc))
+            u, v = _attachment_points(emap, cyc, comp_a)
+            if u is None or u == v:
                 continue
-            seen.add(key)
-            cycles.append(cyc)
-
-    # outcome (a): attachment points of C_A admit a Hamiltonian path
-    for cyc in cycles:
-        u, v = _attachment_points(emap, cyc, comp_a)
-        if u is None or u == v:
-            continue
-        path = hamiltonian_path_between(sub_a, vmap_a[u], vmap_a[v])
-        if path is None:
-            continue
-        added = set(cyc) | set(path)
-        removed = set(comp_a_edges) - set(path)
-        yield ("a", added, removed)
-
-    # outcome (b): absorb a trivial C4 node D via a 9-edge replacement
-    trivial_c4 = [d for d in range(cg.n)
-                  if d not in (a, l) and cg.node_class[d] == "C4"]
-    for cyc in cycles:
-        nodes_on = set()
-        for e in cyc:
-            u, v = cgg.edge_map()[e]
-            nodes_on.add(u)
-            nodes_on.add(v)
-        u, v = _attachment_points(emap, cyc, comp_a)
-        if u is None:
-            continue
-        for dnode in trivial_c4:
-            if dnode in nodes_on:
+            path = hamiltonian_path_between(sub_a, vmap_a[u], vmap_a[v])
+            if path is None:
                 continue
-            comp_d = set(cg.node_vertices[dnode])
-            f = _nine_edge_patch(g, comp_a, comp_d, u, v)
-            if f is None:
-                continue
-            comp_d_edges = [e for e in h.members
-                            if emap[e][0] in comp_d and emap[e][1] in comp_d]
-            added = set(cyc) | set(f)
-            removed = (set(comp_a_edges) | set(comp_d_edges)) - set(f)
-            yield ("b", added, removed)
+            yield set(cyc) | set(path), comp_a_edges - set(path)
 
 
 def _attachment_points(emap, cyc, comp_a):
@@ -456,24 +355,12 @@ def _attachment_points(emap, cyc, comp_a):
     return pts[0], pts[1]
 
 
-def _nine_edge_patch(g: MultiGraph, comp_a, comp_d, u, v):
-    """Smallest edge set F, at most 9 edges, over G[V(C_A) u V(C_D)] such
-    that F plus a virtual u-v edge is a 2EC spanning subgraph of that
-    induced graph; None if there is none."""
-    sub, vmap = induced_subgraph(g, comp_a | comp_d)
-    base = {sub.add_edge(vmap[u], vmap[v])} if u != v else set()
-    try:
-        return find_min_patch(sub, base, bound=9)[0]
-    except PatchNotFound:
-        return None
-
-
 def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
-                            l: int, seg: Segment):
-    small = sorted(n for n in seg.nodes
+                            l: int, seg: frozenset):
+    small = sorted(n for n in seg
                    if n != l and cg.node_class[n] in ("C4", "C5"))
     for a in small:
-        for outcome, added, removed in cycle_through_huge_and_small(g, h, cg, l, a):
+        for added, removed in cycle_through_huge_and_small(g, h, cg, l, a):
             got = _apply(g, h, added, removed, "NonTrivialSegmentGlue")
             if got:
                 return got
@@ -485,7 +372,7 @@ def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
             f"no cycle-based merge for small node {a} in its segment",
             vertices=set(cg.node_vertices[a]), edges=ce, justification=just)
     # all nodes of the segment are C6/C7 or large: one cycle of length >= 3
-    k = _shortest_cycle_through(cg, l, min_len=3, forbid_nodes=set(range(cg.n)) - seg.nodes)
+    k = _shortest_cycle_through(cg, l, min_len=3, forbid_nodes=set(range(cg.n)) - seg)
     if k is not None:
         got = _apply(g, h, set(k), (), "NonTrivialSegmentGlue")
         if got:
@@ -513,9 +400,8 @@ def glue_all(g: MultiGraph, h: TwoEdgeCover):
                 steps.append(step)
             continue
         l = _huge_node(cg)
-        segments = compute_segments(cg)
-        seg = next((s for s in segments if l in s.nodes), None)
-        if seg is not None and not seg.trivial:
+        seg = segment_of(cg, l)
+        if len(seg) > 1:
             cur, step = glue_nontrivial_segment(g, cur, cg, l, seg)
         else:
             cur, step = glue_trivial_segment(g, cur, cg, l)

@@ -35,6 +35,7 @@ TYPE_ORDER = {t: i for i, t in enumerate(SOLUTION_TYPES)}      # A strongest
 _NEEDED_COMPONENTS = {"A": 1, "B1": 1, "C1": 1, "B2": 2, "C2": 2, "C3": 3}
 
 TYPED_NODE_BUDGET = 400_000       # per typed enumeration
+TYPED_ENUM_MAX = 20               # G1 size cap for typed enumeration
 CONTRACTIBLE_SCAN_BUDGET = 4000   # cycle-search nodes per contractibility scan
 MAX_DEPTH = 300                   # recursion guard
 
@@ -45,7 +46,6 @@ class ReductionConfig:
     epsilon: Fraction = Fraction(1, 24)
     enumeration_budget: int = 12          # n0: exact-solve vertex cap
     oracle_node_budget: int = 5 * 10 ** 6
-    typed_enum_max: int = 20              # G1 size cap for typed enumeration
 
     def __post_init__(self):
         self.alpha = Fraction(self.alpha)
@@ -411,8 +411,8 @@ def handle_large_3vc(g: MultiGraph, split, cfg: ReductionConfig, recurse, ctx):
     chord_ids = [e for e, a, b in g.edges if a in cut and b in cut and a != b]
     g2, map2 = induced_subgraph(g, v2 | set(cut), extra_drop=chord_ids)
 
-    if len(v1) > cfg.small_side_limit or g1.n > cfg.typed_enum_max:
-        if g1.n > cfg.typed_enum_max and len(v1) <= cfg.small_side_limit:
+    if len(v1) > cfg.small_side_limit or g1.n > TYPED_ENUM_MAX:
+        if g1.n > TYPED_ENUM_MAX and len(v1) <= cfg.small_side_limit:
             _note(ctx, f"typed enumeration skipped: |V(G1)|={g1.n} over cap")
         return _both_large_branch(g, g1, map1, g2, map2, cut, recurse, ctx)
 

@@ -1,7 +1,6 @@
 """Gluing phase: component graph, segments, make_huge, and the glue ladder."""
 
 import hashlib
-import itertools
 import json
 from fractions import Fraction
 
@@ -13,9 +12,8 @@ from test_acceptance import glue_stress_cases
 from twoec.cover import TwoEdgeCover, canonicalize, check_canonical
 from twoec.credits import cost, cover_bridges
 from twoec.errors import StructuredViolation
-from twoec.glue import (_nine_edge_patch, build_component_graph,
-                        compute_segments, glue_all, make_huge)
-from twoec.graph import MultiGraph, induced_subgraph, is_two_edge_connected
+from twoec.glue import build_component_graph, glue_all, make_huge, segment_of
+from twoec.graph import MultiGraph, is_two_edge_connected
 from twoec.oracle import verify_2ecss
 from twoec.pipeline import PipelineConfig, run_pipeline
 
@@ -64,20 +62,18 @@ def test_component_graph_drops_self_loops():
 def test_segments_ring_is_one_nontrivial_segment():
     g, cover = ring_of_cycles([4, 4, 4, 4])
     cg = build_component_graph(g, cover_of(g, cover))
-    segs = compute_segments(cg)
-    nontrivial = [s for s in segs if not s.trivial]
-    assert len(nontrivial) == 1
-    assert nontrivial[0].nodes == frozenset(range(4))
+    assert all(segment_of(cg, v) == frozenset(range(4)) for v in range(4))
 
 
 def test_segments_path_attachment_is_trivial():
-    # two components joined by a doubled link: no 3-node biconnected piece
+    # two components joined by a doubled link: collapsed to one edge, the
+    # link is a bridge, so each node is its own trivial segment
     g = disjoint_cycles([6, 6])
     g.add_edge(0, 6)
     g.add_edge(3, 9)
     cg = build_component_graph(g, cover_of(g, set(range(12))))
-    segs = compute_segments(cg)
-    assert all(s.trivial for s in segs) or all(len(s.nodes) < 3 for s in segs)
+    assert cg.n == 2 and cg.contracted.m == 2
+    assert [segment_of(cg, v) for v in range(2)] == [frozenset([0]), frozenset([1])]
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +216,14 @@ def test_glue_single_component_is_noop():
     assert steps == [] and final.members == h.members
 
 
+def from_networkx(gx):
+    gx = nx.convert_node_labels_to_integers(gx)
+    g = MultiGraph(gx.number_of_nodes())
+    for u, v in sorted(gx.edges()):
+        g.add_edge(u, v)
+    return g
+
+
 def generalized_petersen(n, k):
     """GP(n, k): outer cycle 0..n-1, spokes i - n+i, inner star polygon."""
     gp = nx.Graph()
@@ -227,11 +231,7 @@ def generalized_petersen(n, k):
         gp.add_edge(i, (i + 1) % n)
         gp.add_edge(i, n + i)
         gp.add_edge(n + i, n + (i + k) % n)
-    gp = nx.convert_node_labels_to_integers(gp)
-    g = MultiGraph(gp.number_of_nodes())
-    for u, v in sorted(gp.edges()):
-        g.add_edge(u, v)
-    return g
+    return from_networkx(gp)
 
 
 @pytest.mark.parametrize("n,k", [(14, 3), (14, 5), (15, 6), (18, 6), (19, 3),
@@ -244,14 +244,6 @@ def test_nontrivial_segment_cycle_skips_parallel_links(n, k):
     assert verify_2ecss(g, set(rep["solution"]["edges"]))
     kinds = [s["kind"] for leaf in rep["leaves"] for s in leaf["glue_steps"]]
     assert "NonTrivialSegmentGlue" in kinds
-
-
-def from_networkx(gx):
-    gx = nx.convert_node_labels_to_integers(gx)
-    g = MultiGraph(gx.number_of_nodes())
-    for u, v in sorted(gx.edges()):
-        g.add_edge(u, v)
-    return g
 
 
 def test_glue_golden():
@@ -282,50 +274,3 @@ def test_glue_golden():
     assert kinds == {"MakeHuge", "TrivialSegmentGlue", "NonTrivialSegmentGlue"}
     assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
         "14fbbd70e21b70619aea7c0800ad1fc987530509aced48008ba4d37195ed0f33")
-
-
-# ---------------------------------------------------------------------------
-# the 9-edge replacement of outcome (b)
-
-def c5_c4_pair(chords):
-    """C5 on 0-4 and C4 on 5-8 joined by `chords`; vertex 9 stands for the
-    rest of the host, attached where the virtual u-v edge goes."""
-    g = MultiGraph(10)
-    for i in range(5):
-        g.add_edge(i, (i + 1) % 5)
-    for i in range(4):
-        g.add_edge(5 + i, 5 + (i + 1) % 4)
-    for u, v in chords:
-        g.add_edge(u, v)
-    g.add_edge(1, 9)
-    g.add_edge(4, 9)
-    return g
-
-
-def brute_force_patch_size(sub, virtual):
-    edges = sorted(e for e, _, _ in sub.edges if e != virtual)
-    for k in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, k):
-            if verify_2ecss(sub, set(combo) | {virtual}):
-                return k
-    return None
-
-
-def test_nine_edge_patch_is_a_minimum_completion():
-    # 1-0-5-8-7-6-2-3-4 is a Hamiltonian path of the pair, so 8 edges
-    # close it with the virtual 1-4 edge; the chord 1-3 is a distraction
-    g = c5_c4_pair([(0, 5), (6, 2), (3, 8), (1, 3)])
-    comp_a, comp_d = {0, 1, 2, 3, 4}, {5, 6, 7, 8}
-    f = _nine_edge_patch(g, comp_a, comp_d, 1, 4)
-    assert f is not None and len(f) <= 9
-    sub, vmap = induced_subgraph(g, comp_a | comp_d)
-    assert f <= {e for e, _, _ in sub.edges}
-    virtual = sub.add_edge(vmap[1], vmap[4])
-    assert verify_2ecss(sub, f | {virtual})
-    assert len(f) == brute_force_patch_size(sub, virtual) == 8
-
-
-def test_nine_edge_patch_none_without_completion():
-    # a single chord between the cycles leaves it a bridge
-    g = c5_c4_pair([(0, 5)])
-    assert _nine_edge_patch(g, {0, 1, 2, 3, 4}, {5, 6, 7, 8}, 1, 4) is None

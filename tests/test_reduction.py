@@ -16,7 +16,7 @@ from twoec.generate import glued_cliques, random_2ec
 from twoec.graph import EdgeSubset, MultiGraph
 from twoec.oracle import exact_min_2ecss, verify_2ecss
 from twoec.pipeline import PipelineConfig, run_pipeline
-from twoec import oracle
+from twoec import oracle, reduction
 from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
                              _find_irrelevant_edge, classify_solution_type,
                              enumerate_min_typed_subgraph, find_min_patch,
@@ -411,9 +411,10 @@ def test_glued_cliques_reduces_feasibly():
     assert any(s.startswith("3-cut") for s in steps)
 
 
-def test_both_large_branch_on_big_glued_cliques():
+def test_both_large_branch_on_big_glued_cliques(monkeypatch):
+    monkeypatch.setattr(reduction, "TYPED_ENUM_MAX", 10)
     g = glued_cliques(12, 12, 3)
-    cfg = ReductionConfig(enumeration_budget=12, typed_enum_max=10)
+    cfg = ReductionConfig(enumeration_budget=12)
     sol, ctx = reduce(g, cfg, exact_leaf)
     assert verify_2ecss(g, sol.members)
     assert any(t["step"] == "3-cut-both-large" for t in ctx["trace"])
