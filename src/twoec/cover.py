@@ -27,6 +27,9 @@ from .errors import BudgetExceeded, Infeasible, NotCanonical
 from .graph import (BlockDecomposition, DegreeSearch, EdgeSubset, MultiGraph,
                     decompose, low_link, member_adjacency)
 
+TF_EXACT_MAX_N = 14               # largest input the exact TF cover search takes
+TF_NODE_BUDGET = 5 * 10 ** 6      # its node budget, then the heuristic cover
+
 
 @dataclass
 class TwoEdgeCover:
@@ -175,13 +178,12 @@ def _heuristic_cover(g: MultiGraph):
     return members
 
 
-def min_triangle_free_cover(g: MultiGraph, budget: int = 14,
-                            budget_nodes: int = 5 * 10 ** 6) -> TwoEdgeCover:
-    """Minimum triangle-free 2-edge cover; exact when |V| <= budget."""
+def min_triangle_free_cover(g: MultiGraph) -> TwoEdgeCover:
+    """Minimum triangle-free 2-edge cover; exact when |V| <= TF_EXACT_MAX_N."""
     if any(g.degree(v) < 2 for v in range(g.n)):
         raise Infeasible("a vertex has degree < 2")
-    if g.n <= budget:
-        search = DegreeSearch(g, (), budget_nodes, _tf_completion(g),
+    if g.n <= TF_EXACT_MAX_N:
+        search = DegreeSearch(g, (), TF_NODE_BUDGET, _tf_completion(g),
                               "triangle-free cover node budget")
         try:
             best, sols = search.solve()

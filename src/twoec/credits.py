@@ -1,7 +1,7 @@
 """Credit/cost accounting and bridge covering.
 
-Credits are kept in exact quarter-integer units (plain ints counting 1/4s),
-and cost(H) = |H| + credit(H) is exposed as a Fraction.  Bridge covering is a
+Credits are counted in exact quarter-integer units and totalled as a
+Fraction, and cost(H) = |H| + credit(H).  Bridge covering is a
 bounded ear-augmentation search whose only contract is the one the analysis
 needs: each iteration strictly decreases the bridge count at non-increasing
 cost, preserving canonical form.  `Stuck` is a first-class outcome carrying a
@@ -11,7 +11,6 @@ serializable counterexample.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cover import TwoEdgeCover, check_canonical, is_tf_two_edge_cover
@@ -21,56 +20,40 @@ from .graph import MultiGraph
 MAX_EAR = 4        # longest ear (in non-cover edges) bridge covering tries
 
 
-@dataclass
-class CreditLedger:
-    quarter_credits: dict = field(default_factory=dict)
-
-    def total_quarters(self) -> int:
-        return sum(self.quarter_credits.values())
-
-    def total(self) -> Fraction:
-        return Fraction(self.total_quarters(), 4)
-
-
-def init_credits(h: TwoEdgeCover) -> CreditLedger:
-    """Ledger per the credit scheme; requires a canonical cover."""
+def init_credits(h: TwoEdgeCover) -> Fraction:
+    """Total credit of h per the credit scheme; requires a canonical cover."""
     violations = check_canonical(h)
     if violations:
         raise NotCanonical(violations)
     d = h.decomposition
-    ledger = CreditLedger()
-    complex_comps = set()
     emap = h.host.edge_map()
-    for e in d.bridges:
-        complex_comps.add(d.component_of[emap[e][0]])
+    complex_comps = {d.component_of[emap[e][0]] for e in d.bridges}
+    quarters = 0
     for ci, comp in enumerate(d.components):
-        key = ("comp", comp[0])
         cls = h.classify_component(ci)
         if cls.startswith("C") and cls != "Complex":
-            ledger.quarter_credits[key] = int(cls[1:])       # i/4 for a C_i
+            quarters += int(cls[1:])                  # i/4 for a C_i
         elif cls == "Large2EC":
-            ledger.quarter_credits[key] = 8                  # credit 2
+            quarters += 8                             # credit 2
         elif cls == "Complex":
-            ledger.quarter_credits[key] = 4                  # component credit 1
+            quarters += 4                             # component credit 1
         else:
             raise NotCanonical([("SmallNonCycleComponent", tuple(comp))])
-    for bi, block in enumerate(d.blocks):
-        if d.block_component[bi] in complex_comps:
-            ledger.quarter_credits[("block", block[0])] = 4  # credit 1 per block
-    for e in sorted(d.bridges):
-        ledger.quarter_credits[("bridge", e)] = 1            # credit 1/4 per bridge
-    return ledger
+    # credit 1 per block of a complex component, 1/4 per bridge
+    quarters += 4 * sum(c in complex_comps for c in d.block_component)
+    quarters += len(d.bridges)
+    return Fraction(quarters, 4)
 
 
-def cost(h: TwoEdgeCover, ledger: CreditLedger | None = None) -> Fraction:
-    if ledger is None:
-        ledger = init_credits(h)
-    return Fraction(len(h.members)) + ledger.total()
+def cost(h: TwoEdgeCover, credit: Fraction | None = None) -> Fraction:
+    if credit is None:
+        credit = init_credits(h)
+    return Fraction(len(h.members)) + credit
 
 
-def assert_cost_bound(h: TwoEdgeCover, ledger: CreditLedger | None = None):
+def assert_cost_bound(h: TwoEdgeCover, credit: Fraction | None = None):
     """cost(H) <= (5/4)|H| for canonical covers, in exact arithmetic."""
-    c = cost(h, ledger)
+    c = cost(h, credit)
     bound = Fraction(5, 4) * len(h.members)
     if c > bound:
         raise AssertionError(f"cost bound violated: cost={c} > (5/4)|H|={bound}")
@@ -168,7 +151,7 @@ def _evaluate(g, h, deg, old_bridges, old_cost, add, remove):
     return cand, new_cost
 
 
-def cover_bridges(g: MultiGraph, h: TwoEdgeCover, ledger: CreditLedger | None = None,
+def cover_bridges(g: MultiGraph, h: TwoEdgeCover, credit: Fraction | None = None,
                   observer=None):
     """Transform a canonical cover into a bridgeless canonical cover.
 
@@ -177,11 +160,9 @@ def cover_bridges(g: MultiGraph, h: TwoEdgeCover, ledger: CreditLedger | None = 
     `observer(bridge_count, cost)` is called once on entry and after every
     applied move, for contract instrumentation.
     """
-    if ledger is None:
-        ledger = init_credits(h)
     emap = g.edge_map()
     cur = h
-    cur_cost = cost(cur, ledger)
+    cur_cost = cost(cur, credit)
     iterations = 0
     while True:
         nbridges = len(cur.decomposition.bridges)

@@ -49,9 +49,9 @@ class GlueStep:
 
 def build_component_graph(g: MultiGraph, h: TwoEdgeCover) -> ComponentGraph:
     d = h.decomposition
-    cm = contract_many(g, d.components)
-    contracted = MultiGraph(cm.result.n)
-    for eid, u, v in cm.result.edges:
+    quotient = contract_many(g, d.components)
+    contracted = MultiGraph(quotient.n)
+    for eid, u, v in quotient.edges:
         if u != v:
             contracted.add_edge(u, v, eid)
     # components are ordered by smallest vertex, matching contract_many's

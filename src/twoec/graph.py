@@ -150,7 +150,6 @@ class BlockDecomposition:
     pendant_flags: list       # per-block bool
     cut_vertices: frozenset   # articulation points of the subgraph
     component_of: dict        # vertex -> component index
-    block_of: dict            # edge id (non-bridge) -> block index
     block_component: list     # per-block component index
     class_of: list            # vertex -> 2EC-class index (numbered by smallest vertex)
 
@@ -158,16 +157,8 @@ class BlockDecomposition:
 @dataclass(frozen=True)
 class CutCertificate:
     cut: frozenset
-    side_a: frozenset
-    side_b: frozenset
     kind: str                 # OneCut | TwoIsolating | TwoNonIsolating | ThreeSmall | ThreeLarge
     residual_components: tuple  # tuple of frozensets
-
-
-@dataclass
-class ContractionMap:
-    result: MultiGraph
-    vertex_map: dict          # host vertex -> result vertex
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +295,6 @@ def decompose(h) -> BlockDecomposition:
         block_edges.setdefault(class_of[u], []).append(eid)
 
     blocks = sorted((sorted(es) for es in block_edges.values()), key=lambda b: b[0])
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for eid in b:
-            block_of[eid] = i
 
     emap = g.edge_map()
     # degree of each 2EC class in its component's bridge tree
@@ -331,7 +318,6 @@ def decompose(h) -> BlockDecomposition:
         pendant_flags=pendant_flags,
         cut_vertices=frozenset(cut_vertices),
         component_of=component_of,
-        block_of=block_of,
         block_component=block_component,
         class_of=class_of,
     )
@@ -340,29 +326,28 @@ def decompose(h) -> BlockDecomposition:
 # ---------------------------------------------------------------------------
 # patch search
 
-def find_min_patch(g: MultiGraph, base, bound: int, widen_to: int | None = None):
-    """Smallest F (|F| <= bound, or widen_to with a flag) making base + F a
-    2-ECSS of g, the first in id order among those of its size.
+def find_min_patch(g: MultiGraph, base, limit: int):
+    """Smallest F, |F| <= limit, making base + F a 2-ECSS of g, the first in
+    id order among those of its size.
 
     Candidates are the non-loop edges outside base that join two different
     2EC classes of base: an edge inside one class is never needed, since its
     ends stay 2-edge-connected without it.  Each candidate set costs one
-    low-link pass.  Returns (patch set, widened flag); raises PatchNotFound.
+    low-link pass.  Returns the patch set; raises PatchNotFound.
     """
     base = set(base)
     adj = member_adjacency(g, base)
     class_of = two_ec_classes(g.n, adj, low_link(g.n, adj)[2])[1]
     useful = [e for e, u, v in sorted(g.edges)
               if e not in base and u != v and class_of[u] != class_of[v]]
-    top = widen_to if widen_to is not None else bound
-    for size in range(0, top + 1):
+    for size in range(0, limit + 1):
         for combo in itertools.combinations(useful, size):
             n_comps, _, bridges, _ = low_link(
                 g.n, member_adjacency(g, base.union(combo)))
             if n_comps <= 1 and not bridges:
-                return set(combo), size > bound
+                return set(combo)
     raise PatchNotFound(
-        f"no patch of size <= {top} completes the assembled solution")
+        f"no patch of size <= {limit} completes the assembled solution")
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +516,14 @@ def iterate_vertex_cuts(g: MultiGraph, k: int):
 
 
 def _classify_cut(cut, comp_sets, k):
-    sizes = sorted(range(len(comp_sets)), key=lambda i: (len(comp_sets[i]), min(comp_sets[i])))
-    small_i = sizes[0]
-    side_a = comp_sets[small_i]
-    side_b = frozenset().union(*(comp_sets[i] for i in range(len(comp_sets)) if i != small_i))
+    smallest = min(map(len, comp_sets))
     if k == 1:
         kind = "OneCut"
     elif k == 2:
-        kind = "TwoIsolating" if len(comp_sets) == 2 and len(side_a) == 1 else "TwoNonIsolating"
+        kind = "TwoIsolating" if len(comp_sets) == 2 and smallest == 1 else "TwoNonIsolating"
     else:
-        kind = "ThreeSmall" if len(comp_sets) == 2 and len(side_a) <= 6 else "ThreeLarge"
-    return CutCertificate(cut=cut, side_a=side_a, side_b=side_b, kind=kind,
-                          residual_components=comp_sets)
+        kind = "ThreeSmall" if len(comp_sets) == 2 and smallest <= 6 else "ThreeLarge"
+    return CutCertificate(cut=cut, kind=kind, residual_components=comp_sets)
 
 
 def find_vertex_cut(g: MultiGraph, k: int, kind=None):
@@ -556,12 +537,12 @@ def find_vertex_cut(g: MultiGraph, k: int, kind=None):
 # ---------------------------------------------------------------------------
 # contraction / induced subgraphs
 
-def contract(g: MultiGraph, s) -> ContractionMap:
+def contract(g: MultiGraph, s) -> MultiGraph:
     """Contract vertex set s to a single vertex (internal edges become self-loops)."""
     return contract_many(g, [s])
 
 
-def contract_many(g: MultiGraph, sets) -> ContractionMap:
+def contract_many(g: MultiGraph, sets) -> MultiGraph:
     """Contract each (disjoint) vertex set in `sets` to a single vertex.
 
     New vertex ids follow the order of the representatives (min of each set)
@@ -584,7 +565,7 @@ def contract_many(g: MultiGraph, sets) -> ContractionMap:
     for eid, u, v in g.edges:
         out.add_edge(vmap[u], vmap[v], eid)
     out._next_eid = max(out._next_eid, g._next_eid)
-    return ContractionMap(result=out, vertex_map=vmap)
+    return out
 
 
 def induced_subgraph(g: MultiGraph, vertices, extra_drop=()):
@@ -609,7 +590,10 @@ def induced_subgraph(g: MultiGraph, vertices, extra_drop=()):
 # ---------------------------------------------------------------------------
 # constrained cycle search
 
-def find_cycle_through_edges(g: MultiGraph, f, budget: int = 10 ** 6):
+CYCLE_SEARCH_BUDGET = 10 ** 6   # node expansions per `find_cycle_through_edges`
+
+
+def find_cycle_through_edges(g: MultiGraph, f):
     """A simple cycle (edge-id list) through every edge of f, or None.
 
     Exhaustive backtracking over simple paths; |f| <= 4.  Raises
@@ -660,8 +644,9 @@ def find_cycle_through_edges(g: MultiGraph, f, budget: int = 10 ** 6):
     def extend(cur):
         nonlocal expansions
         expansions += 1
-        if expansions > budget:
-            raise BudgetExceeded(f"cycle search budget {budget} exhausted")
+        if expansions > CYCLE_SEARCH_BUDGET:
+            raise BudgetExceeded(
+                f"cycle search budget {CYCLE_SEARCH_BUDGET} exhausted")
         for w, eid in adj[cur]:
             if eid in path_set:
                 continue
@@ -700,6 +685,8 @@ def find_cycle_through_edges(g: MultiGraph, f, budget: int = 10 ** 6):
 # contractibility certificates
 
 INSIDE_COUNT_MAX_N = 24   # above this many vertices `min_edges_inside` gives up
+CONTRACTIBLE_MAX_VERTICES = 7     # largest cycle the contractibility scan lists
+CONTRACTIBLE_SCAN_BUDGET = 4000   # cycle-search nodes per contractibility scan
 
 
 def _max_independent_subset(g: MultiGraph, candidates):
@@ -763,7 +750,7 @@ def min_edges_inside(g: MultiGraph, s):
     if len(inside) > 24:
         return None
     outside = {e for e, u, v in g.edges if u != v and not (u in s and v in s)}
-    return len(find_min_patch(g, outside, bound=len(inside))[0])
+    return len(find_min_patch(g, outside, len(inside)))
 
 
 def certify_contractible(g: MultiGraph, c_edges, alpha: Fraction):
@@ -826,9 +813,9 @@ def _no_certifiable_candidate(g: MultiGraph, alpha: Fraction, limit: int):
     return True
 
 
-def find_contractible_certificate(g: MultiGraph, alpha: Fraction, max_vertices: int,
-                                  cycle_budget: int = 20000):
-    """Scan for an alpha-contractible 2EC subgraph with <= max_vertices vertices.
+def find_contractible_certificate(g: MultiGraph, alpha: Fraction):
+    """Scan for an alpha-contractible 2EC subgraph with at most
+    CONTRACTIBLE_MAX_VERTICES vertices.
 
     Candidates are short induced cycles rich in interior vertices.  Absence of
     a result is NOT a refutation; contractibility is only ever confirmed.
@@ -841,12 +828,12 @@ def find_contractible_certificate(g: MultiGraph, alpha: Fraction, max_vertices: 
     masks = g.neighbor_masks()
     adj = g.adjacency()
     n = g.n
-    limit = min(max_vertices, 7)
+    limit = CONTRACTIBLE_MAX_VERTICES
     if _no_certifiable_candidate(g, alpha, limit):
         return None
 
     seen_sets = set()
-    budget = [cycle_budget]
+    budget = [CONTRACTIBLE_SCAN_BUDGET]
 
     def cycles_from(start):
         # DFS for simple cycles of length <= limit starting at their min vertex

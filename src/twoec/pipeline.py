@@ -110,13 +110,13 @@ def _structured_leaf_solver(cfg: PipelineConfig, leaf_records: list):
         except NotCanonical as exc:
             raise _violation_from_not_canonical(sub, h, exc) from exc
         record["canonical_size"] = len(h)
-        ledger = init_credits(h)
-        record["canonical_cost"] = str(assert_cost_bound(h, ledger))
+        credit = init_credits(h)
+        record["canonical_cost"] = str(assert_cost_bound(h, credit))
         try:
-            h, ledger = cover_bridges(sub, h, ledger)
+            h, credit = cover_bridges(sub, h, credit)
         except Stuck as exc:
             raise _violation_from_stuck(sub, h, exc) from exc
-        cost_h0 = assert_cost_bound(h, ledger)
+        cost_h0 = assert_cost_bound(h, credit)
         record["post_bridge_cost"] = str(cost_h0)
         record["post_bridge_size"] = len(h)
         final, steps = glue_all(sub, h)

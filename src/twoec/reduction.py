@@ -36,7 +36,6 @@ _NEEDED_COMPONENTS = {"A": 1, "B1": 1, "C1": 1, "B2": 2, "C2": 2, "C3": 3}
 
 TYPED_NODE_BUDGET = 400_000       # per typed enumeration
 TYPED_ENUM_MAX = 20               # G1 size cap for typed enumeration
-CONTRACTIBLE_SCAN_BUDGET = 4000   # cycle-search nodes per contractibility scan
 MAX_DEPTH = 300                   # recursion guard
 
 
@@ -196,14 +195,14 @@ def _typed_completion(g1: MultiGraph, cut, t):
 
 
 def enumerate_min_typed_subgraph(g1: MultiGraph, cut, t: str,
-                                 node_budget: int = TYPED_NODE_BUDGET,
                                  collect_all: bool = False):
     """(min value, list of minimum edge sets) of type t, or (None, []).
 
     Vertices outside the cut need degree >= 2 (their solution edges are
     confined to g1); cut vertices may be isolated."""
     cut = set(cut)
-    return DegreeSearch(g1, cut, node_budget, _typed_completion(g1, cut, t),
+    return DegreeSearch(g1, cut, TYPED_NODE_BUDGET,
+                        _typed_completion(g1, cut, t),
                         f"typed enumeration budget for {t}",
                         collect_all).solve()
 
@@ -279,18 +278,18 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
             ctx["trace"].append({"step": "drop-redundant-edge", "edge": eid})
         return _reduce(g.without_edges(redundant), cfg, solver, ctx, depth + 1)
 
-    found = find_contractible_certificate(
-        g, cfg.alpha, max_vertices=min(cfg.base_case_limit, 7),
-        cycle_budget=CONTRACTIBLE_SCAN_BUDGET)
+    found = find_contractible_certificate(g, cfg.alpha)
     if found is not None:
         c_edges, justification = found
         return _contract_step(g, cfg, solver, ctx, depth, c_edges,
                               "contract-subgraph", justification)
 
-    irr = _find_irrelevant_edge(g)
-    if irr is not None:
-        ctx["trace"].append({"step": "drop-irrelevant-edge", "edge": irr})
-        return _reduce(g.without_edges([irr]), cfg, solver, ctx, depth + 1)
+    irrelevant = _find_irrelevant_edges(g)
+    if irrelevant:
+        for eid in irrelevant:
+            ctx["trace"].append({"step": "drop-irrelevant-edge", "edge": eid})
+        return _reduce(g.without_edges(irrelevant), cfg, solver, ctx,
+                       depth + 1)
 
     cut2 = find_vertex_cut(g, 2, kind="TwoNonIsolating")
     if cut2 is not None:
@@ -336,24 +335,24 @@ def _contract_step(g, cfg, solver, ctx, depth, c_edges, label, justification):
     ctx["trace"].append({"step": label, "vertices": sorted(s),
                          "edges": sorted(c_edges),
                          "justification": justification})
-    cm = contract(g, s)
-    rest = _reduce(cm.result, cfg, solver, ctx, depth + 1)
+    rest = _reduce(contract(g, s), cfg, solver, ctx, depth + 1)
     return set(c_edges) | rest
 
 
-def _find_irrelevant_edge(g: MultiGraph):
-    """Lowest-id edge of the lexicographically first endpoint pair {u, v}
-    that is a 2-vertex cut, or None.
+def _find_irrelevant_edges(g: MultiGraph):
+    """Every edge whose endpoint pair {u, v} is a 2-vertex cut, ordered by
+    pair, then by id.
 
     {u, v} with u < v is a cut exactly when v splits G - u, so each u costs
-    one low-link pass that tests only u's edges to higher vertices."""
+    one low-link pass that tests only u's edges to higher vertices.  Deleting
+    such an edge reconnects no cut, so the rest stay irrelevant and the
+    whole set can be dropped at once."""
     adj = g.adjacency()
+    out = []
     for u in range(g.n):
         splitters = splitting_vertices(adj, {u})
-        for w, e in adj[u]:   # sorted: the first hit is its pair's lowest id
-            if w > u and w in splitters:
-                return e
-    return None
+        out += [e for w, e in adj[u] if w > u and w in splitters]
+    return out
 
 
 def _handle_two_cut(g, cert, cfg, solver, ctx, depth):
@@ -366,10 +365,10 @@ def _handle_two_cut(g, cert, cfg, solver, ctx, depth):
     out = set()
     for side in (side_a, side_b):
         sub, vmap = induced_subgraph(g, side | {u, v})
-        cm = contract(sub, {vmap[u], vmap[v]})
-        out |= _reduce(cm.result, cfg, solver, ctx, depth + 1)
-    patch, widened = find_min_patch(g, out, bound=2, widen_to=4)
-    if widened:
+        out |= _reduce(contract(sub, {vmap[u], vmap[v]}), cfg, solver, ctx,
+                       depth + 1)
+    patch = find_min_patch(g, out, 4)
+    if len(patch) > 2:
         _note(ctx, f"2-cut patch exceeded bound 2 (size {len(patch)})")
     ctx["trace"].append({"step": "2-cut-split", "cut": [u, v],
                          "patch": sorted(patch)})
@@ -377,12 +376,10 @@ def _handle_two_cut(g, cert, cfg, solver, ctx, depth):
 
 
 def _find_large_three_cut(g: MultiGraph):
-    """First ThreeLarge cut admitting a side grouping with both sides >= 7.
+    """First 3-vertex cut admitting a side grouping with both sides >= 7.
 
     Returns (cut vertices, V1, V2) or None."""
     for cert in iterate_vertex_cuts(g, 3):
-        if cert.kind != "ThreeLarge":
-            continue
         comps = sorted(cert.residual_components, key=min)
         k = len(comps)
         total = sum(len(c) for c in comps)
@@ -428,10 +425,9 @@ def handle_large_3vc(g: MultiGraph, split, cfg: ReductionConfig, recurse, ctx):
 def _both_large_branch(g, g1, map1, g2, map2, cut, recurse, ctx):
     out = set()
     for gi, mp in ((g1, map1), (g2, map2)):
-        cm = contract(gi, {mp[x] for x in cut})
-        out |= recurse(cm.result)
-    patch, widened = find_min_patch(g, out, bound=4, widen_to=6)
-    if widened:
+        out |= recurse(contract(gi, {mp[x] for x in cut}))
+    patch = find_min_patch(g, out, 6)
+    if len(patch) > 4:
         _note(ctx, f"3-cut join patch exceeded bound 4 (size {len(patch)})")
     ctx["trace"].append({"step": "3-cut-both-large", "cut": list(cut),
                          "patch": sorted(patch)})
@@ -474,8 +470,7 @@ def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
             a, b = emap[e]
             s.add(a)
             s.add(b)
-        cm = contract(g, s)
-        return set(sol) | recurse(cm.result)
+        return set(sol) | recurse(contract(g, s))
 
     if "B1" in opts and opts["B1"][0] <= opt_min + 1:
         return _simple_typed_branch(g, g2, map2, cut, "B1", opts["B1"][1][0],
@@ -496,12 +491,9 @@ def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
 
 
 def _simple_typed_branch(g, g2, map2, cut, t, opt1, bound, recurse, ctx):
-    cm = contract(g2, {map2[x] for x in cut})
-    h2 = recurse(cm.result)
+    h2 = recurse(contract(g2, {map2[x] for x in cut}))
     base = set(opt1) | set(h2)
-    patch, widened = find_min_patch(g, base, bound=bound, widen_to=bound + 2)
-    if widened:
-        raise _TypedBranchFailed(f"{t} patch exceeded bound {bound}")
+    patch = find_min_patch(g, base, bound)
     ctx["trace"].append({"step": f"3-cut-{t}", "cut": list(cut),
                          "patch": sorted(patch)})
     return base | patch
@@ -574,7 +566,7 @@ def _c2_branch(g, g1, map1, g2, map2, cut, sols, recurse, ctx):
     for opt1 in cands:
         base = set(opt1) | h2
         try:
-            patch, widened = find_min_patch(g, base, bound=1)
+            patch = find_min_patch(g, base, 1)
         except PatchNotFound:
             continue
         delta = len(patch) - used_dummies
@@ -614,7 +606,7 @@ def _c3_branch(g, g1, map1, g2, map2, cut, sols, recurse, ctx):
     h2 = set(raw) - set(dummies)
     used_dummies = len(set(raw) & set(dummies))
     base = set(sol) | h2
-    patch, widened = find_min_patch(g, base, bound=4)
+    patch = find_min_patch(g, base, 4)
     delta = len(patch) - used_dummies
     if delta > 0:
         raise _TypedBranchFailed(f"C3 accounting delta {delta} > 0")

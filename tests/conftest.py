@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
+
 from twoec.graph import MultiGraph
 
 
@@ -47,6 +49,24 @@ def disjoint_cycles(lengths) -> MultiGraph:
             g.add_edge(base + i, base + (i + 1) % length)
         base += length
     return g
+
+
+def from_networkx(gx):
+    gx = nx.convert_node_labels_to_integers(gx)
+    g = MultiGraph(gx.number_of_nodes())
+    for u, v in sorted(gx.edges()):
+        g.add_edge(u, v)
+    return g
+
+
+def generalized_petersen(n, k):
+    """GP(n, k): outer cycle 0..n-1, spokes i - n+i, inner star polygon."""
+    gp = nx.Graph()
+    for i in range(n):
+        gp.add_edge(i, (i + 1) % n)
+        gp.add_edge(i, n + i)
+        gp.add_edge(n + i, n + (i + k) % n)
+    return from_networkx(gp)
 
 
 # ---------------------------------------------------------------------------

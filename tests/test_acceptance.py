@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import generalized_petersen
 from twoec.cover import TwoEdgeCover, canonicalize, min_triangle_free_cover
 from twoec.credits import cost as cover_cost, cover_bridges
 from twoec.generate import cycle_ring, glued_cliques, random_2ec, structured_random
@@ -264,15 +265,21 @@ def test_criterion_6_gluing_contract(corpus_reports, capsys):
             if Fraction(final_size) > cost0 + 1:
                 violations.append((name, "final size exceeds cost(H0)+1"))
 
-    for name, rep in reports:
+    # the corpus covers rarely split into pieces; cubic girth >= 5 hosts
+    # (generalized Petersen graphs) load the glue steps
+    gp_reports = [(f"GP({n},{k})",
+                   run_pipeline(generalized_petersen(n, k),
+                                PipelineConfig(oracle_mode="off")))
+                  for n in range(5, 17) for k in range(1, (n - 1) // 2 + 1)]
+    for name, rep in reports + gp_reports:
         for leaf in rep["leaves"]:
             check_steps(name, leaf["glue_steps"],
                         Fraction(leaf["post_bridge_cost"]),
                         leaf["final_size"])
     for i, (g, cover) in enumerate(glue_stress_cases()):
         h = canonicalize(g, TwoEdgeCover(g, frozenset(cover)))
-        h, ledger = cover_bridges(g, h)
-        cost0 = cover_cost(h, ledger)
+        h, credit = cover_bridges(g, h)
+        cost0 = cover_cost(h, credit)
         final, steps = glue_all(g, h)
         check_steps(f"stress/{i}",
                     [{"cost_delta": str(s.cost_delta),

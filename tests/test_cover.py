@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, disjoint_cycles
+from twoec import cover
 from twoec.cover import (TwoEdgeCover, _candidate_swaps, _improving_move,
                          _objective, _triangle_component, canonicalize,
                          check_canonical, is_tf_two_edge_cover,
@@ -95,19 +96,20 @@ def test_min_cover_infeasible_low_degree():
         min_triangle_free_cover(g)
 
 
-def test_min_cover_golden():
+def test_min_cover_golden(monkeypatch):
     # recorded before the exact cover search moved onto graph.DegreeSearch.
     # The node budgets 30 and 300 run out on most of these graphs, so the
     # record pins the fallback to the heuristic cover as well as the
     # branching order of the exact search
     rng = random.Random(5150)
     results = []
+    full = cover.TF_NODE_BUDGET
     for _ in range(300):
         n = rng.randint(5, 14)
         g = random_2ec(n, seed=rng.randrange(10 ** 6))
-        for budget in (30, 300, None):
-            h = (min_triangle_free_cover(g) if budget is None
-                 else min_triangle_free_cover(g, budget_nodes=budget))
+        for budget in (30, 300, full):
+            monkeypatch.setattr(cover, "TF_NODE_BUDGET", budget)
+            h = min_triangle_free_cover(g)
             results.append([sorted(h.members), h.certified_minimum])
     exact = [c for _, c in results]
     assert any(exact[0::3]) and not all(exact[0::3]) and all(exact[2::3])
@@ -115,9 +117,10 @@ def test_min_cover_golden():
         "79098f52a9069d853208d259cf4b7d779a6a0f12ac034c9b15339a83e41560bb")
 
 
-def test_heuristic_path_flagged_uncertified():
+def test_heuristic_path_flagged_uncertified(monkeypatch):
+    monkeypatch.setattr(cover, "TF_EXACT_MAX_N", 10)   # force the heuristic path
     g = cycle_graph(20)
-    h = min_triangle_free_cover(g, budget=10)   # force the heuristic path
+    h = min_triangle_free_cover(g)
     assert not h.certified_minimum
     assert is_tf_two_edge_cover(g, h.members)
 

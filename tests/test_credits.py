@@ -1,4 +1,4 @@
-"""Credit ledger values, the cost bound, and the bridge-covering contract.
+"""Credit values, the cost bound, and the bridge-covering contract.
 
 Frozen credit values below follow the accounting scheme: a cycle component
 C_i carries credit i/4; a 2EC component with >= 8 edges carries 2; a complex
@@ -24,13 +24,13 @@ def cover_of_whole(g):
 
 
 # ---------------------------------------------------------------------------
-# ledger values
+# credit values
 
 def test_c5_credit_and_cost():
     h = cover_of_whole(cycle_graph(5))
-    ledger = init_credits(h)
-    assert ledger.total() == Fraction(5, 4)
-    assert cost(h, ledger) == Fraction(25, 4)
+    credit = init_credits(h)
+    assert credit == Fraction(5, 4)
+    assert cost(h, credit) == Fraction(25, 4)
 
 
 def test_c4_cost_is_5():
@@ -40,9 +40,9 @@ def test_c4_cost_is_5():
 
 def test_large_component_credit_2_cost_11():
     h = cover_of_whole(cycle_graph(9))
-    ledger = init_credits(h)
-    assert ledger.total() == 2
-    assert cost(h, ledger) == 11
+    credit = init_credits(h)
+    assert credit == 2
+    assert cost(h, credit) == 11
 
 
 def test_complex_two_pendant_blocks_cost():
@@ -51,15 +51,15 @@ def test_complex_two_pendant_blocks_cost():
     g = disjoint_cycles([6, 6])
     g.add_edge(0, 6)
     h = cover_of_whole(g)
-    ledger = init_credits(h)
-    assert ledger.total() == Fraction(13, 4)
-    assert cost(h, ledger) == Fraction(65, 4)
+    credit = init_credits(h)
+    assert credit == Fraction(13, 4)
+    assert cost(h, credit) == Fraction(65, 4)
 
 
 def test_mixed_components_are_additive():
     g = disjoint_cycles([4, 5, 8])
     h = cover_of_whole(g)
-    assert init_credits(h).total() == Fraction(4 + 5 + 8, 4)
+    assert init_credits(h) == Fraction(4 + 5 + 8, 4)
 
 
 def test_init_credits_requires_canonical():
@@ -113,9 +113,9 @@ def bridged_host():
 def test_cover_bridges_removes_the_bridge():
     g, h, bridge = bridged_host()
     assert len(h.decomposition.bridges) == 1
-    out, ledger = cover_bridges(g, h)
+    out, credit = cover_bridges(g, h)
     assert len(out.decomposition.bridges) == 0
-    assert cost(out, ledger) == cost(out)
+    assert cost(out, credit) == cost(out)
 
 
 def test_cover_bridges_contract_monotone():
@@ -145,6 +145,6 @@ def test_cover_bridges_longer_bridge_path():
     cover = frozenset(set(g.edge_ids()) - {g.edges[-1][0]})
     h = TwoEdgeCover(g, cover)
     assert len(h.decomposition.bridges) == 2
-    out, ledger = cover_bridges(g, h)
+    out, credit = cover_bridges(g, h)
     assert len(out.decomposition.bridges) == 0
-    assert cost(out, ledger) <= cost(h)
+    assert cost(out, credit) <= cost(h)

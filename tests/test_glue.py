@@ -7,7 +7,8 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from conftest import cycle_graph, disjoint_cycles
+from conftest import (cycle_graph, disjoint_cycles, from_networkx,
+                      generalized_petersen)
 from test_acceptance import glue_stress_cases
 from twoec.cover import TwoEdgeCover, canonicalize, check_canonical
 from twoec.credits import cost, cover_bridges
@@ -214,24 +215,6 @@ def test_glue_single_component_is_noop():
     h = cover_of(g, set(g.edge_ids()))
     final, steps = glue_all(g, h)
     assert steps == [] and final.members == h.members
-
-
-def from_networkx(gx):
-    gx = nx.convert_node_labels_to_integers(gx)
-    g = MultiGraph(gx.number_of_nodes())
-    for u, v in sorted(gx.edges()):
-        g.add_edge(u, v)
-    return g
-
-
-def generalized_petersen(n, k):
-    """GP(n, k): outer cycle 0..n-1, spokes i - n+i, inner star polygon."""
-    gp = nx.Graph()
-    for i in range(n):
-        gp.add_edge(i, (i + 1) % n)
-        gp.add_edge(i, n + i)
-        gp.add_edge(n + i, n + (i + k) % n)
-    return from_networkx(gp)
 
 
 @pytest.mark.parametrize("n,k", [(14, 3), (14, 5), (15, 6), (18, 6), (19, 3),

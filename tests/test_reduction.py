@@ -18,7 +18,7 @@ from twoec.oracle import exact_min_2ecss, verify_2ecss
 from twoec.pipeline import PipelineConfig, run_pipeline
 from twoec import oracle, reduction
 from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
-                             _find_irrelevant_edge, classify_solution_type,
+                             _find_irrelevant_edges, classify_solution_type,
                              enumerate_min_typed_subgraph, find_min_patch,
                              reduce)
 
@@ -252,17 +252,18 @@ def test_classification_golden():
         "2776f1ed99b8f0d7a1bd246d40ad0885e409e6c22887641b4db2c2de1b3fdcfc")
 
 
-def test_typed_enumeration_golden():
+def test_typed_enumeration_golden(monkeypatch):
     # every type on the first 20 samples with n <= 8.  The solutions stay in
     # the order the search found them and the node budget runs out on some
     # searches, so the record pins the branching order as well
+    monkeypatch.setattr(reduction, "TYPED_NODE_BUDGET", 20000)
     results = []
     small = [s for s in typed_sample() if s[0].n <= 8][:20]
     for g, cut, _, _ in small:
         for t in SOLUTION_TYPES:
             try:
-                val, sols = enumerate_min_typed_subgraph(
-                    g, cut, t, node_budget=20000, collect_all=True)
+                val, sols = enumerate_min_typed_subgraph(g, cut, t,
+                                                         collect_all=True)
             except BudgetExceeded:
                 results.append("budget")
                 continue
@@ -281,14 +282,12 @@ def test_typed_enumeration_golden():
 def test_find_min_patch_rejoins_split_cycle():
     g = cycle_graph(8)
     base = set(g.edge_ids()) - {0, 4}
-    patch, widened = find_min_patch(g, base, bound=2)
-    assert patch == {0, 4} and not widened
+    assert find_min_patch(g, base, 2) == {0, 4}
 
 
 def test_find_min_patch_zero_when_feasible():
     g = cycle_graph(6)
-    patch, widened = find_min_patch(g, set(g.edge_ids()), bound=2)
-    assert patch == set()
+    assert find_min_patch(g, set(g.edge_ids()), 2) == set()
 
 
 def test_redundant_edge_drops_traced_one_entry_each_in_id_order():
@@ -347,9 +346,9 @@ def test_exact_budget_exhaustion_never_crashes(budget):
     assert fired
 
 
-def naive_irrelevant_edge(g):
-    """Lowest-id edge of the lexicographically first endpoint pair that is a
-    2-vertex cut."""
+def naive_irrelevant_edges(g):
+    """Every edge whose endpoint pair is a 2-vertex cut, by pair, then id."""
+    out = []
     for u, v in sorted({(min(a, b), max(a, b)) for _, a, b in g.edges
                         if a != b}):
         h = nx.MultiGraph()
@@ -357,8 +356,8 @@ def naive_irrelevant_edge(g):
         h.add_edges_from((a, b) for _, a, b in g.edges
                          if {a, b}.isdisjoint((u, v)))
         if nx.number_connected_components(h) >= 2:
-            return min(e for e, a, b in g.edges if {a, b} == {u, v})
-    return None
+            out += sorted(e for e, a, b in g.edges if {a, b} == {u, v})
+    return out
 
 
 def test_irrelevant_edge_matches_naive_scan():
@@ -372,9 +371,30 @@ def test_irrelevant_edge_matches_naive_scan():
         for _ in range(rng.randint(0, 3 * n)):
             g.add_edge(rng.randrange(n), rng.randrange(n))
         graphs.append(g)
-    found = [_find_irrelevant_edge(g) for g in graphs]
-    assert found == [naive_irrelevant_edge(g) for g in graphs]
-    assert any(e is None for e in found) and any(e is not None for e in found)
+    found = [_find_irrelevant_edges(g) for g in graphs]
+    assert found == [naive_irrelevant_edges(g) for g in graphs]
+    assert [] in found and any(len(f) >= 2 for f in found)
+
+
+def test_irrelevant_chords_cost_one_contractibility_scan(monkeypatch):
+    # C_15 with the chords (0, 3), (3, 6), ..., (12, 0): each chord's pair is
+    # a 2-vertex cut, and no cycle of at most 7 vertices is contractible, so
+    # all five chords go in one level after a single scan
+    g = cycle_graph(15)
+    chords = [g.add_edge(i, (i + 3) % 15) for i in range(0, 15, 3)]
+    scanned = []
+    real = reduction.find_contractible_certificate
+
+    def counting(h, *args, **kwargs):
+        scanned.append(h.m)
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "find_contractible_certificate", counting)
+    sol, ctx = run_reduce(g)
+    assert verify_2ecss(g, sol.members)
+    assert sorted(t["edge"] for t in ctx["trace"]
+                  if t["step"] == "drop-irrelevant-edge") == chords
+    assert [m for m in scanned if m > 15] == [15 + len(chords)]
 
 
 @pytest.mark.parametrize("mode", ("off", "auto", "force"))
