@@ -149,7 +149,6 @@ def main(argv=None) -> int:
             alpha=Fraction(args.alpha), epsilon=Fraction(args.epsilon),
             enumeration_budget=args.enum_budget, oracle_mode=args.oracle,
             seed=args.seed, trace=args.trace, timings=args.timings)
-        cfg.reduction_config()     # validate alpha/epsilon ranges up front
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE

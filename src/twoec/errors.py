@@ -52,13 +52,11 @@ class Stuck(TwoECError):
 class StructuredViolation(TwoECError):
     """A glue-phase case proved the host graph was not structured.
 
-    Carries the vertex set of a certified contractible subgraph when one
-    could be extracted, so callers may restart reduction on it.
+    Carries the edge ids of a 2EC witness subgraph when one could be
+    extracted, so callers may restart reduction on it with a contraction step.
     """
 
-    def __init__(self, message, vertices=None, edges=None, justification=None):
-        self.vertices = frozenset(vertices) if vertices is not None else None
-        # edge ids of a 2EC witness subgraph usable as a contraction step
+    def __init__(self, message, edges=None, justification=None):
         self.edges = frozenset(edges) if edges is not None else None
         self.justification = justification
         super().__init__(message)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 
 from .errors import RejectionLimit
-from .graph import (MultiGraph, find_vertex_cut, is_two_edge_connected,
-                    iterate_vertex_cuts)
+from .graph import (MultiGraph, connected_components, find_vertex_cut,
+                    is_two_edge_connected, iterate_vertex_cuts)
 
 REJECTION_CAP = 2000
 
@@ -102,7 +102,11 @@ def structured_random(n: int, p: float = 0.4, seed: int = 0) -> MultiGraph:
             continue
         if find_vertex_cut(g, 2) is not None:
             continue
-        if any(c.kind == "ThreeLarge" for c in iterate_vertex_cuts(g, 3)):
+        # a 3-cut is large unless it splits G into two parts, one of at most
+        # 6 vertices
+        if any(len(comps) >= 3 or min(map(len, comps)) >= 7
+               for comps in (connected_components(g, cut)
+                             for cut in iterate_vertex_cuts(g, 3))):
             continue
         return g
     raise RejectionLimit(

@@ -233,7 +233,6 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
             if len(m) < 3:
                 last_violation = StructuredViolation(
                     f"no 3-matching between components {a} and {l}",
-                    vertices=set(cg.node_vertices[a]) | set(cg.node_vertices[l]),
                     edges=h.component_edges(a))
                 continue
             if cls in ("C4", "C5"):
@@ -250,12 +249,10 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
                 just = certify_contractible(g, ce, Fraction(5, 4))
                 last_violation = StructuredViolation(
                     f"C6/C7 component {a} admits no glue move",
-                    vertices=set(cg.node_vertices[a]),
                     edges=ce, justification=just)
                 continue
         last_violation = last_violation or StructuredViolation(
             f"no valid trivial glue against neighbor {a}",
-            vertices=set(cg.node_vertices[a]) | set(cg.node_vertices[l]),
             edges=h.component_edges(a))
     if last_violation is not None:
         raise last_violation
@@ -370,7 +367,7 @@ def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
         just = certify_contractible(g, ce, Fraction(5, 4))
         raise StructuredViolation(
             f"no cycle-based merge for small node {a} in its segment",
-            vertices=set(cg.node_vertices[a]), edges=ce, justification=just)
+            edges=ce, justification=just)
     # all nodes of the segment are C6/C7 or large: one cycle of length >= 3
     k = _shortest_cycle_through(cg, l, min_len=3, forbid_nodes=set(range(cg.n)) - seg)
     if k is not None:

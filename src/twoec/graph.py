@@ -103,11 +103,6 @@ class MultiGraph:
             seen.add(key)
         return out
 
-    def has_self_loop_or_parallel(self):
-        """Return an eid of a self-loop or a redundant parallel edge, or None."""
-        redundant = self.redundant_edges()
-        return redundant[0] if redundant else None
-
     def copy(self) -> "MultiGraph":
         return MultiGraph(self.n, list(self.edges), next_eid=self._next_eid)
 
@@ -148,17 +143,9 @@ class BlockDecomposition:
     blocks: list              # list of sorted edge-id lists
     bridges: frozenset        # edge ids
     pendant_flags: list       # per-block bool
-    cut_vertices: frozenset   # articulation points of the subgraph
-    component_of: dict        # vertex -> component index
+    component_of: list        # vertex -> component index
     block_component: list     # per-block component index
     class_of: list            # vertex -> 2EC-class index (numbered by smallest vertex)
-
-
-@dataclass(frozen=True)
-class CutCertificate:
-    cut: frozenset
-    kind: str                 # OneCut | TwoIsolating | TwoNonIsolating | ThreeSmall | ThreeLarge
-    residual_components: tuple  # tuple of frozensets
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +161,10 @@ def _groups(count, index_of):
     return groups
 
 
-def connected_components(g: MultiGraph):
-    """Vertex sets of the connected components (isolated vertices included)."""
-    return _groups(*low_link(g.n, g.adjacency())[:2])
+def connected_components(g: MultiGraph, removed=()):
+    """Sorted vertex lists of the connected components of G - `removed`
+    (isolated vertices included), ordered by their smallest vertex."""
+    return _groups(*low_link(g.n, g.adjacency(), removed)[:2])
 
 
 def member_adjacency(g: MultiGraph, members):
@@ -276,15 +264,14 @@ def is_two_edge_connected(g) -> bool:
 
 
 def decompose(h) -> BlockDecomposition:
-    """Components, 2EC blocks, bridges, pendant flags and cut vertices of h."""
+    """Components, 2EC blocks, bridges and pendant flags of h."""
     if isinstance(h, EdgeSubset):
         g = h.subgraph()
     else:
         g = h
     adj = g.adjacency()
-    n_comps, comp_index, bridges, cut_vertices = low_link(g.n, adj)
-    comps = _groups(n_comps, comp_index)
-    component_of = dict(enumerate(comp_index))
+    n_comps, component_of, bridges, _ = low_link(g.n, adj)
+    comps = _groups(n_comps, component_of)
     bridges = frozenset(bridges)
     class_of = two_ec_classes(g.n, adj, bridges)[1]
 
@@ -316,7 +303,6 @@ def decompose(h) -> BlockDecomposition:
         blocks=blocks,
         bridges=bridges,
         pendant_flags=pendant_flags,
-        cut_vertices=frozenset(cut_vertices),
         component_of=component_of,
         block_component=block_component,
         class_of=class_of,
@@ -497,41 +483,24 @@ def splitting_vertices(adj, removed):
 
 
 def iterate_vertex_cuts(g: MultiGraph, k: int):
-    """Yield CutCertificates for every k-subset whose removal disconnects g,
-    in lexicographic order of the cut vertex ids.
+    """Yield every k-subset whose removal disconnects g, as a sorted tuple,
+    in lexicographic order.
 
     S + (v,) is a cut exactly when v splits G - S, for S running over the
     lexicographic (k-1)-prefixes, so each prefix costs one low-link pass.
+    `connected_components(g, cut)` gives the components a cut leaves.
     """
     adj = g.adjacency()
-    n = g.n
-    for prefix in itertools.combinations(range(n), k - 1):
+    for prefix in itertools.combinations(range(g.n), k - 1):
         splitters = splitting_vertices(adj, set(prefix))
-        for v in range(prefix[-1] + 1 if prefix else 0, n):
-            if v not in splitters:
-                continue
-            cut = frozenset(prefix + (v,))
-            comp_sets = tuple(map(frozenset, _groups(*low_link(n, adj, cut)[:2])))
-            yield _classify_cut(cut, comp_sets, k)
+        for v in range(prefix[-1] + 1 if prefix else 0, g.n):
+            if v in splitters:
+                yield prefix + (v,)
 
 
-def _classify_cut(cut, comp_sets, k):
-    smallest = min(map(len, comp_sets))
-    if k == 1:
-        kind = "OneCut"
-    elif k == 2:
-        kind = "TwoIsolating" if len(comp_sets) == 2 and smallest == 1 else "TwoNonIsolating"
-    else:
-        kind = "ThreeSmall" if len(comp_sets) == 2 and smallest <= 6 else "ThreeLarge"
-    return CutCertificate(cut=cut, kind=kind, residual_components=comp_sets)
-
-
-def find_vertex_cut(g: MultiGraph, k: int, kind=None):
-    """Lexicographically least k-vertex cut, optionally filtered by kind."""
-    for cert in iterate_vertex_cuts(g, k):
-        if kind is None or cert.kind == kind:
-            return cert
-    return None
+def find_vertex_cut(g: MultiGraph, k: int):
+    """Lexicographically least k-vertex cut as a sorted tuple, or None."""
+    return next(iterate_vertex_cuts(g, k), None)
 
 
 # ---------------------------------------------------------------------------

@@ -29,21 +29,13 @@ ORACLE_AUTO_MAX_N = 14     # largest input the "auto" oracle mode solves
 
 
 @dataclass
-class PipelineConfig:
-    alpha: Fraction = Fraction(5, 4)
-    epsilon: Fraction = Fraction(1, 24)
-    enumeration_budget: int = 12
+class PipelineConfig(ReductionConfig):
+    """The reduction settings, validated on construction, plus the run's
+    own."""
     oracle_mode: str = "auto"          # off | auto | force
-    oracle_node_budget: int = 5 * 10 ** 6
     seed: int | None = None            # echoed into the report only
     trace: bool = False
     timings: bool = False              # wall times break byte-determinism
-
-    def reduction_config(self) -> ReductionConfig:
-        return ReductionConfig(
-            alpha=self.alpha, epsilon=self.epsilon,
-            enumeration_budget=self.enumeration_budget,
-            oracle_node_budget=self.oracle_node_budget)
 
 
 def graph_text(g: MultiGraph) -> str:
@@ -155,10 +147,8 @@ def run_pipeline(g: MultiGraph, cfg: PipelineConfig | None = None) -> dict:
         raise NotTwoEdgeConnected("input graph is not 2-edge-connected")
 
     leaf_records: list = []
-    rcfg = cfg.reduction_config()
-    sol, ctx = reduce(g, rcfg, _structured_leaf_solver(cfg, leaf_records))
-    if not oracle.verify_2ecss(g, sol.members):
-        raise AssertionError("pipeline output failed verification")
+    # reduce verifies the solution on g before it returns
+    sol, ctx = reduce(g, cfg, _structured_leaf_solver(cfg, leaf_records))
 
     report["leaves"] = leaf_records
     report["certified"] = ctx["certified"]
@@ -183,7 +173,7 @@ def run_pipeline(g: MultiGraph, cfg: PipelineConfig | None = None) -> dict:
             report["oracle"] = {"opt": opt, "nodes": res.nodes_explored}
         else:
             report["oracle"] = {"opt": None, "exhausted": True}
-    report["bound"] = verify_approx_bound(len(sol), g.n, rcfg,
+    report["bound"] = verify_approx_bound(len(sol), g.n, cfg,
                                           ctx["certified"], opt)
     if opt:
         report["ratio"] = len(sol) / opt

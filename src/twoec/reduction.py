@@ -24,7 +24,8 @@ from fractions import Fraction
 from . import oracle
 from .errors import (BudgetExceeded, NotTwoEdgeConnected, PatchNotFound,
                      StructuredViolation, Untypeable)
-from .graph import (DegreeSearch, EdgeSubset, MultiGraph, contract,
+from .graph import (DegreeSearch, EdgeSubset, MultiGraph,
+                    connected_components, contract,
                     find_contractible_certificate, find_min_patch,
                     find_vertex_cut, induced_subgraph, is_two_edge_connected,
                     iterate_vertex_cuts, low_link, member_adjacency,
@@ -263,12 +264,12 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
 
     cut1 = find_vertex_cut(g, 1)
     if cut1 is not None:
-        v = min(cut1.cut)
+        comps = connected_components(g, cut1)
+        ctx["trace"].append({"step": "1-cut-split", "cut": list(cut1),
+                             "parts": len(comps)})
         out = set()
-        ctx["trace"].append({"step": "1-cut-split", "cut": [v],
-                             "parts": len(cut1.residual_components)})
-        for comp in cut1.residual_components:
-            sub, _ = induced_subgraph(g, set(comp) | {v})
+        for comp in comps:
+            sub, _ = induced_subgraph(g, comp + list(cut1))
             out |= _reduce(sub, cfg, solver, ctx, depth + 1)
         return out
 
@@ -291,9 +292,11 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
         return _reduce(g.without_edges(irrelevant), cfg, solver, ctx,
                        depth + 1)
 
-    cut2 = find_vertex_cut(g, 2, kind="TwoNonIsolating")
-    if cut2 is not None:
-        return _handle_two_cut(g, cut2, cfg, solver, ctx, depth)
+    # the first 2-cut that does not just isolate one vertex
+    for cut2 in iterate_vertex_cuts(g, 2):
+        comps = connected_components(g, cut2)
+        if len(comps) >= 3 or min(map(len, comps)) > 1:
+            return _handle_two_cut(g, cut2, comps, cfg, solver, ctx, depth)
 
     split = _find_large_three_cut(g)
     if split is not None:
@@ -355,13 +358,14 @@ def _find_irrelevant_edges(g: MultiGraph):
     return out
 
 
-def _handle_two_cut(g, cert, cfg, solver, ctx, depth):
-    """Substituted non-isolating-2-cut reduction: split at {u,v}, contract
-    the pair on each closed side, recurse, rejoin with a minimum patch."""
-    u, v = sorted(cert.cut)
+def _handle_two_cut(g, cut, comps, cfg, solver, ctx, depth):
+    """Substituted non-isolating-2-cut reduction: split at the cut {u,v}
+    into the first component of G - {u,v} and the rest, contract the pair on
+    each closed side, recurse, rejoin with a minimum patch."""
+    u, v = cut
     _note(ctx, f"non-isolating 2-cut substitute procedure at {{{u},{v}}}")
-    side_a = set(cert.residual_components[0])
-    side_b = set().union(*cert.residual_components[1:])
+    side_a = set(comps[0])
+    side_b = set().union(*comps[1:])
     out = set()
     for side in (side_a, side_b):
         sub, vmap = induced_subgraph(g, side | {u, v})
@@ -378,23 +382,25 @@ def _handle_two_cut(g, cert, cfg, solver, ctx, depth):
 def _find_large_three_cut(g: MultiGraph):
     """First 3-vertex cut admitting a side grouping with both sides >= 7.
 
-    Returns (cut vertices, V1, V2) or None."""
-    for cert in iterate_vertex_cuts(g, 3):
-        comps = sorted(cert.residual_components, key=min)
+    Returns (cut vertices, V1, V2) with |V1| <= |V2|, or None.  The
+    components of G - cut always hold n - 3 vertices, so below 17 vertices
+    no cut qualifies and the scan is skipped."""
+    total = g.n - 3
+    if total < 14:
+        return None
+    for cut in iterate_vertex_cuts(g, 3):
+        comps = connected_components(g, cut)
         k = len(comps)
-        total = sum(len(c) for c in comps)
-        if total < 14:
-            continue
         for pick in range(1, 2 ** (k - 1)):
             v1 = set()
             for i in range(k):
                 if pick >> i & 1:
-                    v1 |= comps[i]
+                    v1.update(comps[i])
             if 7 <= len(v1) and 7 <= total - len(v1):
                 v2 = set().union(*comps) - v1
                 if len(v1) > len(v2):
                     v1, v2 = v2, v1
-                return tuple(sorted(cert.cut)), v1, v2
+                return cut, v1, v2
     return None
 
 

@@ -7,6 +7,9 @@ the oracles; criterion 8 uses the 1.5 safety-rail ratio; criterion 9 demands
 byte-identical serialized reports.
 """
 
+import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -17,8 +20,8 @@ from twoec.cover import TwoEdgeCover, canonicalize, min_triangle_free_cover
 from twoec.credits import cost as cover_cost, cover_bridges
 from twoec.generate import cycle_ring, glued_cliques, random_2ec, structured_random
 from twoec.glue import glue_all
-from twoec.graph import MultiGraph, find_vertex_cut, iterate_vertex_cuts, \
-    max_matching_across
+from twoec.graph import (MultiGraph, connected_components, find_vertex_cut,
+                         iterate_vertex_cuts, max_matching_across)
 from twoec.oracle import exact_min_2ecss, exact_min_tf_cover, verify_2ecss
 from twoec.pipeline import PipelineConfig, run_pipeline, serialize_report
 
@@ -298,31 +301,48 @@ def test_criterion_6_gluing_contract(corpus_reports, capsys):
     assert violations == []
 
 
-def test_criterion_7_matching_lemmas(capsys):
+@functools.cache
+def criterion_7_draws():
+    """Criterion 7's structured-random instances, each with its 20 + 20
+    random bipartitions (V1, V2, matching size required across them)."""
     rng = random.Random(4242)
-    instances = 0
-    violations = []
-    while instances < 100:
+    draws = []
+    while len(draws) < 100:
         n = rng.choice([20, 21, 22, 23, 24])
         g = structured_random(n, p=0.4, seed=rng.randrange(10 ** 9))
-        # certify absence of large 3-cuts with the library's cut finder
-        assert not any(c.kind == "ThreeLarge" for c in iterate_vertex_cuts(g, 3))
+        splits = []
+        for margin, need in ((10, 4), (5, 3)):
+            for _ in range(20):
+                vs = list(range(n))
+                rng.shuffle(vs)
+                split = rng.randint(margin, n - margin)
+                splits.append((set(vs[:split]), set(vs[split:]), need))
+        draws.append((g, splits))
+    return draws
+
+
+def test_structured_random_golden():
+    # criterion 7's instances, recorded while the cut scan still classified
+    # each cut by kind
+    edges = [g.edges for g, _ in criterion_7_draws()]
+    assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == (
+        "69176e3f62bc40576ec96b5877fdfab85a55b52f3ad005f58e1865e866cee77a")
+
+
+def test_criterion_7_matching_lemmas(capsys):
+    violations = []
+    draws = criterion_7_draws()
+    for g, splits in draws:
+        # certify absence of large 3-cuts with the library's cut finder: a
+        # 3-cut is large unless it splits off one side of at most 6 vertices
+        assert not any(len(comps) >= 3 or min(map(len, comps)) >= 7
+                       for comps in (connected_components(g, cut)
+                                     for cut in iterate_vertex_cuts(g, 3)))
         assert find_vertex_cut(g, 2) is None
-        instances += 1
-        for _ in range(20):
-            vs = list(range(n))
-            rng.shuffle(vs)
-            split = rng.randint(10, n - 10)
-            v1, v2 = set(vs[:split]), set(vs[split:])
-            if len(max_matching_across(g, v1, v2)) < 4:
-                violations.append((n, "4-matching", sorted(v1)))
-        for _ in range(20):
-            vs = list(range(n))
-            rng.shuffle(vs)
-            split = rng.randint(5, n - 5)
-            v1, v2 = set(vs[:split]), set(vs[split:])
-            if len(max_matching_across(g, v1, v2)) < 3:
-                violations.append((n, "3-matching", sorted(v1)))
+        for v1, v2, need in splits:
+            if len(max_matching_across(g, v1, v2)) < need:
+                violations.append((g.n, f"{need}-matching", sorted(v1)))
+    instances = len(draws)
     ok = not violations
     emit(capsys, f"CRITERION 7 {'PASS' if ok else 'FAIL'}: {instances} "
                  f"structured-random instances x 20+20 bipartitions, "

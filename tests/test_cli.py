@@ -33,7 +33,7 @@ def test_parse_header_mismatch():
 def test_parse_duplicate_line_keeps_parallel_edges():
     g = parse_graph("2 2\n0 1\n0 1\n")
     assert g.m == 2
-    assert g.has_self_loop_or_parallel() is not None
+    assert g.redundant_edges() == [1]
 
 
 def test_parse_vertex_out_of_range():

@@ -2,6 +2,7 @@
 and end-to-end feasibility/optimality against the oracle."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -395,6 +396,48 @@ def test_irrelevant_chords_cost_one_contractibility_scan(monkeypatch):
     assert sorted(t["edge"] for t in ctx["trace"]
                   if t["step"] == "drop-irrelevant-edge") == chords
     assert [m for m in scanned if m > 15] == [15 + len(chords)]
+
+
+def naive_large_three_cut(g):
+    """The lexicographically least 3-subset whose removal leaves components
+    that some grouping splits into two sides of >= 7 vertices each, or
+    None."""
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((a, b) for _, a, b in g.edges)
+    for cut in itertools.combinations(range(g.n), 3):
+        rest = h.subgraph(set(range(g.n)) - set(cut))
+        sizes = [len(c) for c in nx.connected_components(rest)]
+        if any(7 <= sum(pick) <= sum(sizes) - 7
+               for r in range(1, len(sizes))
+               for pick in itertools.combinations(sizes, r)):
+            return cut
+    return None
+
+
+def test_large_three_cut_matches_naive_scan():
+    # dense random graphs (n <= 16 takes the early return), chorded cycles
+    # with many 3-cuts, and glued cliques with sides of 7 and of 5 and 9
+    graphs = [random_2ec(n, seed=n) for n in range(12, 21)]
+    graphs += [random_2ec_small(n, n // 4, seed=n) for n in range(14, 21)]
+    graphs += [glued_cliques(10, 10, 3), glued_cliques(8, 12, 3),
+               glued_cliques(10, 12, 3)]
+    found = 0
+    for g in graphs:
+        split = reduction._find_large_three_cut(g)
+        cut = naive_large_three_cut(g)
+        if cut is None:
+            assert split is None
+            continue
+        found += 1
+        got, v1, v2 = split
+        assert got == cut
+        assert v1 | v2 == set(range(g.n)) - set(cut) and not v1 & v2
+        assert 7 <= len(v1) <= len(v2)
+        # each side is a union of components of G - cut
+        assert not any(a in v1 and b in v2 or a in v2 and b in v1
+                       for _, a, b in g.edges)
+    assert 3 <= found < len(graphs)
 
 
 @pytest.mark.parametrize("mode", ("off", "auto", "force"))
