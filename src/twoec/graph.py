@@ -259,7 +259,11 @@ def is_two_edge_connected(g) -> bool:
     """
     if isinstance(g, EdgeSubset):
         g = g.subgraph()
-    n_comps, _, bridges, _ = low_link(g.n, g.adjacency())
+    return _is_2ec(g.n, g.adjacency())
+
+
+def _is_2ec(n: int, adj) -> bool:
+    n_comps, _, bridges, _ = low_link(n, adj)
     return n_comps <= 1 and not bridges
 
 
@@ -328,9 +332,7 @@ def find_min_patch(g: MultiGraph, base, limit: int):
               if e not in base and u != v and class_of[u] != class_of[v]]
     for size in range(0, limit + 1):
         for combo in itertools.combinations(useful, size):
-            n_comps, _, bridges, _ = low_link(
-                g.n, member_adjacency(g, base.union(combo)))
-            if n_comps <= 1 and not bridges:
+            if _is_2ec(g.n, member_adjacency(g, base.union(combo))):
                 return set(combo)
     raise PatchNotFound(
         f"no patch of size <= {limit} completes the assembled solution")
@@ -487,11 +489,12 @@ def iterate_vertex_cuts(g: MultiGraph, k: int):
     in lexicographic order.
 
     S + (v,) is a cut exactly when v splits G - S, for S running over the
-    lexicographic (k-1)-prefixes, so each prefix costs one low-link pass.
+    lexicographic (k-1)-prefixes that stop before the last vertex (no v lies
+    above it), so each prefix costs one low-link pass.
     `connected_components(g, cut)` gives the components a cut leaves.
     """
     adj = g.adjacency()
-    for prefix in itertools.combinations(range(g.n), k - 1):
+    for prefix in itertools.combinations(range(g.n - 1), k - 1):
         splitters = splitting_vertices(adj, set(prefix))
         for v in range(prefix[-1] + 1 if prefix else 0, g.n):
             if v in splitters:
@@ -705,6 +708,14 @@ def forced_edge_lower_bound(g: MultiGraph, s):
     return max(bound, len(forced_edges))
 
 
+def _countable_inside_edges(g: MultiGraph, s):
+    """The non-loop edges inside s, or None where the inside counts give up."""
+    if len(s) > 8 or g.n > INSIDE_COUNT_MAX_N:
+        return None
+    inside = [e for e, u, v in g.edges if u != v and u in s and v in s]
+    return inside if len(inside) <= 24 else None
+
+
 def min_edges_inside(g: MultiGraph, s):
     """Minimum number of edges with both endpoints in s over all 2-ECSS of g,
     or None when |s| > 8, n > 24 or more than 24 such edges.
@@ -713,13 +724,25 @@ def min_edges_inside(g: MultiGraph, s):
     smallest patch to all the outside edges; every patch edge lies inside s.
     Raises PatchNotFound when g is not 2-edge-connected.
     """
-    if len(s) > 8 or g.n > INSIDE_COUNT_MAX_N:
-        return None
-    inside = [e for e, u, v in g.edges if u != v and u in s and v in s]
-    if len(inside) > 24:
+    if (inside := _countable_inside_edges(g, s)) is None:
         return None
     outside = {e for e, u, v in g.edges if u != v and not (u in s and v in s)}
     return len(find_min_patch(g, outside, len(inside)))
+
+
+def greedy_edges_inside(g: MultiGraph, s):
+    """Upper bound on `min_edges_inside(g, s)`, or None where that gives up
+    or g is not 2EC: from all non-loop edges, drop each inside edge in id
+    order whose loss keeps the rest 2EC (one low-link pass each), and count."""
+    inside = _countable_inside_edges(g, s)
+    keep = {e for e, u, v in g.edges if u != v}
+    if inside is None or not _is_2ec(g.n, member_adjacency(g, keep)):
+        return None
+    for e in sorted(inside):
+        keep.discard(e)
+        if not _is_2ec(g.n, member_adjacency(g, keep)):
+            keep.add(e)
+    return len(keep.intersection(inside))
 
 
 def certify_contractible(g: MultiGraph, c_edges, alpha: Fraction):
@@ -727,8 +750,8 @@ def certify_contractible(g: MultiGraph, c_edges, alpha: Fraction):
 
     Returns a justification string when certified, else None.  The forced
     edges of `forced_edge_lower_bound` are tried first, then the exact
-    minimum number of solution edges inside V(C), which the patch search
-    `min_edges_inside` computes.
+    minimum number of solution edges inside V(C) (`min_edges_inside`),
+    unless the upper bound `greedy_edges_inside` already falls short.
     """
     emap = g.edge_map()
     s = set()
@@ -740,7 +763,8 @@ def certify_contractible(g: MultiGraph, c_edges, alpha: Fraction):
     lb = forced_edge_lower_bound(g, s)
     if lb >= need:
         return f"forced-degree: {lb} forced edges >= |E(C)|/alpha = {need}"
-    m = min_edges_inside(g, s)
+    ub = greedy_edges_inside(g, s)
+    m = min_edges_inside(g, s) if ub is None or ub >= need else None
     if m is not None and m >= need:
         return f"exact: min edges inside = {m} >= {need}"
     return None

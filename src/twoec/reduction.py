@@ -349,12 +349,18 @@ def _find_irrelevant_edges(g: MultiGraph):
     {u, v} with u < v is a cut exactly when v splits G - u, so each u costs
     one low-link pass that tests only u's edges to higher vertices.  Deleting
     such an edge reconnects no cut, so the rest stay irrelevant and the
-    whole set can be dropped at once."""
+    whole set can be dropped at once.  When G is connected without a cut
+    vertex, every part of G - {u, v} holds neighbors of both (else the other
+    cuts it off), so adjacent u and v each have >= 3 distinct neighbors."""
     adj = g.adjacency()
+    n_comps, _, _, points = low_link(g.n, adj)
+    wide = [n_comps > 1 or bool(points) or m.bit_count() >= 3
+            for m in g.neighbor_masks()]
     out = []
     for u in range(g.n):
-        splitters = splitting_vertices(adj, {u})
-        out += [e for w, e in adj[u] if w > u and w in splitters]
+        if wide[u] and any(w > u and wide[w] for w, _ in adj[u]):
+            splitters = splitting_vertices(adj, {u})
+            out += [e for w, e in adj[u] if w > u and w in splitters]
     return out
 
 

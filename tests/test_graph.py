@@ -21,7 +21,8 @@ from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
                          connected_components, contract, contract_many,
                          decompose, find_contractible_certificate,
                          find_cycle_through_edges, find_vertex_cut,
-                         forced_edge_lower_bound, induced_subgraph,
+                         forced_edge_lower_bound, greedy_edges_inside,
+                         induced_subgraph,
                          is_two_edge_connected, iterate_vertex_cuts,
                          low_link, max_matching_across, member_adjacency,
                          min_edges_inside, splitting_vertices,
@@ -220,12 +221,20 @@ def test_three_cut_kinds_on_glued_cliques():
     assert find_vertex_cut(complete_graph(6), 3) is None
 
 
-def test_cut_enumeration_is_lexicographic():
+def test_cut_enumeration_is_lexicographic(monkeypatch):
     g = cycle_graph(5)
     cuts = list(iterate_vertex_cuts(g, 2))
     assert len(cuts) == 5
     assert cuts == sorted(cuts)
     assert all(list(cut) == sorted(cut) for cut in cuts)
+    # one pass per prefix, and no prefix ends at the last vertex
+    passes = []
+    real = graph.splitting_vertices
+    monkeypatch.setattr(graph, "splitting_vertices",
+                        lambda adj, removed: passes.append(sorted(removed))
+                        or real(adj, removed))
+    assert len(list(iterate_vertex_cuts(cycle_graph(7), 3))) == 35 - 7
+    assert passes == [list(p) for p in itertools.combinations(range(6), 2)]
 
 
 def naive_vertex_cuts(g, k):
@@ -578,6 +587,50 @@ def test_min_edges_inside_matches_oracle(seed):
     assert len(values) >= 4
 
 
+def exact_only_certificate(g, c_edges, alpha):
+    """`certify_contractible` without the greedy bound: the forced-degree
+    bound, then the reference's exact inside count."""
+    s = {x for e in c_edges for x in g.edge(e)}
+    need = Fraction(len(c_edges)) / alpha
+    lb = forced_edge_lower_bound(g, s)
+    if lb >= need:
+        return f"forced-degree: {lb} forced edges >= |E(C)|/alpha = {need}"
+    m = None
+    if len(s) <= 8 and g.n <= 24:
+        m = oracle.min_edges_inside(g, s)
+    if m is not None and m >= need:
+        return f"exact: min edges inside = {m} >= {need}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_greedy_inside_bound_is_sound(seed):
+    # the greedy count bounds the exact one from above, so ruling a cycle
+    # out on it never changes `certify_contractible`'s verdict
+    rng = random.Random(1000 + seed)
+    verdicts = set()
+    ruled_out = 0
+    for _ in range(25):
+        g = random_2ec_multigraph(rng, rng.randint(4, 12))
+        s = set(rng.sample(range(g.n), rng.randint(2, min(8, g.n))))
+        assert greedy_edges_inside(g, s) >= oracle.min_edges_inside(g, s)
+        eid = {}
+        for e, u, v in sorted(g.edges, reverse=True):
+            eid[frozenset((u, v))] = e
+        h = nx.Graph([(u, v) for _, u, v in g.edges if u != v])
+        cycles = sorted(nx.simple_cycles(h, length_bound=8))
+        for cycle in rng.sample(cycles, min(4, len(cycles))):
+            c_edges = [eid[frozenset((u, cycle[i - 1]))]
+                       for i, u in enumerate(cycle)]
+            for alpha in (Fraction(5, 4), Fraction(3, 2)):
+                got = certify_contractible(g, c_edges, alpha)
+                assert got == exact_only_certificate(g, c_edges, alpha)
+                verdicts.add(got and got.split(":")[0])
+                ruled_out += greedy_edges_inside(
+                    g, set(cycle)) < len(c_edges) / alpha
+    assert verdicts == {None, "forced-degree", "exact"} and ruled_out
+
+
 def test_min_edges_inside_caps_and_non_2ec_input():
     c10 = cycle_graph(10)
     assert min_edges_inside(c10, set(range(8))) == 7
@@ -588,6 +641,11 @@ def test_min_edges_inside_caps_and_non_2ec_input():
     path = MultiGraph(3, [(0, 1), (1, 2)])
     with pytest.raises(PatchNotFound):
         min_edges_inside(path, {0, 1})
+    assert greedy_edges_inside(path, {0, 1}) is None
+    assert greedy_edges_inside(c10, set(range(9))) is None
+    assert greedy_edges_inside(complete_graph(8), set(range(8))) is None
+    assert greedy_edges_inside(cycle_graph(25), {0, 1}) is None
+    assert greedy_edges_inside(c10, set(range(8))) == 7
 
 
 def hamiltonian_union(rng, n, k):

@@ -11,7 +11,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complete_graph, cycle_graph, disjoint_cycles
+from conftest import (complete_graph, cycle_graph, disjoint_cycles,
+                      from_networkx)
 from twoec.errors import BudgetExceeded, NotTwoEdgeConnected, Untypeable
 from twoec.generate import glued_cliques, random_2ec
 from twoec.graph import EdgeSubset, MultiGraph
@@ -372,9 +373,75 @@ def test_irrelevant_edge_matches_naive_scan():
         for _ in range(rng.randint(0, 3 * n)):
             g.add_edge(rng.randrange(n), rng.randrange(n))
         graphs.append(g)
+    # 2-connected sparse inputs, where only vertices of 3 or more neighbors
+    # get a pass: chorded cycles, theta graphs, ladders, prisms and wheels
+    for n in (9, 12, 15):
+        for gap in (2, 3, 4):
+            g = cycle_graph(n)
+            for i in range(0, n, gap):
+                g.add_edge(i, (i + gap) % n)
+            graphs.append(g)
+    for lengths in ((1, 2, 3), (2, 2, 2), (2, 3, 5), (1, 4, 4, 6)):
+        g = MultiGraph(2 + sum(k - 1 for k in lengths))
+        nxt = 2
+        for k in lengths:
+            path = [0] + list(range(nxt, nxt + k - 1)) + [1]
+            nxt += k - 1
+            for a, b in zip(path, path[1:]):
+                g.add_edge(a, b)
+        graphs.append(g)
+    for k in (3, 4, 6):
+        graphs += [from_networkx(nx.ladder_graph(k)),
+                   from_networkx(nx.circular_ladder_graph(k)),
+                   from_networkx(nx.wheel_graph(k + 2))]
     found = [_find_irrelevant_edges(g) for g in graphs]
     assert found == [naive_irrelevant_edges(g) for g in graphs]
     assert [] in found and any(len(f) >= 2 for f in found)
+
+
+def test_irrelevant_scan_skips_thin_vertices(monkeypatch):
+    # on a graph without a cut vertex, only a vertex of 3 or more neighbors
+    # with such a higher neighbor is scanned
+    calls = []
+    real = reduction.splitting_vertices
+
+    def counting(adj, removed):
+        calls.append(sorted(removed))
+        return real(adj, removed)
+
+    monkeypatch.setattr(reduction, "splitting_vertices", counting)
+    assert _find_irrelevant_edges(cycle_graph(30)) == []
+    assert calls == []
+    g = cycle_graph(15)
+    chords = [g.add_edge(i, (i + 3) % 15) for i in range(0, 15, 3)]
+    assert sorted(_find_irrelevant_edges(g)) == chords
+    assert calls == [[0], [3], [6], [9]]
+
+
+@st.composite
+def two_connected_graphs(draw):
+    """Simple 2-vertex-connected graphs on at most 12 vertices: a cycle
+    grown by open ears (chords or paths between two distinct vertices),
+    with the vertex labels permuted."""
+    n = draw(st.integers(3, 8))
+    pairs = {frozenset((i, (i + 1) % n)) for i in range(n)}
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        inner = draw(st.integers(0, min(2, 12 - n)))
+        path = [a] + list(range(n, n + inner)) + [b]
+        n += inner
+        pairs |= {frozenset(p) for p in zip(path, path[1:])}
+    perm = draw(st.permutations(range(n)))
+    return MultiGraph(n, sorted(tuple(sorted(perm[x] for x in p))
+                                for p in pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_connected_graphs())
+def test_irrelevant_edges_match_naive_on_2_connected_graphs(g):
+    assert nx.is_biconnected(nx.Graph([(u, v) for _, u, v in g.edges]))
+    assert _find_irrelevant_edges(g) == naive_irrelevant_edges(g)
 
 
 def test_irrelevant_chords_cost_one_contractibility_scan(monkeypatch):
