@@ -24,8 +24,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, Infeasible, NotCanonical
-from .graph import (BlockDecomposition, DegreeSearch, EdgeSubset, MultiGraph,
-                    decompose, low_link, member_adjacency)
+from .graph import (BlockDecomposition, DegreeSearch, MultiGraph, decompose,
+                    low_link, member_adjacency)
 
 TF_EXACT_MAX_N = 14               # largest input the exact TF cover search takes
 TF_NODE_BUDGET = 5 * 10 ** 6      # its node budget, then the heuristic cover
@@ -47,16 +47,11 @@ class TwoEdgeCover:
     @property
     def decomposition(self) -> BlockDecomposition:
         if self._decomp is None:
-            self._decomp = decompose(EdgeSubset(self.host, self.members))
+            self._decomp = decompose(self.host, self.members)
         return self._decomp
 
-    def subgraph(self) -> MultiGraph:
-        return EdgeSubset(self.host, self.members).subgraph()
-
     def component_edges(self, ci: int):
-        comp = set(self.decomposition.components[ci])
-        emap = self.host.edge_map()
-        return sorted(e for e in self.members if emap[e][0] in comp)
+        return self.decomposition.component_edges[ci]
 
     def classify_component(self, ci: int) -> str:
         """One of C4..C7, Large2EC, Complex, Other."""
@@ -84,9 +79,9 @@ class TwoEdgeCover:
         return [self.classify_component(i)
                 for i in range(len(self.decomposition.components))]
 
-    def replace(self, members, certified=None) -> "TwoEdgeCover":
+    def replace(self, members) -> "TwoEdgeCover":
         return TwoEdgeCover(self.host, frozenset(members),
-                            self.certified_minimum if certified is None else certified)
+                            self.certified_minimum)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +221,17 @@ def check_canonical(h: TwoEdgeCover):
             if complex_comp and len(block) < 4:
                 out.append(CanonicalViolation("NonPendantBlockUnder4", tuple(block)))
     return out
+
+
+def swap(g: MultiGraph, h: TwoEdgeCover, added, removed):
+    """The cover h - removed + added when it is a canonical triangle-free
+    2-edge cover of g, else None: the test behind every glue and
+    bridge-covering move."""
+    members = (h.members - set(removed)) | set(added)
+    if not is_tf_two_edge_cover(g, members):
+        return None
+    cand = h.replace(members)
+    return None if check_canonical(cand) else cand
 
 
 def _objective(g: MultiGraph, members):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .cover import TwoEdgeCover, check_canonical, is_tf_two_edge_cover
+from .cover import TwoEdgeCover, check_canonical, swap
 from .errors import NotCanonical, Stuck
 from .graph import MultiGraph
 
@@ -29,16 +29,15 @@ def init_credits(h: TwoEdgeCover) -> Fraction:
     emap = h.host.edge_map()
     complex_comps = {d.component_of[emap[e][0]] for e in d.bridges}
     quarters = 0
-    for ci, comp in enumerate(d.components):
+    # check_canonical has rejected every "Other" component
+    for ci in range(len(d.components)):
         cls = h.classify_component(ci)
-        if cls.startswith("C") and cls != "Complex":
-            quarters += int(cls[1:])                  # i/4 for a C_i
-        elif cls == "Large2EC":
+        if cls == "Large2EC":
             quarters += 8                             # credit 2
         elif cls == "Complex":
             quarters += 4                             # component credit 1
         else:
-            raise NotCanonical([("SmallNonCycleComponent", tuple(comp))])
+            quarters += int(cls[1:])                  # i/4 for a C_i
     # credit 1 per block of a complex component, 1/4 per bridge
     quarters += 4 * sum(c in complex_comps for c in d.block_component)
     quarters += len(d.bridges)
@@ -104,46 +103,20 @@ def _ear_candidates(g: MultiGraph, h: TwoEdgeCover, max_len: int):
 
 def _local_removal_pool(h: TwoEdgeCover, x, y):
     """Cover edges of the blocks containing x and y (where canonical-form
-    repairs are ever needed after an ear merges blocks)."""
+    repairs are ever needed after an ear merges blocks).  A block is the
+    non-bridge edges of one 2EC class."""
     d = h.decomposition
     emap = h.host.edge_map()
-    pool = set()
-    for block in d.blocks:
-        vs = set()
-        for e in block:
-            u, v = emap[e]
-            vs.add(u)
-            vs.add(v)
-        if x in vs or y in vs:
-            pool.update(block)
-    return sorted(pool)
+    classes = {d.class_of[x], d.class_of[y]}
+    return sorted(e for e in h.members
+                  if e not in d.bridges and d.class_of[emap[e][0]] in classes)
 
 
-def _keeps_degree_two(emap, deg, add, remove):
-    """True iff the cover with degrees `deg`, with `remove` taken out and
-    `add` put in, still has degree >= 2 at every endpoint of `remove`."""
-    delta = {}
-    for e in remove:
-        for x in emap[e]:
-            delta[x] = delta.get(x, 0) - 1
-    for e in add:
-        for x in emap[e]:
-            if x in delta:
-                delta[x] += 1
-    return all(deg[x] + d >= 2 for x, d in delta.items())
-
-
-def _evaluate(g, h, deg, old_bridges, old_cost, add, remove):
-    # a vertex left below degree 2 fails is_tf_two_edge_cover anyway
-    if not _keeps_degree_two(g.edge_map(), deg, add, remove):
-        return None
-    new_members = (h.members - set(remove)) | set(add)
-    if not is_tf_two_edge_cover(g, new_members):
-        return None
-    cand = h.replace(new_members)
-    if len(cand.decomposition.bridges) >= old_bridges:
-        return None
-    if check_canonical(cand):
+def _evaluate(g, h, old_bridges, old_cost, add, remove):
+    """The cover after the move and its cost when the move keeps the cover
+    canonical, lowers the bridge count and does not raise the cost."""
+    cand = swap(g, h, add, remove)
+    if cand is None or len(cand.decomposition.bridges) >= old_bridges:
         return None
     new_cost = cost(cand)
     if new_cost > old_cost:
@@ -160,7 +133,6 @@ def cover_bridges(g: MultiGraph, h: TwoEdgeCover, credit: Fraction | None = None
     `observer(bridge_count, cost)` is called once on entry and after every
     applied move, for contract instrumentation.
     """
-    emap = g.edge_map()
     cur = h
     cur_cost = cost(cur, credit)
     iterations = 0
@@ -173,10 +145,6 @@ def cover_bridges(g: MultiGraph, h: TwoEdgeCover, credit: Fraction | None = None
         iterations += 1
         if iterations > len(h.members) + 10:
             raise AssertionError("bridge covering failed to terminate")
-        deg = [0] * g.n
-        for e in cur.members:
-            for x in emap[e]:
-                deg[x] += 1
         best = None  # (bridges_after, cost_after, add, remove, cover)
         found = False
         for widen in (False, True):
@@ -187,7 +155,7 @@ def cover_bridges(g: MultiGraph, h: TwoEdgeCover, credit: Fraction | None = None
                 removal_sets += [(e,) for e in pool]
                 removal_sets += list(itertools.combinations(pool, 2))
                 for remove in removal_sets:
-                    got = _evaluate(g, cur, deg, nbridges, cur_cost, add, remove)
+                    got = _evaluate(g, cur, nbridges, cur_cost, add, remove)
                     if got is None:
                         continue
                     cand, new_cost = got

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cover import TwoEdgeCover, check_canonical, is_tf_two_edge_cover
+from .cover import TwoEdgeCover, swap
 from .credits import cost
 from .errors import CaseLadderExhausted, StructuredViolation
 from .graph import (MultiGraph, certify_contractible, contract_many,
@@ -130,26 +130,19 @@ def _shortest_cycle_through(cg: ComponentGraph, node, min_len=2, forbid_nodes=()
     return best
 
 
-def _apply(g, h, added, removed, kind, allow_positive=False):
-    """Validate and package one glue step."""
+def _apply(g, h, added, removed, kind, max_delta=0):
+    """Package one glue step when the move keeps the cover canonical and
+    bridgeless, lowers the component count and raises the cost by at most
+    `max_delta`."""
     before = len(h.decomposition.components)
-    cost_before = cost(h)
-    new_members = (h.members - set(removed)) | set(added)
-    if not is_tf_two_edge_cover(g, new_members):
+    cand = swap(g, h, added, removed)
+    if cand is None or cand.decomposition.bridges:
         return None
-    cand = h.replace(new_members)
-    d = cand.decomposition
-    if d.bridges:
-        return None
-    if check_canonical(cand):
-        return None
-    after = len(d.components)
+    after = len(cand.decomposition.components)
     if after >= before:
         return None
-    delta = cost(cand) - cost_before
-    if not allow_positive and delta > 0:
-        return None
-    if allow_positive and delta > 3:
+    delta = cost(cand) - cost(h)
+    if delta > max_delta:
         return None
     step = GlueStep(kind=kind, added=frozenset(added), removed=frozenset(removed),
                    cost_delta=delta, components_before=before,
@@ -179,7 +172,7 @@ def make_huge(g: MultiGraph, h: TwoEdgeCover):
         if k2 is None:
             raise CaseLadderExhausted("no second cycle through the merged node")
         added |= set(k2)
-    got = _apply(g, h, added, (), "MakeHuge", allow_positive=True)
+    got = _apply(g, h, added, (), "MakeHuge", max_delta=3)
     if got is None:
         raise CaseLadderExhausted("make_huge produced an invalid cover")
     cand, step = got
@@ -223,7 +216,7 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
     for a in neighbors:
         cls = cg.node_class[a]
         m = max_matching_across(g, cg.node_vertices[a], cg.node_vertices[l])
-        if cls == "Large2EC" or cls == "Complex":
+        if cls == "Large2EC":
             # any two matching edges merge the components
             if len(m) >= 2:
                 got = _apply(g, h, m[:2], (), "TrivialSegmentGlue")

@@ -130,12 +130,6 @@ class EdgeSubset:
     def __len__(self):
         return len(self.members)
 
-    def edge_list(self):
-        return [(eid, u, v) for eid, u, v in self.host.edges if eid in self.members]
-
-    def subgraph(self) -> MultiGraph:
-        return MultiGraph(self.host.n, self.edge_list())
-
 
 @dataclass
 class BlockDecomposition:
@@ -146,6 +140,7 @@ class BlockDecomposition:
     component_of: list        # vertex -> component index
     block_component: list     # per-block component index
     class_of: list            # vertex -> 2EC-class index (numbered by smallest vertex)
+    component_edges: list     # per-component sorted edge-id list
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +247,11 @@ def two_ec_classes(n: int, adj, bridges):
     return low_link(n, adj)[:2]
 
 
-def is_two_edge_connected(g) -> bool:
-    """True iff the (sub)graph spans its vertex set, is connected and bridgeless.
+def is_two_edge_connected(g: MultiGraph) -> bool:
+    """True iff g is connected and bridgeless (a single vertex counts).
 
     Self-loops never count toward connectivity.
     """
-    if isinstance(g, EdgeSubset):
-        g = g.subgraph()
     return _is_2ec(g.n, g.adjacency())
 
 
@@ -267,27 +260,35 @@ def _is_2ec(n: int, adj) -> bool:
     return n_comps <= 1 and not bridges
 
 
-def decompose(h) -> BlockDecomposition:
-    """Components, 2EC blocks, bridges and pendant flags of h."""
-    if isinstance(h, EdgeSubset):
-        g = h.subgraph()
-    else:
-        g = h
-    adj = g.adjacency()
-    n_comps, component_of, bridges, _ = low_link(g.n, adj)
-    comps = _groups(n_comps, component_of)
-    bridges = frozenset(bridges)
-    class_of = two_ec_classes(g.n, adj, bridges)[1]
-
-    block_edges = {}
-    for eid, u, v in g.edges:
-        if eid in bridges:
-            continue
-        block_edges.setdefault(class_of[u], []).append(eid)
-
-    blocks = sorted((sorted(es) for es in block_edges.values()), key=lambda b: b[0])
-
+def is_2ec_edge_set(g: MultiGraph, edges) -> bool:
+    """True iff `edges` join at least 2 vertices of g into one connected,
+    bridgeless piece; every vertex they do not touch is left isolated.
+    This is the subgraph a contraction witness must be."""
     emap = g.edge_map()
+    touched = {x for e in edges for x in emap[e]}
+    n_comps, _, bridges, _ = low_link(g.n, member_adjacency(g, edges))
+    return (len(touched) >= 2 and not bridges
+            and n_comps == g.n - len(touched) + 1)
+
+
+def decompose(host: MultiGraph, members) -> BlockDecomposition:
+    """Components (each with its sorted member edges), 2EC blocks, bridges
+    and pendant flags of the member edges of host."""
+    adj = member_adjacency(host, members)
+    n_comps, component_of, bridges, _ = low_link(host.n, adj)
+    bridges = frozenset(bridges)
+    class_of = two_ec_classes(host.n, adj, bridges)[1]
+
+    emap = host.edge_map()
+    component_edges = [[] for _ in range(n_comps)]
+    block_edges = {}
+    for eid in sorted(members):
+        x = emap[eid][0]
+        component_edges[component_of[x]].append(eid)
+        if eid not in bridges:
+            block_edges.setdefault(class_of[x], []).append(eid)
+    blocks = sorted(block_edges.values(), key=lambda b: b[0])
+
     # degree of each 2EC class in its component's bridge tree
     tree_deg = Counter(class_of[x] for eid in bridges for x in emap[eid])
 
@@ -303,13 +304,14 @@ def decompose(h) -> BlockDecomposition:
         pendant_flags.append(tree_deg[class_of[x]] == 1)
 
     return BlockDecomposition(
-        components=comps,
+        components=_groups(n_comps, component_of),
         blocks=blocks,
         bridges=bridges,
         pendant_flags=pendant_flags,
         component_of=component_of,
         block_component=block_component,
         class_of=class_of,
+        component_edges=component_edges,
     )
 
 
@@ -733,14 +735,23 @@ def min_edges_inside(g: MultiGraph, s):
 def greedy_edges_inside(g: MultiGraph, s):
     """Upper bound on `min_edges_inside(g, s)`, or None where that gives up
     or g is not 2EC: from all non-loop edges, drop each inside edge in id
-    order whose loss keeps the rest 2EC (one low-link pass each), and count."""
+    order whose loss keeps the rest 2EC (one low-link pass each), and count.
+    An edge at a vertex of degree <= 2 is kept without a pass."""
     inside = _countable_inside_edges(g, s)
+    emap = g.edge_map()
     keep = {e for e, u, v in g.edges if u != v}
     if inside is None or not _is_2ec(g.n, member_adjacency(g, keep)):
         return None
+    deg = [g.degree(v) for v in range(g.n)]       # degrees in keep
     for e in sorted(inside):
+        # a vertex left at degree <= 1 always fails the 2EC check
+        if min(deg[x] for x in emap[e]) <= 2:
+            continue
         keep.discard(e)
-        if not _is_2ec(g.n, member_adjacency(g, keep)):
+        if _is_2ec(g.n, member_adjacency(g, keep)):
+            for x in emap[e]:
+                deg[x] -= 1
+        else:
             keep.add(e)
     return len(keep.intersection(inside))
 

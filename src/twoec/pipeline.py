@@ -16,12 +16,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import oracle
+from . import oracle, reduction
 from .cover import TwoEdgeCover, canonicalize, min_triangle_free_cover
 from .credits import assert_cost_bound, cover_bridges, init_credits
 from .errors import NotCanonical, NotTwoEdgeConnected, Stuck, StructuredViolation
 from .glue import glue_all
-from .graph import EdgeSubset, MultiGraph, is_two_edge_connected
+from .graph import MultiGraph, is_2ec_edge_set, is_two_edge_connected
 from .reduction import ReductionConfig, reduce, verify_approx_bound
 
 SCHEMA_VERSION = 1
@@ -64,8 +64,7 @@ def _violation_from_not_canonical(sub: MultiGraph, h: TwoEdgeCover,
             edges = [e for e in h.component_edges(ci) if e not in d.bridges]
         else:
             edges = list(v.witness)            # block violations carry edge ids
-        if len(edges) >= 3 and is_two_edge_connected(
-                EdgeSubset(sub, frozenset(edges))):
+        if is_2ec_edge_set(sub, edges):
             return StructuredViolation(
                 f"canonicalization stalled on {v.kind}", edges=edges,
                 justification=f"canonical-form violation {v.kind}")
@@ -139,7 +138,7 @@ def run_pipeline(g: MultiGraph, cfg: PipelineConfig | None = None) -> dict:
             "epsilon": str(cfg.epsilon),
             "enumeration_budget": cfg.enumeration_budget,
             "oracle": cfg.oracle_mode,
-            "oracle_node_budget": cfg.oracle_node_budget,
+            "oracle_node_budget": reduction.ORACLE_NODE_BUDGET,
             "seed": cfg.seed,
         },
     }
@@ -167,7 +166,7 @@ def run_pipeline(g: MultiGraph, cfg: PipelineConfig | None = None) -> dict:
         # the reduction's base case has solved small inputs exactly already,
         # on the same graph and with the same node budget
         res = ctx["exact"] if "exact" in ctx else \
-            oracle.exact_min_2ecss(g, cfg.oracle_node_budget)
+            oracle.exact_min_2ecss(g, reduction.ORACLE_NODE_BUDGET)
         if res is not None and res.certified:
             opt = res.value
             report["oracle"] = {"opt": opt, "nodes": res.nodes_explored}

@@ -27,9 +27,9 @@ from .errors import (BudgetExceeded, NotTwoEdgeConnected, PatchNotFound,
 from .graph import (DegreeSearch, EdgeSubset, MultiGraph,
                     connected_components, contract,
                     find_contractible_certificate, find_min_patch,
-                    find_vertex_cut, induced_subgraph, is_two_edge_connected,
-                    iterate_vertex_cuts, low_link, member_adjacency,
-                    splitting_vertices, two_ec_classes)
+                    find_vertex_cut, induced_subgraph, is_2ec_edge_set,
+                    is_two_edge_connected, iterate_vertex_cuts, low_link,
+                    member_adjacency, splitting_vertices, two_ec_classes)
 
 SOLUTION_TYPES = ("A", "B1", "B2", "C1", "C2", "C3")
 TYPE_ORDER = {t: i for i, t in enumerate(SOLUTION_TYPES)}      # A strongest
@@ -38,6 +38,7 @@ _NEEDED_COMPONENTS = {"A": 1, "B1": 1, "C1": 1, "B2": 2, "C2": 2, "C3": 3}
 TYPED_NODE_BUDGET = 400_000       # per typed enumeration
 TYPED_ENUM_MAX = 20               # G1 size cap for typed enumeration
 MAX_DEPTH = 300                   # recursion guard
+ORACLE_NODE_BUDGET = 5 * 10 ** 6  # per exact base-case solve
 
 
 @dataclass
@@ -45,7 +46,6 @@ class ReductionConfig:
     alpha: Fraction = Fraction(5, 4)
     epsilon: Fraction = Fraction(1, 24)
     enumeration_budget: int = 12          # n0: exact-solve vertex cap
-    oracle_node_budget: int = 5 * 10 ** 6
 
     def __post_init__(self):
         self.alpha = Fraction(self.alpha)
@@ -238,7 +238,7 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
     n = g.n
     threshold = min(cfg.base_case_limit, cfg.enumeration_budget)
     if n <= threshold:
-        res = oracle.exact_min_2ecss(g, cfg.oracle_node_budget)
+        res = oracle.exact_min_2ecss(g, ORACLE_NODE_BUDGET)
         if depth == 0:
             ctx["exact"] = res         # the input's own exact solve
         if res is not None:
@@ -323,18 +323,10 @@ def _structured_leaf(g, cfg, solver, ctx, depth):
 
 
 def _contract_step(g, cfg, solver, ctx, depth, c_edges, label, justification):
-    emap = g.edge_map()
-    s = set()
-    for e in c_edges:
-        u, v = emap[e]
-        s.add(u)
-        s.add(v)
-    # V(C) is one bridgeless component; every other vertex is isolated
-    n_comps, _, bridges, _ = low_link(g.n, member_adjacency(g, c_edges))
-    if n_comps != g.n - len(s) + 1 or bridges:
+    if not is_2ec_edge_set(g, c_edges):
         raise AssertionError("contraction witness is not 2EC")
-    if len(s) < 2:
-        raise AssertionError("contraction witness too small")
+    emap = g.edge_map()
+    s = {x for e in c_edges for x in emap[e]}
     ctx["trace"].append({"step": label, "vertices": sorted(s),
                          "edges": sorted(c_edges),
                          "justification": justification})

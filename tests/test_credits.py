@@ -5,6 +5,8 @@ C_i carries credit i/4; a 2EC component with >= 8 edges carries 2; a complex
 component carries 1 plus 1 per block plus 1/4 per bridge.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -12,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cycle_graph, disjoint_cycles
-from twoec.cover import TwoEdgeCover, canonicalize, min_triangle_free_cover
+from twoec.cover import (TwoEdgeCover, canonicalize, check_canonical,
+                         is_tf_two_edge_cover, min_triangle_free_cover)
 from twoec.credits import (assert_cost_bound, cost, cover_bridges,
                            init_credits)
-from twoec.errors import NotCanonical
+from twoec.errors import NotCanonical, Stuck
 from twoec.graph import MultiGraph
 
 
@@ -148,3 +151,51 @@ def test_cover_bridges_longer_bridge_path():
     out, credit = cover_bridges(g, h)
     assert len(out.decomposition.bridges) == 0
     assert cost(out, credit) <= cost(h)
+
+
+def bridged_cover_sample():
+    """(host, cover) pairs: 2-4 cycles of 4-8 vertices chained by bridges,
+    0-2 extra vertices each hung on two cover vertices, all of that the
+    cover, plus 1-6 random non-cover host edges.  A cover is kept when it is
+    triangle-free, canonical and has a bridge."""
+    out = []
+    for seed in range(1500):
+        rng = random.Random(seed)
+        edges, cycles, n = [], [], 0
+        for _ in range(rng.randint(2, 4)):
+            k = rng.randint(4, 8)
+            cycles.append(range(n, n + k))
+            edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+            n += k
+        for a, b in zip(cycles, cycles[1:]):
+            edges.append((rng.choice(a), rng.choice(b)))
+        for _ in range(rng.randint(0, 2)):
+            edges += [(n, x) for x in rng.sample(range(n), 2)]
+            n += 1
+        g = MultiGraph(n, edges)
+        for _ in range(rng.randint(1, 6)):
+            g.add_edge(*rng.sample(range(n), 2))
+        h = TwoEdgeCover(g, frozenset(range(len(edges))))
+        if (is_tf_two_edge_cover(g, h.members) and not check_canonical(h)
+                and h.decomposition.bridges):
+            out.append((g, h))
+    return out
+
+
+def test_cover_bridges_golden():
+    # recorded before the move test moved to cover.swap: the final members,
+    # credit and observer history of each run, or Stuck; the applied moves
+    # add up to 4 edges and remove up to 2
+    results = []
+    for g, h in bridged_cover_sample():
+        history = []
+        try:
+            out, credit = cover_bridges(
+                g, h, observer=lambda b, c: history.append([b, str(c)]))
+        except Stuck:
+            results.append("Stuck")
+        else:
+            results.append([sorted(out.members), str(credit), history])
+    assert len(results) == 506 and results.count("Stuck") == 117
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
+        "4da9e7e06ecf9e489dadf3e70382b3748432c418da9f76588e24a2357012e765")

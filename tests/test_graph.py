@@ -16,13 +16,13 @@ from conftest import (complete_graph, cycle_graph, disjoint_cycles,
 from twoec import graph, oracle
 from twoec.errors import BudgetExceeded, PatchNotFound
 from twoec.generate import random_2ec
-from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
+from twoec.graph import (DegreeSearch, MultiGraph,
                          _no_certifiable_candidate, certify_contractible,
                          connected_components, contract, contract_many,
                          decompose, find_contractible_certificate,
                          find_cycle_through_edges, find_vertex_cut,
                          forced_edge_lower_bound, greedy_edges_inside,
-                         induced_subgraph,
+                         induced_subgraph, is_2ec_edge_set,
                          is_two_edge_connected, iterate_vertex_cuts,
                          low_link, max_matching_across, member_adjacency,
                          min_edges_inside, splitting_vertices,
@@ -100,7 +100,7 @@ def test_decompose_barbell():
     # two C4 blocks joined by one bridge: complex component, both blocks pendant
     g = disjoint_cycles([4, 4])
     bridge = g.add_edge(0, 4)
-    d = decompose(g)
+    d = decompose(g, g.edge_ids())
     assert len(d.components) == 1
     assert d.bridges == frozenset({bridge})
     assert len(d.blocks) == 2
@@ -110,7 +110,7 @@ def test_decompose_barbell():
 
 def test_decompose_components_partition_vertices():
     g = disjoint_cycles([4, 5])
-    d = decompose(g)
+    d = decompose(g, g.edge_ids())
     assert sorted(v for c in d.components for v in c) == list(range(9))
     assert all(d.component_of[v] == i
                for i, c in enumerate(d.components) for v in c)
@@ -120,7 +120,7 @@ def test_decompose_components_partition_vertices():
 @given(st.integers(3, 9), st.integers(0, 18), st.integers(0, 10 ** 6))
 def test_bridges_match_naive_deletion_check(n, m, seed):
     g = random_graph(n, m, seed)
-    assert decompose(g).bridges == frozenset(naive_bridges(g))
+    assert decompose(g, g.edge_ids()).bridges == frozenset(naive_bridges(g))
 
 
 @settings(max_examples=120, deadline=None)
@@ -130,7 +130,7 @@ def test_components_and_cut_vertices_match_networkx(n, m, seed):
     h = nx.Graph()
     h.add_nodes_from(range(n))
     h.add_edges_from((u, v) for _, u, v in g.edges if u != v)
-    d = decompose(g)
+    d = decompose(g, g.edge_ids())
     assert low_link(n, g.adjacency())[3] == set(nx.articulation_points(h))
     assert d.components == sorted(sorted(c) for c in nx.connected_components(h))
 
@@ -141,6 +141,38 @@ def test_2ec_iff_connected_and_bridgeless(n, m, seed):
     g = random_graph(n, m, seed)
     expect = len(connected_components(g)) == 1 and not naive_bridges(g)
     assert is_two_edge_connected(g) == expect
+
+
+def naive_is_2ec_edge_set(g, edges):
+    """networkx: the vertices the edges touch, at least 2, are connected by
+    them, with and without each one edge."""
+    emap = g.edge_map()
+    touched = {x for e in edges for x in emap[e]}
+
+    def connected(skip):
+        h = nx.MultiGraph()
+        h.add_nodes_from(touched)
+        h.add_edges_from(emap[e] for e in edges if e != skip)
+        return nx.is_connected(h)
+    return len(touched) >= 2 and all(connected(e) for e in [None, *edges])
+
+
+def test_2ec_edge_set_matches_networkx():
+    # edge subsets of seeded random multigraphs, restricted to a random
+    # vertex subset half the time so that both answers come up
+    rng = random.Random(77)
+    answers = []
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        g = random_graph(n, rng.randint(0, 3 * n), rng.randrange(10 ** 6))
+        keep = set(rng.sample(range(n), rng.randint(1, n)))
+        if rng.random() < 0.5:
+            keep = set(range(n))
+        edges = [e for e, u, v in g.edges
+                 if u in keep and v in keep and rng.random() < 0.85]
+        answers.append(is_2ec_edge_set(g, edges))
+        assert answers[-1] == naive_is_2ec_edge_set(g, edges), (g.edges, edges)
+    assert 50 <= sum(answers) <= 550
 
 
 def nx_numbered(n, groups):
@@ -341,9 +373,8 @@ def test_pendant_flags_match_naive_check(seed):
     n = rng.randint(1, 12)
     g = random_graph(n, rng.randint(0, 3 * n), seed)
     members = frozenset(e for e, _, _ in g.edges if rng.random() < 0.8)
-    for h in (g, EdgeSubset(g, members)):
-        sub = h.subgraph() if isinstance(h, EdgeSubset) else h
-        d = decompose(h)
+    for sub in (g, MultiGraph(n, [e for e in g.edges if e[0] in members])):
+        d = decompose(g, sub.edge_ids())
         assert d.pendant_flags == naive_pendant_flags(sub, d)
 
 

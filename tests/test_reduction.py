@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (complete_graph, cycle_graph, disjoint_cycles,
-                      from_networkx)
-from twoec.errors import BudgetExceeded, NotTwoEdgeConnected, Untypeable
+                      from_networkx, naive_is_2ecss, naive_min_2ecss)
+from twoec.cover import canonicalize, min_triangle_free_cover
+from twoec.errors import (BudgetExceeded, NotCanonical, NotTwoEdgeConnected,
+                          StructuredViolation, Untypeable)
 from twoec.generate import glued_cliques, random_2ec
-from twoec.graph import EdgeSubset, MultiGraph
+from twoec.graph import EdgeSubset, MultiGraph, is_2ec_edge_set
 from twoec.oracle import exact_min_2ecss, verify_2ecss
-from twoec.pipeline import PipelineConfig, run_pipeline
+from twoec.pipeline import PipelineConfig, _structured_leaf_solver, run_pipeline
 from twoec import oracle, reduction
 from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
                              _find_irrelevant_edges, classify_solution_type,
@@ -315,32 +317,34 @@ def test_heavy_parallel_cycle_solves():
     assert report["solution"]["size"] == 20
 
 
-def test_exact_budget_exhaustion_uses_the_incumbent():
+def test_exact_budget_exhaustion_uses_the_incumbent(monkeypatch):
+    monkeypatch.setattr(reduction, "ORACLE_NODE_BUDGET", 20)
     g = random_2ec(10, seed=3)
-    report = run_pipeline(g, PipelineConfig(oracle_node_budget=20))
+    report = run_pipeline(g)
     assert verify_2ecss(g, report["solution"]["edges"])
     assert not report["certified"]
     assert any("exact solve" in note for note in report["notes"])
 
 
-def test_exact_budget_exhaustion_on_two_vertices():
+def test_exact_budget_exhaustion_on_two_vertices(monkeypatch):
     # dropping redundant edges would leave a bridge, so the pair is kept
+    monkeypatch.setattr(reduction, "ORACLE_NODE_BUDGET", 1)
     g = MultiGraph(2, [(0, 1), (1, 1), (1, 0), (0, 1)])
-    report = run_pipeline(g, PipelineConfig(oracle_node_budget=1))
+    report = run_pipeline(g)
     assert report["solution"]["edges"] == [0, 2]
     assert not report["certified"]
 
 
 @pytest.mark.parametrize("budget", (5, 20, 1000))
-def test_exact_budget_exhaustion_never_crashes(budget):
+def test_exact_budget_exhaustion_never_crashes(monkeypatch, budget):
     # with budget 5 the exact solve finds no solution at all, so small
     # graphs, 2-vertex ones included, go down the dispatch instead
+    monkeypatch.setattr(reduction, "ORACLE_NODE_BUDGET", budget)
     fired = 0
     for n in range(6, 21):
         for seed in range(15):
             g = random_2ec(n, seed=seed)
-            report = run_pipeline(g, PipelineConfig(oracle_node_budget=budget,
-                                                    oracle_mode="off"))
+            report = run_pipeline(g, PipelineConfig(oracle_mode="off"))
             assert verify_2ecss(g, report["solution"]["edges"]), (n, seed)
             if any("exact solve" in note for note in report["notes"]):
                 fired += 1
@@ -519,7 +523,7 @@ def test_small_input_is_solved_exactly_once(monkeypatch, mode):
 
     g = random_2ec(10, seed=4)
     cfg = PipelineConfig(oracle_mode=mode)
-    res = real(g, cfg.oracle_node_budget)
+    res = real(g, reduction.ORACLE_NODE_BUDGET)
     monkeypatch.setattr(oracle, "exact_min_2ecss", counting)
     report = run_pipeline(g, cfg)
     assert calls == [10]
@@ -570,3 +574,47 @@ def test_reduce_feasible_with_tiny_budget(n, extra, seed):
     g = random_2ec_small(n, extra, seed)
     sol, ctx = run_reduce(g, n0=5)
     assert verify_2ecss(g, sol.members)
+
+
+@st.composite
+def small_2ec_multigraphs(draw):
+    """2EC multigraphs on at most 7 vertices: a cycle (a parallel pair on
+    2 vertices) grown by up to 3 ears of at most 3 edges whose ends may
+    coincide, so repeated edges and self-loops come up."""
+    n = draw(st.integers(2, 4))
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        inner = draw(st.integers(0, min(2, 7 - n)))
+        path = [a] + list(range(n, n + inner)) + [b]
+        n += inner
+        edges += zip(path, path[1:])
+    return MultiGraph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_2ec_multigraphs())
+def test_pipeline_matches_naive_optimum(g):
+    opt = naive_min_2ecss(g)
+    assert run_pipeline(g)["solution"]["size"] == opt
+    # with n0 = 2 the dispatch and the structured leaves do the work
+    rep = run_pipeline(g, PipelineConfig(oracle_mode="off",
+                                         enumeration_budget=2))
+    edges = rep["solution"]["edges"]
+    assert naive_is_2ecss(g, set(edges))
+    assert len(edges) >= opt
+
+
+def test_canonicalize_stall_gives_a_contraction_witness():
+    # canonicalize stalls on this leaf with two PendantBlockUnder6
+    # violations; the first block, the triangle 0-5-6, is a 2EC witness
+    g = MultiGraph(8, [(0, 5), (0, 6), (1, 2), (1, 3), (2, 3), (2, 4), (2, 7),
+                       (3, 5), (3, 7), (4, 5), (5, 6)])
+    with pytest.raises(NotCanonical) as stall:
+        canonicalize(g, min_triangle_free_cover(g))
+    assert [v.kind for v in stall.value.violations] == \
+        ["PendantBlockUnder6"] * 2
+    with pytest.raises(StructuredViolation) as exc:
+        _structured_leaf_solver(PipelineConfig(), [])(g)
+    assert exc.value.edges == {0, 1, 10}
+    assert is_2ec_edge_set(g, exc.value.edges)
