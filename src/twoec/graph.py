@@ -238,13 +238,65 @@ def low_link(n: int, adj, removed=()):
     return n_components, component_of, bridges, points
 
 
+def member_components(g: MultiGraph, members):
+    """(n_components, component_of) of the member edges of g, numbered by
+    smallest vertex as `low_link` numbers them (isolated vertices
+    included), from one union-find pass over the edge ids.
+
+    Each union links the larger root under the smaller, so a root is its
+    component's smallest vertex, every other vertex's parent lies below it,
+    and one ascending sweep numbers the components.  The pass stops once
+    one component is left."""
+    emap = g.edge_map()
+    n = g.n
+    parent = list(range(n))
+    count = n
+    for e in members:
+        u, v = emap[e]
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            if u < v:
+                parent[v] = u
+            else:
+                parent[u] = v
+            count -= 1
+            if count == 1:
+                return 1, [0] * n
+    component_of = [0] * n
+    count = 0
+    for v, p in enumerate(parent):
+        if p == v:
+            component_of[v] = count
+            count += 1
+        else:
+            component_of[v] = component_of[p]
+    return count, component_of
+
+
 def two_ec_classes(n: int, adj, bridges):
     """(n_classes, class_of): the 2EC classes of the edge set behind `adj`,
-    i.e. the `low_link` components once its `bridges` are dropped, numbered
-    by their smallest vertex."""
-    if bridges:
-        adj = [[(w, e) for w, e in nbrs if e not in bridges] for nbrs in adj]
-    return low_link(n, adj)[:2]
+    i.e. its components once its `bridges` are dropped, numbered by their
+    smallest vertex: one flood from each vertex not yet reached, in
+    ascending order, that never crosses a bridge."""
+    class_of = [-1] * n
+    count = 0
+    for root in range(n):
+        if class_of[root] >= 0:
+            continue
+        class_of[root] = count
+        stack = [root]
+        while stack:
+            for w, e in adj[stack.pop()]:
+                if class_of[w] < 0 and e not in bridges:
+                    class_of[w] = count
+                    stack.append(w)
+        count += 1
+    return count, class_of
 
 
 def is_two_edge_connected(g: MultiGraph) -> bool:
@@ -350,13 +402,15 @@ class DegreeSearch:
     While some vertex is short of degree 2 the search branches on the
     smallest one, over its undecided edges ascending by id (self-loops are
     never used).  Once none is short, `complete(inc, exc)` returns None
-    (feasible), [] (dead end) or the undecided edges to branch on.  Each
-    branch edge is tried included, then excluded for the siblings after it.
-    The bound is |inc| + ceil(deficit / 2); degrees and the deficit are
-    updated on every include and undo.  `solve()` returns (minimum size,
-    minimum sets) or (None, []): with `collect_all` every minimum set in the
-    order found, else the first.  Opening more than `node_budget` nodes
-    raises BudgetExceeded(what).
+    (feasible), [] (dead end) or the undecided non-loop edges to branch on.
+    Each branch edge is tried included, then excluded for the siblings
+    after it.  The bound is |inc| + ceil(deficit / 2); degrees and the
+    deficit are updated on every include and undo.  The parent computes a
+    child's bound from the deficit its edge's two ends would drop, so a
+    child the bound cuts off is counted as a node without being entered.
+    `solve()` returns (minimum size, minimum sets) or (None, []): with
+    `collect_all` every minimum set in the order found, else the first.
+    Counting more than `node_budget` nodes raises BudgetExceeded(what).
     """
 
     def __init__(self, g: MultiGraph, exempt, node_budget: int, complete,
@@ -379,17 +433,13 @@ class DegreeSearch:
         self.found = {}            # minimum sets, in the order found
 
     def solve(self):
+        self.nodes += 1            # the root
+        if self.nodes > self.budget:
+            raise BudgetExceeded(self.what)
         self._go(set(), set())
         return self.best, list(self.found)
 
     def _go(self, inc, exc):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceeded(self.what)
-        if self.best is not None:
-            lb = len(inc) + (self.deficit + 1) // 2
-            if lb > self.best or (not self.collect_all and lb >= self.best):
-                return
         deg, demand = self.deg, self.demand
         if self.deficit:
             v = next(v for v, d in enumerate(deg) if d < demand[v])
@@ -403,18 +453,26 @@ class DegreeSearch:
                 self._record(inc)
                 return
         for e in branch:
-            ends = self.emap[e]
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExceeded(self.what)
+            u, v = self.emap[e]
+            drop = (deg[u] < demand[u]) + (deg[v] < demand[v])
+            best = self.best
+            if best is not None:
+                lb = len(inc) + 1 + (self.deficit - drop + 1) // 2
+                if lb > best or (not self.collect_all and lb >= best):
+                    exc.add(e)
+                    continue
             inc.add(e)
-            for x in ends:
-                if deg[x] < demand[x]:
-                    self.deficit -= 1
-                deg[x] += 1
+            deg[u] += 1
+            deg[v] += 1
+            self.deficit -= drop
             self._go(inc, exc)
             inc.discard(e)
-            for x in ends:
-                deg[x] -= 1
-                if deg[x] < demand[x]:
-                    self.deficit += 1
+            deg[u] -= 1
+            deg[v] -= 1
+            self.deficit += drop
             exc.add(e)
         exc.difference_update(branch)
 

@@ -29,7 +29,8 @@ from .graph import (DegreeSearch, EdgeSubset, MultiGraph,
                     find_contractible_certificate, find_min_patch,
                     find_vertex_cut, induced_subgraph, is_2ec_edge_set,
                     is_two_edge_connected, iterate_vertex_cuts, low_link,
-                    member_adjacency, splitting_vertices, two_ec_classes)
+                    member_adjacency, member_components, splitting_vertices,
+                    two_ec_classes)
 
 SOLUTION_TYPES = ("A", "B1", "B2", "C1", "C2", "C3")
 TYPE_ORDER = {t: i for i, t in enumerate(SOLUTION_TYPES)}      # A strongest
@@ -85,10 +86,10 @@ def _classify(adj, cut, links) -> str:
     """Type of the edge set behind `adj` w.r.t. the 3 cut vertices, or
     Untypeable; `links` is the `low_link` result for `adj`."""
     n_comps, comp_of, bridges, _ = links
-    comps = [set() for _ in range(n_comps)]
-    for v, c in enumerate(comp_of):
-        comps[c].add(v)
-    if any(not (c & cut) for c in comps):
+    cuts_in = [set() for _ in range(n_comps)]
+    for x in cut:
+        cuts_in[comp_of[x]].add(x)
+    if not all(cuts_in):
         raise Untypeable("a component contains none of the cut vertices")
     if n_comps > 3:
         raise Untypeable(f"{n_comps} components")
@@ -103,7 +104,7 @@ def _classify(adj, cut, links) -> str:
     classes = [set() for _ in range(n_comps)]
     for v, c in enumerate(class_of):
         classes[comp_of[v]].add(c)
-    infos = [_component_shape(classes[i], comps[i] & cut, class_of, tree_deg)
+    infos = [_component_shape(classes[i], cuts_in[i], class_of, tree_deg)
              for i in range(n_comps)]
     # info: (num_classes, is_path, end_cut_counts, cuts_here, cut_to_class_distinct)
 
@@ -155,9 +156,7 @@ def _typed_completion(g1: MultiGraph, cut, t):
 
     def complete(inc, exc):
         # components of the partial solution (isolated vertices included)
-        adj = member_adjacency(g1, inc)
-        links = low_link(g1.n, adj)
-        n_comps, comp_of, bridges, _ = links
+        n_comps, comp_of = member_components(g1, inc)
         if n_comps < needed:
             return []              # adding edges can only merge further
         # a component without a cut vertex must grow outward
@@ -171,14 +170,15 @@ def _typed_completion(g1: MultiGraph, cut, t):
         if n_comps > needed:
             return [e for e, u, v in cands
                     if e not in exc and e not in inc and comp_of[u] != comp_of[v]]
-        # right component count; try classification
-        try:
-            if _classify(adj, cut, links) == t:
+        # right component count, each with a cut vertex; try classification
+        adj = member_adjacency(g1, inc)
+        links = low_link(g1.n, adj)
+        bridges = links[2]
+        if t == "A":
+            # one component: type A exactly when it has no bridge, else
+            # repair its shape by branching across a leaf 2EC class
+            if not bridges:
                 return None
-        except Untypeable:
-            pass
-        # type-A shape repair: branch across a leaf 2EC class
-        if t == "A" and n_comps == 1 and bridges:
             class_of = two_ec_classes(g1.n, adj, bridges)[1]
             counts = {}
             for e in bridges:
@@ -189,6 +189,11 @@ def _typed_completion(g1: MultiGraph, cut, t):
                     if e not in exc and e not in inc
                     and (class_of[u] == leaf) != (class_of[v] == leaf)
                     and e not in bridges]
+        try:
+            if _classify(adj, cut, links) == t:
+                return None
+        except Untypeable:
+            pass
         # generic completeness fallback: any strict superset solution
         # contains some currently-undecided edge
         return [e for e, _, _ in cands if e not in exc and e not in inc]
@@ -507,7 +512,7 @@ def _c2_patterns(g1, local_cut, sols):
     """Which cut pair spans the path component, for each minimum C2 set."""
     patterns = {}
     for sol in sols:
-        comp_of = _component_map(g1, sol)
+        comp_of = member_components(g1, sol)[1]
         # the two cut vertices in one component form the path pair
         pair = next(p for p in itertools.combinations(sorted(local_cut), 2)
                     if comp_of[p[0]] == comp_of[p[1]])
@@ -590,7 +595,7 @@ def _c3_branch(g, g1, map1, g2, map2, cut, sols, recurse, ctx):
     # G1-edges between C(u)-C(v) and C(v)-C(w)
     chosen = None
     for sol in sols:
-        comp_of = _component_map(g1, sol)
+        comp_of = member_components(g1, sol)[1]
         for mid in local_cut:
             others = [x for x in local_cut if x != mid]
             if _edge_between_comps(g1, sol, comp_of, others[0], mid) is not None \
@@ -621,10 +626,6 @@ def _c3_branch(g, g1, map1, g2, map2, cut, sols, recurse, ctx):
 
 def _with_vertex(g: MultiGraph) -> MultiGraph:
     return MultiGraph(g.n + 1, list(g.edges), next_eid=g._next_eid)
-
-
-def _component_map(g1, sol):
-    return low_link(g1.n, member_adjacency(g1, sol))[1]
 
 
 def _edge_between_comps(g1, sol, comp_of, x, y):

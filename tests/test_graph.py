@@ -25,8 +25,8 @@ from twoec.graph import (DegreeSearch, MultiGraph,
                          induced_subgraph, is_2ec_edge_set,
                          is_two_edge_connected, iterate_vertex_cuts,
                          low_link, max_matching_across, member_adjacency,
-                         min_edges_inside, splitting_vertices,
-                         two_ec_classes)
+                         member_components, min_edges_inside,
+                         splitting_vertices, two_ec_classes)
 
 
 def random_graph(n, m, seed):
@@ -203,6 +203,7 @@ def test_member_adjacency_and_two_ec_classes_match_networkx(seed):
                for _ in range(2))
     n_comps, comp_of, bridges, _ = low_link(n, adj)
     assert comp_of == nx_numbered(n, nx.connected_components(h))
+    assert member_components(g, members) == (n_comps, comp_of)
     sub = MultiGraph(n, [(e, u, v) for e, u, v in g.edges if e in members])
     assert bridges == naive_bridges(sub)
     h.remove_edges_from([(u, v, e) for u, v, e in h.edges(keys=True)

@@ -17,10 +17,11 @@ from twoec.cover import canonicalize, min_triangle_free_cover
 from twoec.errors import (BudgetExceeded, NotCanonical, NotTwoEdgeConnected,
                           StructuredViolation, Untypeable)
 from twoec.generate import glued_cliques, random_2ec
-from twoec.graph import EdgeSubset, MultiGraph, is_2ec_edge_set
+from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
+                         is_2ec_edge_set)
 from twoec.oracle import exact_min_2ecss, verify_2ecss
 from twoec.pipeline import PipelineConfig, _structured_leaf_solver, run_pipeline
-from twoec import oracle, reduction
+from twoec import cover, oracle, reduction
 from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
                              _find_irrelevant_edges, classify_solution_type,
                              enumerate_min_typed_subgraph, find_min_patch,
@@ -278,6 +279,41 @@ def test_typed_enumeration_golden(monkeypatch):
     assert "budget" in results
     assert digest(results) == (
         "fa46d05be5b756bc65d0a6496d84ff5460027a181f3fb6aa2fb0dfda0d8a104a")
+
+
+def test_degree_search_node_counts_golden():
+    # the node count of every search next to its outcome, so a change to
+    # the cost of a search node cannot move a node: every type under both
+    # tie rules, built as enumerate_min_typed_subgraph builds it, on the
+    # first sample with n <= 10 (its B2 search with collect_all runs out of
+    # budget) and the first 12 sparse ones, then the exact triangle-free
+    # cover search on random_2ec graphs
+    small = [s for s in typed_sample() if s[0].n <= 10]
+    sparse = [s for s in small if s[0].m <= 2 * s[0].n][:12]
+    results = []
+    for g, cut, _, _ in small[:1] + sparse:
+        cut = set(cut)
+        for t in SOLUTION_TYPES:
+            for collect in (False, True):
+                search = DegreeSearch(g, cut, 20000,
+                                      reduction._typed_completion(g, cut, t),
+                                      t, collect)
+                try:
+                    val, sols = search.solve()
+                except BudgetExceeded:
+                    results.append(["budget", search.nodes])
+                    continue
+                results.append([val, [sorted(s) for s in sols], search.nodes])
+    assert ["budget", 20001] in results
+    rng = random.Random(77)
+    for _ in range(10):
+        g = random_2ec(rng.randint(6, 12), seed=rng.randrange(10 ** 6))
+        search = DegreeSearch(g, (), cover.TF_NODE_BUDGET,
+                              cover._tf_completion(g), "tf")
+        val, sols = search.solve()
+        results.append([val, [sorted(s) for s in sols], search.nodes])
+    assert digest(results) == (
+        "ac0cb32c3c07291c06af7922aefe09d8ec64a0a10387d7a804f3ac53c2d974ab")
 
 
 # ---------------------------------------------------------------------------
