@@ -5,7 +5,8 @@ traced JSON reports the solver writes with the oracle off.
 Two checkouts that print the same lines give byte-identical solutions,
 notes, certified flags and reduction traces on every instance.  The
 families are those of `run_corpus.instances` (random-2ec, cycle-ring,
-glued-cliques) and the benchmark workloads built at --workload-seed.  The
+glued-cliques) and the three timed benchmark workloads (dense-random,
+sparse-chains, three-cut) built at --workload-seed.  The
 solver is imported from the src/ directory beside this script.
 
 Example:
@@ -28,11 +29,11 @@ from twoec.pipeline import (PipelineConfig, run_pipeline,      # noqa: E402
 TIMED_WORKLOADS = ("dense-random", "sparse-chains", "three-cut")
 
 
-def families(max_n, seeds, workload_seed, workloads):
+def families(max_n, seeds, workload_seed):
     """(family, label, graph) for every instance, family by family."""
     for name, g in instances(max_n, seeds):
         yield name.split("/")[0], name, g
-    for w in workloads:
+    for w in TIMED_WORKLOADS:
         for label, g in WORKLOADS[w](workload_seed):
             yield w, label, g
 
@@ -45,17 +46,13 @@ def main():
     ap.add_argument("--seeds", type=int, default=2,
                     help="corpus seeds per size (default 2)")
     ap.add_argument("--workload-seed", type=int, default=301)
-    ap.add_argument("--workloads", nargs="*", default=list(TIMED_WORKLOADS),
-                    choices=sorted(WORKLOADS),
-                    help="benchmark workloads to include (default: the "
-                         "timed ones)")
     args = ap.parse_args()
 
     cfg = PipelineConfig(oracle_mode="off", trace=True)
     overall = hashlib.sha256()
     per_family = {}
     for family, label, g in families(args.max_n, args.seeds,
-                                     args.workload_seed, args.workloads):
+                                     args.workload_seed):
         text = serialize_report(run_pipeline(g, cfg))
         line = f"{family}\t{label}\t{text}".encode()
         per_family.setdefault(family, hashlib.sha256()).update(line)

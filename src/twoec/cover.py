@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, Infeasible, NotCanonical
 from .graph import (BlockDecomposition, DegreeSearch, MultiGraph, decompose,
-                    low_link, member_adjacency)
+                    low_link, member_adjacency, member_components)
 
 TF_EXACT_MAX_N = 14               # largest input the exact TF cover search takes
 TF_NODE_BUDGET = 5 * 10 ** 6      # its node budget, then the heuristic cover
@@ -102,14 +102,12 @@ def is_tf_two_edge_cover(g: MultiGraph, members) -> bool:
     return _triangle_component(g, members) is None
 
 
-def _triangle_component(g: MultiGraph, members, links=None):
+def _triangle_component(g: MultiGraph, members, comps=None):
     """Vertex set of the first component, by smallest vertex, of the
     loop-free edge set that is a triangle (3 vertices, 3 edges), or None.
-    `links` is the `low_link` result for the edge set when the caller has
-    it."""
-    if links is None:
-        links = low_link(g.n, member_adjacency(g, members))
-    n_comps, comp_of = links[:2]
+    `comps` is `(n_components, component_of)` of the edge set when the
+    caller has it."""
+    n_comps, comp_of = comps or member_components(g, members)
     size = [0] * n_comps
     for c in comp_of:
         size[c] += 1
@@ -239,7 +237,7 @@ def _objective(g: MultiGraph, members):
     of the edge set F, from one low-link pass over its edges; None when F has
     a triangle component (3 vertices, 3 edges)."""
     links = low_link(g.n, member_adjacency(g, members))
-    if _triangle_component(g, members, links) is not None:
+    if _triangle_component(g, members, links[:2]) is not None:
         return None
     n_comps, comp_of, bridges, cut_vertices = links
     emap = g.edge_map()
@@ -266,7 +264,7 @@ def _candidate_swaps(g: MultiGraph, members, shrink_only=False):
         u, v = emap[e]
         deg[u] += 1
         deg[v] += 1
-    comp_of = low_link(g.n, member_adjacency(g, members))[1]
+    comp_of = member_components(g, members)[1]
     # (eid, u, v, joins two cover components), ascending by id
     non_members = [(e, u, v, comp_of[u] != comp_of[v])
                    for e, u, v in sorted(g.edges) if e not in members and u != v]
