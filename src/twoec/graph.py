@@ -566,6 +566,94 @@ def find_vertex_cut(g: MultiGraph, k: int):
     return next(iterate_vertex_cuts(g, k), None)
 
 
+def _fan(adj, source, targets, removed=()):
+    """How many paths, up to 4, run from `source` to distinct vertices
+    of `targets` (source not among them) sharing only `source` and avoiding
+    `removed`.  Unit-capacity augmenting paths over the vertex-split graph:
+    node 2v enters v, 2v + 1 leaves it, -1 is the sink behind every target;
+    `flow` holds the arcs that carry a path."""
+    flow = set()
+    found = 0
+    start = 2 * source + 1
+    while found < 4:
+        parent = {start: None}
+        queue = [start]
+        for x in queue:
+            v = x >> 1
+            if x & 1:
+                # forward to a neighbor's entry, back through v's own arc
+                steps = [(2 * w, (x, 2 * w) not in flow) for w, _ in adj[v]
+                         if w != source and w not in removed]
+                steps.append((2 * v, (2 * v, x) in flow))
+            else:
+                # forward out of v (to the sink at a target), back along the
+                # arc that entered v
+                out = -1 if v in targets else x + 1
+                steps = [(out, (x, out) not in flow)]
+                steps += [(2 * u + 1, (2 * u + 1, x) in flow) for u, _ in adj[v]]
+            for y, open_ in steps:
+                if open_ and y not in parent:
+                    parent[y] = x
+                    if y == -1:
+                        break
+                    queue.append(y)
+            if -1 in parent:
+                break
+        if -1 not in parent:
+            return found
+        y = -1
+        while (x := parent[y]) is not None:
+            if (y, x) in flow:
+                flow.discard((y, x))
+            else:
+                flow.add((x, y))
+            y = x
+        found += 1
+    return found
+
+
+def three_cut_core(g: MultiGraph):
+    """A vertex set K such that, for every 3-set S, K - S lies in one
+    component of G - S; the empty set when the roots fail.
+
+    K starts from four roots of largest degree, every pair of them adjacent
+    or joined by 4 internally disjoint paths (for non-adjacent a, b: a 4-fan
+    from a into N(b) in G - b, each path closed by its edge to b).  Then a
+    vertex joins while it has >= 4 neighbors in K or a 4-fan into K: 4 paths
+    to distinct vertices of K that share only their start.
+
+    Proof: S misses some root r.  Another root outside S is adjacent to r,
+    or S, with 3 vertices, misses all of one of their 4 paths.  A later
+    vertex outside S likewise keeps an edge, or a whole fan path, to a
+    vertex of K - S that joined before it, which by induction lies in r's
+    component.  So every other component of G - S lies outside K.
+    """
+    adj = g.adjacency()
+    masks = g.neighbor_masks()
+    order = sorted(range(g.n), key=lambda v: (-masks[v].bit_count(), v))
+    roots = order[:4]
+    if len(roots) < 4:
+        return set()
+    for a, b in itertools.combinations(roots, 2):
+        if not masks[a] >> b & 1:
+            nb = {w for w, _ in adj[b]}
+            if _fan(adj, a, nb, {b}) < 4:
+                return set()
+    core = set(roots)
+    core_mask = sum(1 << r for r in roots)
+    grown = True
+    while grown:
+        grown = False
+        for v in order:
+            if v not in core and masks[v].bit_count() >= 4 and (
+                    (masks[v] & core_mask).bit_count() >= 4
+                    or _fan(adj, v, core) >= 4):
+                core.add(v)
+                core_mask |= 1 << v
+                grown = True
+    return core
+
+
 # ---------------------------------------------------------------------------
 # contraction / induced subgraphs
 
@@ -844,34 +932,50 @@ def _no_certifiable_candidate(g: MultiGraph, alpha: Fraction, limit: int):
     `certify_contractible(g, C, alpha)`.
 
     Above INSIDE_COUNT_MAX_N vertices the exact inside count is never
-    computed, so only the forced-degree bound can certify.  A cycle has at
-    least 3 edges, so when 3 / alpha > 2 it needs a bound of at least 3 on
-    its vertex set s, |s| <= limit.  The bound is 2|W| for an independent
-    set W of vertices whose neighbors all lie in s, or the number of edges of
-    s at its degree-2 vertices, at most two per such vertex.  So s holds two
-    non-adjacent vertices v, w with N[v] | N[w] inside s, or two degree-2
-    vertices, which lie within distance limit // 2 on the cycle.  Without
-    either pair in g, no cycle can be certified.  Returns False whenever the
-    exact count could run or 3 / alpha <= 2.
+    computed, so only the forced-degree bound can certify.  A cycle with k
+    vertices has k edges, so it needs a bound of at least k / alpha on its
+    vertex set s, |s| = k.  The bound is 2|W| for an independent set W of
+    vertices whose neighbors all lie in s, or the number of edges of s at
+    its degree-2 vertices; both count at most two per vertex, so s holds
+    r_k = ceil(k / (2 alpha)) such vertices.  That is r_k non-adjacent
+    vertices whose closed neighborhoods together fill at most k vertices, or
+    r_k degree-2 vertices on the cycle, two of which lie within distance
+    k // r_k on it, and so in g.  Without either in g for any k, no cycle can
+    be certified.  Returns False whenever the exact count could run or some
+    r_k is 1.
     """
     n = g.n
-    if n <= INSIDE_COUNT_MAX_N or 3 / alpha <= 2:
+    if n <= INSIDE_COUNT_MAX_N:
         return False
-    closed = [m | 1 << v for v, m in enumerate(g.neighbor_masks())]
-    for v, w in itertools.combinations(range(n), 2):
-        if not closed[v] >> w & 1 and (closed[v] | closed[w]).bit_count() <= limit:
-            return False
+    # (k, r_k), r_k = ceil(k / (2 alpha)) in integers
+    p, q = Fraction(alpha).as_integer_ratio()
+    need = [(k, -(-k * q // (2 * p))) for k in range(3, limit + 1)]
+    if any(r < 2 for _, r in need):
+        return False
     adj = g.adjacency()
     deg2 = {v for v in range(n) if len(adj[v]) == 2}
+    reach = max((k // r for k, r in need), default=0)
     for v in deg2:
-        # breadth-first search from v, limit // 2 levels deep
+        # breadth-first search from v, `reach` levels deep
         seen = {v}
         level = [v]
-        for _ in range(limit // 2):
+        for _ in range(reach):
             level = [w for x in level for w, _ in adj[x] if w not in seen]
             if deg2.intersection(level):
                 return False
             seen.update(level)
+    closed = [m | 1 << v for v, m in enumerate(g.neighbor_masks())]
+    for r, k in {r: k for k, r in need}.items():
+        # a member's closed neighborhood leaves room for the other r - 1
+        small = [v for v in range(n) if closed[v].bit_count() <= k - r + 1]
+        for combo in itertools.combinations(small, r):
+            members = union = 0
+            for v in combo:
+                members |= 1 << v
+                union |= closed[v]
+            if union.bit_count() <= k and all(
+                    closed[v] & members == 1 << v for v in combo):
+                return False
     return True
 
 

@@ -30,7 +30,7 @@ from .graph import (DegreeSearch, EdgeSubset, MultiGraph,
                     find_vertex_cut, induced_subgraph, is_2ec_edge_set,
                     is_two_edge_connected, iterate_vertex_cuts, low_link,
                     member_adjacency, member_components, splitting_vertices,
-                    two_ec_classes)
+                    three_cut_core, two_ec_classes)
 
 SOLUTION_TYPES = ("A", "B1", "B2", "C1", "C2", "C3")
 TYPE_ORDER = {t: i for i, t in enumerate(SOLUTION_TYPES)}      # A strongest
@@ -387,9 +387,11 @@ def _find_large_three_cut(g: MultiGraph):
 
     Returns (cut vertices, V1, V2) with |V1| <= |V2|, or None.  The
     components of G - cut always hold n - 3 vertices, so below 17 vertices
-    no cut qualifies and the scan is skipped."""
+    no cut qualifies and the scan is skipped.  It is skipped too when fewer
+    than 7 vertices lie outside `three_cut_core`: every component of G - cut
+    but one lies outside the core, so one side would."""
     total = g.n - 3
-    if total < 14:
+    if total < 14 or g.n - len(three_cut_core(g)) < 7:
         return None
     for cut in iterate_vertex_cuts(g, 3):
         comps = connected_components(g, cut)

@@ -314,6 +314,39 @@ def test_vertex_cuts_match_networkx(k):
             naive_vertex_cuts(g, k), g.edges
 
 
+def test_three_cut_core_stays_in_one_component():
+    # seeded multigraphs with parallel edges and self-loops: for every 3-set
+    # S the core less S lies in one component of G - S, and the fan helper
+    # counts networkx's local vertex connectivity up to 4
+    rng = random.Random(1414)
+    sizes = []
+    for i in range(150):
+        n, p = rng.randint(6, 13), rng.uniform(0.3, 0.8)
+        g = MultiGraph(n)
+        for u, v in itertools.combinations(range(n), 2):
+            for _ in range(rng.random() < p and 1 + (rng.random() < 0.1)):
+                g.add_edge(u, v)
+        for _ in range(rng.randint(0, 2)):
+            v = rng.randrange(n)
+            g.add_edge(v, v)
+        core = graph.three_cut_core(g)
+        sizes.append(len(core) / n)
+        h = nx.Graph([(u, v) for _, u, v in g.edges if u != v])
+        h.add_nodes_from(range(g.n))
+        for cut in itertools.combinations(range(n), 3):
+            rest = core.difference(cut)
+            if rest:
+                kept = h.subgraph(set(range(n)).difference(cut))
+                assert rest <= nx.node_connected_component(kept, min(rest))
+        if i % 10 == 0:
+            for a, b in itertools.combinations(range(n), 2):
+                if not h.has_edge(a, b):
+                    assert graph._fan(g.adjacency(), a, set(h[b]), {b}) == \
+                        min(4, nx.node_connectivity(h, a, b))
+    # empty cores, cores short of the whole graph and whole-graph cores
+    assert 0 in sizes and 1 in sizes and any(0 < s < 1 for s in sizes)
+
+
 def test_low_link_with_removed_vertices_matches_networkx():
     # seeded multigraphs with parallel edges and self-loops, less 0-3
     # vertices; some of the removed sets disconnect a connected graph
@@ -753,10 +786,44 @@ def test_contractible_scan_golden():
         "5b54cdd53144a518a798e5347e8d0fd93a141428137a5f032151beaffdaeff2a")
 
 
+def skip_boundary_graphs():
+    """Unions of three Hamiltonian cycles on 24 vertices plus two vertices
+    a = 24, b = 25: a and b of degree 3 with a closed union of 6 or 7
+    vertices, or of degree 2 at distance 3.  At alpha 5/4 a cycle of at most
+    5 vertices needs two interior or degree-2 vertices, which then fit in 5
+    vertices or lie within distance 2, and a cycle of 6 or 7 vertices needs
+    three, so the skip fires on each graph; a pair bound of 7 vertices or
+    distance 3 would not."""
+    rng = random.Random(77)
+    graphs = []
+    for a_nbrs, b_nbrs in (((0, 1, 2), (0, 1, 3)), ((0, 1, 2), (0, 3, 4)),
+                           ((0, 1), (2, 3))):
+        g = hamiltonian_union(rng, 24, 3)
+        _, u, v = g.edges[0]
+        x = [w for w in rng.sample(range(24), 7) if w not in (u, v)]
+        if len(a_nbrs) == 2:
+            # a - u - v - b through a host edge
+            x = [x[0], u, v, x[1]]
+        g = MultiGraph(26, [(y, z) for _, y, z in g.edges]
+                       + [(24, x[i]) for i in a_nbrs]
+                       + [(25, x[i]) for i in b_nbrs])
+        graphs.append(g)
+    return graphs
+
+
 def test_contractible_skip_is_sound():
     # whenever the skip fires, no cycle of at most 7 vertices is certified;
     # it never fires where the exact inside count runs or 3 / alpha <= 2
     graphs, small = contractibility_sample()
+    boundary = skip_boundary_graphs()
+    for g in boundary:
+        h = nx.Graph([(u, v) for _, u, v in g.edges])
+        closed = set(h[24]) | set(h[25]) | {24, 25}
+        assert len(closed) in (6, 7) and not h.has_edge(24, 25)
+        assert _no_certifiable_candidate(g, Fraction(5, 4), 7)
+    # the last pair has degree 2
+    assert nx.shortest_path_length(h, 24, 25) == 3
+    graphs += boundary
     fired = 0
     for g in graphs:
         assert not _no_certifiable_candidate(g, Fraction(3, 2), 7)

@@ -21,7 +21,7 @@ from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
                          is_2ec_edge_set)
 from twoec.oracle import exact_min_2ecss, verify_2ecss
 from twoec.pipeline import PipelineConfig, _structured_leaf_solver, run_pipeline
-from twoec import cover, oracle, reduction
+from twoec import cover, graph, oracle, reduction
 from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
                              _find_irrelevant_edges, classify_solution_type,
                              enumerate_min_typed_subgraph, find_min_patch,
@@ -522,6 +522,16 @@ def naive_large_three_cut(g):
     return None
 
 
+def glued_sides(a, b):
+    """a and b sharing their vertices 0, 1, 2, b's other vertices after a's
+    (a pair of shared vertices keeps the edges of both)."""
+    shift = a.n - 3
+    return MultiGraph(a.n + b.n - 3,
+                      [(u, v) for _, u, v in a.edges]
+                      + [(x if x < 3 else x + shift, y if y < 3 else y + shift)
+                         for _, x, y in b.edges])
+
+
 def test_large_three_cut_matches_naive_scan():
     # dense random graphs (n <= 16 takes the early return), chorded cycles
     # with many 3-cuts, and glued cliques with sides of 7 and of 5 and 9
@@ -529,8 +539,16 @@ def test_large_three_cut_matches_naive_scan():
     graphs += [random_2ec_small(n, n // 4, seed=n) for n in range(14, 21)]
     graphs += [glued_cliques(10, 10, 3), glued_cliques(8, 12, 3),
                glued_cliques(10, 12, 3)]
-    found = 0
+    # where the core rules every cut out, and dense random sides of 10 and
+    # 10-11 vertices sharing vertices 0, 1, 2: a real cut it must not hide
+    graphs += [random_2ec(n, seed=n) for n in range(24, 27)]
+    graphs += [glued_sides(random_2ec(10, p=0.85, seed=s),
+                           random_2ec(10 + s % 2, p=0.85, seed=s + 50))
+               for s in range(2)]
+    found = skipped = 0
     for g in graphs:
+        if g.n >= 17 and g.n - len(graph.three_cut_core(g)) < 7:
+            skipped += 1
         split = reduction._find_large_three_cut(g)
         cut = naive_large_three_cut(g)
         if cut is None:
@@ -545,6 +563,7 @@ def test_large_three_cut_matches_naive_scan():
         assert not any(a in v1 and b in v2 or a in v2 and b in v1
                        for _, a, b in g.edges)
     assert 3 <= found < len(graphs)
+    assert skipped >= 1
 
 
 @pytest.mark.parametrize("mode", ("off", "auto", "force"))
