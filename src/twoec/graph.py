@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, PatchNotFound
+from .errors import BudgetExceeded, NotTwoEdgeConnected, PatchNotFound
 
 
 class MultiGraph:
@@ -129,6 +129,14 @@ class EdgeSubset:
 
     def __len__(self):
         return len(self.members)
+
+
+@dataclass
+class ExactResult:
+    value: int
+    witness: EdgeSubset
+    nodes_explored: int
+    certified: bool
 
 
 @dataclass
@@ -483,6 +491,84 @@ class DegreeSearch:
             self.best = len(inc)
             self.found = {}
         self.found.setdefault(frozenset(inc))
+
+
+def min_2ecss(g: MultiGraph, node_budget: int):
+    """Minimum 2-ECSS of the 2-edge-connected g, by DegreeSearch: the
+    reduction's exact base case.
+
+    Self-loops and every parallel edge past the second of its vertex pair
+    (the lowest ids are kept) are dropped first; no minimum 2-ECSS needs
+    them.  Once every vertex has degree >= 2, a disconnected set branches
+    on the undecided edges leaving vertex 0's component, ascending by id.
+    A connected set with bridges branches on the undecided edges that cross
+    a leaf class of its bridge tree, taking the leaf with the fewest of
+    them, the first by smallest vertex on ties; none left is a dead end.
+    A connected bridgeless set is feasible.
+
+    These are `oracle.exact_min_2ecss`'s branch lists in its order, the
+    deficient vertex's first, and the two bounds agree: the reference also
+    bounds by n, but |inc| + ceil(deficit / 2) >= n always holds, since
+    each included edge lowers the initial deficit 2n by at most 2.  Both
+    searches prune ties only once a set is found, so both return the first
+    minimum set in the same DFS order: the same edge set, after the same
+    number of nodes.
+
+    Returns an ExactResult.  With more than `node_budget` nodes needed it
+    is the incumbent, uncertified, or None without one.
+    """
+    if g.n <= 1:
+        return ExactResult(0, EdgeSubset(g, frozenset()), 0, True)
+    kept = Counter()
+    useful = []
+    for e, u, v in sorted(g.edges):
+        key = (min(u, v), max(u, v))
+        kept[key] += 1
+        if u != v and kept[key] <= 2:
+            useful.append((e, u, v))
+    h = MultiGraph(g.n, useful)
+    search = DegreeSearch(h, (), node_budget, _min_2ecss_completion(h),
+                          "exact base case budget")
+    try:
+        search.solve()
+        certified = True
+    except BudgetExceeded:
+        certified = False
+    if search.best is None:
+        if not certified:
+            return None
+        raise NotTwoEdgeConnected("no 2-ECSS found")
+    (members,) = search.found      # ties are pruned, so the first minimum
+    return ExactResult(search.best, EdgeSubset(g, members), search.nodes,
+                       certified)
+
+
+def _min_2ecss_completion(h: MultiGraph):
+    emap = h.edge_map()
+    edges = sorted(h.edges)
+
+    def complete(inc, exc):
+        count, component_of = member_components(h, inc)
+        if count > 1:
+            return [e for e, u, v in edges if e not in inc and e not in exc
+                    and (component_of[u] == 0) != (component_of[v] == 0)]
+        adj = member_adjacency(h, inc)
+        bridges = low_link(h.n, adj)[2]
+        if not bridges:
+            return None
+        n_classes, class_of = two_ec_classes(h.n, adj, bridges)
+        tree_deg = Counter(class_of[x] for e in bridges for x in emap[e])
+        crossing = {c: [] for c in range(n_classes) if tree_deg[c] == 1}
+        for e, u, v in edges:
+            cu, cv = class_of[u], class_of[v]
+            if cu != cv and e not in inc and e not in exc:
+                if cu in crossing:
+                    crossing[cu].append(e)
+                if cv in crossing:
+                    crossing[cv].append(e)
+        return min(crossing.values(), key=len)
+
+    return complete
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,11 @@ pipeline is tested against, so they share as little code with it as possible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import Infeasible, NotTwoEdgeConnected
-from .graph import EdgeSubset, MultiGraph, is_two_edge_connected
+from .graph import EdgeSubset, ExactResult, MultiGraph, is_two_edge_connected
 
 DEFAULT_BUDGET = 5 * 10 ** 6
-
-
-@dataclass
-class ExactResult:
-    value: int
-    witness: EdgeSubset
-    nodes_explored: int
-    certified: bool
 
 
 # ---------------------------------------------------------------------------
@@ -41,26 +32,18 @@ def verify_2ecss(g: MultiGraph, h) -> bool:
             adj[u].append((v, eid))
             adj[v].append((u, eid))
 
-    def connected(skip_eid):
-        if g.n == 0:
-            return True
+    if g.n:
         seen = {0}
         stack = [0]
         while stack:
-            x = stack.pop()
-            for y, eid in adj[x]:
-                if eid != skip_eid and y not in seen:
+            for y, _ in adj[stack.pop()]:
+                if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        return len(seen) == g.n
-
-    if not connected(None):
-        return False
-    for eid in members:
-        u, v = emap[eid]
-        if u != v and not connected(eid):
+        if len(seen) < g.n:
             return False
-    return True
+    # connected, so bridgeless iff no single member's deletion disconnects it
+    return not _bridges_of(g.n, adj)
 
 
 # ---------------------------------------------------------------------------

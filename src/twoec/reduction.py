@@ -7,7 +7,8 @@ elimination, and finally the structured-leaf solver callback.
 
 `graph.find_min_patch` answers every "smallest completion" question: the
 patches that rejoin split sides and the exact inside count that certifies a
-contractible subgraph.  The oracle serves the base case and final check only.
+contractible subgraph.  The exact base case is `graph.min_2ecss`; the
+reference oracle serves only the final check of the assembled solution.
 
 Edge ids are stable across induced subgraphs and contractions, so recursive
 solutions compose by plain set union; dummy edges added for the 3-cut gadgets
@@ -29,8 +30,8 @@ from .graph import (DegreeSearch, EdgeSubset, MultiGraph,
                     find_contractible_certificate, find_min_patch,
                     find_vertex_cut, induced_subgraph, is_2ec_edge_set,
                     is_two_edge_connected, iterate_vertex_cuts, low_link,
-                    member_adjacency, member_components, splitting_vertices,
-                    three_cut_core, two_ec_classes)
+                    member_adjacency, member_components, min_2ecss,
+                    splitting_vertices, three_cut_core, two_ec_classes)
 
 SOLUTION_TYPES = ("A", "B1", "B2", "C1", "C2", "C3")
 TYPE_ORDER = {t: i for i, t in enumerate(SOLUTION_TYPES)}      # A strongest
@@ -243,7 +244,7 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
     n = g.n
     threshold = min(cfg.base_case_limit, cfg.enumeration_budget)
     if n <= threshold:
-        res = oracle.exact_min_2ecss(g, ORACLE_NODE_BUDGET)
+        res = min_2ecss(g, ORACLE_NODE_BUDGET)
         if depth == 0:
             ctx["exact"] = res         # the input's own exact solve
         if res is not None:

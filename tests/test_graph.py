@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (complete_graph, cycle_graph, disjoint_cycles,
                       naive_bridges, petersen)
 from twoec import graph, oracle
-from twoec.errors import BudgetExceeded, PatchNotFound
+from twoec.errors import BudgetExceeded, NotTwoEdgeConnected, PatchNotFound
 from twoec.generate import random_2ec
 from twoec.graph import (DegreeSearch, MultiGraph,
                          _no_certifiable_candidate, certify_contractible,
@@ -25,7 +25,7 @@ from twoec.graph import (DegreeSearch, MultiGraph,
                          induced_subgraph, is_2ec_edge_set,
                          is_two_edge_connected, iterate_vertex_cuts,
                          low_link, max_matching_across, member_adjacency,
-                         member_components, min_edges_inside,
+                         member_components, min_2ecss, min_edges_inside,
                          splitting_vertices, two_ec_classes)
 
 
@@ -460,6 +460,77 @@ def test_degree_search_budget_raises_with_its_message():
     with pytest.raises(BudgetExceeded, match="^tiny budget$"):
         search.solve()
     assert search.nodes == 6
+
+
+# ---------------------------------------------------------------------------
+# exact base case
+
+def base_case_sample(count, seed):
+    """2EC multigraphs with n 2-12: random_2ec graphs with self-loops and
+    bundles of three or more parallels added, and bundles on 2 vertices,
+    their edge lists shuffled so ids do not follow vertex order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        if n == 2:
+            edges = [(0, 1)] * rng.randint(2, 5)
+        else:
+            g = random_2ec(n, seed=rng.randrange(10 ** 6))
+            edges = [(u, v) for _, u, v in g.edges]
+            for _ in range(rng.randint(0, 3)):
+                x = rng.randrange(n)
+                edges.append((x, x))
+            for _ in range(rng.randint(0, 2)):
+                u, v = rng.choice(edges[:g.m])
+                edges += [(v, u)] * rng.randint(2, 3)
+        rng.shuffle(edges)
+        yield MultiGraph(n, edges)
+
+
+def test_min_2ecss_matches_reference_oracle():
+    # the reference branches in the same order, so both find the same first
+    # minimum set after the same number of nodes
+    for g in base_case_sample(400, 16):
+        ref = oracle.exact_min_2ecss(g)
+        res = min_2ecss(g, oracle.DEFAULT_BUDGET)
+        assert res.certified and ref.certified
+        assert (res.value, res.witness.members, res.nodes_explored) == (
+            ref.value, ref.witness.members, ref.nodes_explored)
+
+
+@pytest.mark.parametrize("budget", (8, 40, 200))
+def test_min_2ecss_budget_keeps_the_references_incumbent(budget):
+    # out of budget, both return the same incumbent, or both None
+    for g in base_case_sample(40, budget):
+        ref = oracle.exact_min_2ecss(g, budget)
+        res = min_2ecss(g, budget)
+        if ref is None:
+            assert res is None
+        else:
+            assert (res.value, res.witness.members, res.certified) == (
+                ref.value, ref.witness.members, ref.certified)
+
+
+def test_min_2ecss_edge_cases():
+    one = min_2ecss(MultiGraph(1, [(0, 0)]), 10)
+    assert (one.value, one.witness.members, one.certified) == (0, set(), True)
+    with pytest.raises(NotTwoEdgeConnected):
+        min_2ecss(MultiGraph(3, [(0, 1), (1, 2), (2, 2)]), 1000)
+
+
+def test_min_2ecss_node_counts_golden():
+    # the value, edge set and node count of the base case on random_2ec
+    # graphs, so a change to the search kernel cannot move them silently
+    rng = random.Random(78)
+    results = []
+    for _ in range(10):
+        g = random_2ec(rng.randint(6, 12), seed=rng.randrange(10 ** 6))
+        res = min_2ecss(g, oracle.DEFAULT_BUDGET)
+        results.append([res.value, sorted(res.witness.members),
+                        res.nodes_explored])
+    # recorded from oracle.exact_min_2ecss, which gives the same digest
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
+        "40714f69361b5e84c84f4c9bbc6f215b6be41a065a45c0fcb57f4585a7a6d523")
 
 
 # ---------------------------------------------------------------------------

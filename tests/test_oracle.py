@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,3 +171,42 @@ def test_verify_agrees_with_graph_core(n, extra, seed):
     # the spanning requirement: isolated vertices are their own components
     sub = MultiGraph(g.n, [(e, u, v) for e, u, v in g.edges if e in members])
     assert verify_2ecss(g, members) == is_two_edge_connected(sub)
+
+
+def networkx_is_2ecss(g, members):
+    """Connected on all n vertices, and still connected after removing each
+    non-loop member edge by its key, on an nx.MultiGraph."""
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.n))
+    emap = g.edge_map()
+    h.add_edges_from((*emap[e], e) for e in members)
+    if not nx.is_connected(h):
+        return False
+    for e in members:
+        u, v = emap[e]
+        if u != v:
+            h.remove_edge(u, v, key=e)
+            connected = nx.is_connected(h)
+            h.add_edge(u, v, key=e)
+            if not connected:
+                return False
+    return True
+
+
+def test_verify_matches_networkx_on_random_subsets():
+    # random multigraphs with self-loops and parallels; each member set is a
+    # random subset, so most are non-spanning or disconnected
+    rng = random.Random(2)
+    verdicts = []
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        g = MultiGraph(n)
+        for _ in range(rng.randint(0, 3 * n)):
+            u = rng.randrange(n)
+            g.add_edge(u, u if rng.random() < 0.1 else rng.randrange(n))
+        keep = rng.uniform(0.5, 1)
+        members = {e for e, _, _ in g.edges if rng.random() < keep}
+        verdict = verify_2ecss(g, members)
+        assert verdict == networkx_is_2ecss(g, members), (g.edges, members)
+        verdicts.append((n >= 3, verdict))
+    assert (True, True) in verdicts and (True, False) in verdicts
