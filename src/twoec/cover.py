@@ -176,7 +176,8 @@ def min_triangle_free_cover(g: MultiGraph) -> TwoEdgeCover:
     if any(g.degree(v) < 2 for v in range(g.n)):
         raise Infeasible("a vertex has degree < 2")
     if g.n <= TF_EXACT_MAX_N:
-        search = DegreeSearch(g, (), TF_NODE_BUDGET, _tf_completion(g),
+        search = DegreeSearch(g, [2] * g.n, TF_NODE_BUDGET,
+                              _tf_completion(g),
                               "triangle-free cover node budget")
         try:
             best, sols = search.solve()

@@ -8,6 +8,7 @@ graphs can be mapped back to the original by id alone.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -404,38 +405,47 @@ def find_min_patch(g: MultiGraph, base, limit: int):
 # include/exclude search on degree demands
 
 class DegreeSearch:
-    """Branch and bound for the minimum edge sets of g in which every vertex
-    outside `exempt` has degree >= 2 and which `complete` accepts.
+    """Branch and bound for the minimum edge sets of g, of at most `cap`
+    edges, in which every vertex v has degree >= demand[v] (0, 1 or 2) and
+    which `complete` accepts.
 
-    While some vertex is short of degree 2 the search branches on the
+    While some vertex is short of its demand the search branches on the
     smallest one, over its undecided edges ascending by id (self-loops are
-    never used).  Once none is short, `complete(inc, exc)` returns None
-    (feasible), [] (dead end) or the undecided non-loop edges to branch on.
-    Each branch edge is tried included, then excluded for the siblings
-    after it.  The bound is |inc| + ceil(deficit / 2); degrees and the
-    deficit are updated on every include and undo.  The parent computes a
+    never used); a short vertex with fewer edges left (not excluded) than
+    its demand is a dead end.  Once none is short, `complete(inc, exc)`
+    returns None (feasible), [] (dead end) or the undecided non-loop edges
+    to branch on.  Each branch edge is tried included, then excluded for
+    the siblings after it.  The bound is max(floor, |inc| + ceil(deficit /
+    2)), where `floor` is a lower bound the caller has proven for every set
+    `complete` accepts; degrees and the deficit are updated on every include
+    and undo.  A node is searched only while its bound is at most the
+    limit: `cap` (no limit without one) until a set is found, then the best
+    size with `collect_all`, else the best size - 1.  The parent computes a
     child's bound from the deficit its edge's two ends would drop, so a
-    child the bound cuts off is counted as a node without being entered.
+    child the limit cuts off is counted as a node without being entered;
+    once a first-only search reaches the floor, every child is cut off.
     `solve()` returns (minimum size, minimum sets) or (None, []): with
     `collect_all` every minimum set in the order found, else the first.
     Counting more than `node_budget` nodes raises BudgetExceeded(what).
     """
 
-    def __init__(self, g: MultiGraph, exempt, node_budget: int, complete,
-                 what: str, collect_all: bool = False):
+    def __init__(self, g: MultiGraph, demand, node_budget: int, complete,
+                 what: str, collect_all: bool = False, cap=None, floor=0):
         self.emap = g.edge_map()
         self.by_vertex = [[] for _ in range(g.n)]
         for e, u, v in sorted(g.edges):
             if u != v:
                 self.by_vertex[u].append(e)
                 self.by_vertex[v].append(e)
-        self.demand = [0 if v in exempt else 2 for v in range(g.n)]
+        self.demand = list(demand)
         self.deg = [0] * g.n
         self.deficit = sum(self.demand)
         self.budget = node_budget
         self.complete = complete
         self.what = what
         self.collect_all = collect_all
+        self.floor = floor
+        self.limit = math.inf if cap is None else cap
         self.nodes = 0
         self.best = None
         self.found = {}            # minimum sets, in the order found
@@ -444,7 +454,8 @@ class DegreeSearch:
         self.nodes += 1            # the root
         if self.nodes > self.budget:
             raise BudgetExceeded(self.what)
-        self._go(set(), set())
+        if max(self.floor, (self.deficit + 1) // 2) <= self.limit:
+            self._go(set(), set())
         return self.best, list(self.found)
 
     def _go(self, inc, exc):
@@ -452,7 +463,7 @@ class DegreeSearch:
         if self.deficit:
             v = next(v for v, d in enumerate(deg) if d < demand[v])
             avail = [e for e in self.by_vertex[v] if e not in exc]
-            if len(avail) < 2:
+            if len(avail) < demand[v]:
                 return
             branch = [e for e in avail if e not in inc]
         else:
@@ -460,18 +471,18 @@ class DegreeSearch:
             if branch is None:
                 self._record(inc)
                 return
+        floor = self.floor
         for e in branch:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceeded(self.what)
             u, v = self.emap[e]
             drop = (deg[u] < demand[u]) + (deg[v] < demand[v])
-            best = self.best
-            if best is not None:
-                lb = len(inc) + 1 + (self.deficit - drop + 1) // 2
-                if lb > best or (not self.collect_all and lb >= best):
-                    exc.add(e)
-                    continue
+            lb = len(inc) + 1 + (self.deficit - drop + 1) // 2
+            limit = self.limit
+            if lb > limit or floor > limit:
+                exc.add(e)
+                continue
             inc.add(e)
             deg[u] += 1
             deg[v] += 1
@@ -485,11 +496,12 @@ class DegreeSearch:
         exc.difference_update(branch)
 
     def _record(self, inc):
-        # the bound lets through no set larger than the best, and ties only
+        # the limit lets through no set larger than the best, and ties only
         # with collect_all
         if self.best is None or len(inc) < self.best:
             self.best = len(inc)
             self.found = {}
+            self.limit = self.best - (not self.collect_all)
         self.found.setdefault(frozenset(inc))
 
 
@@ -527,8 +539,8 @@ def min_2ecss(g: MultiGraph, node_budget: int):
         if u != v and kept[key] <= 2:
             useful.append((e, u, v))
     h = MultiGraph(g.n, useful)
-    search = DegreeSearch(h, (), node_budget, _min_2ecss_completion(h),
-                          "exact base case budget")
+    search = DegreeSearch(h, [2] * h.n, node_budget,
+                          _min_2ecss_completion(h), "exact base case budget")
     try:
         search.solve()
         certified = True

@@ -10,6 +10,13 @@ patches that rejoin split sides and the exact inside count that certifies a
 contractible subgraph.  The exact base case is `graph.min_2ecss`; the
 reference oracle serves only the final check of the assembled solution.
 
+A large 3-cut with a small side is removed with the minimum solutions of
+each type (A, B1, B2, C1, C2, C3) on that side.  Each type is one
+`DegreeSearch` with the degree demands the type forces on the cut, a proven
+floor on its size and a completion that decides the type from the 2EC
+classes of the partial set; `_typed_branch` caps each search by the values
+found before it, so a search that cannot change the branch ends at once.
+
 Edge ids are stable across induced subgraphs and contractions, so recursive
 solutions compose by plain set union; dummy edges added for the 3-cut gadgets
 get fresh ids and are stripped from recursive answers before reassembly.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +44,7 @@ from .graph import (DegreeSearch, EdgeSubset, MultiGraph,
 SOLUTION_TYPES = ("A", "B1", "B2", "C1", "C2", "C3")
 TYPE_ORDER = {t: i for i, t in enumerate(SOLUTION_TYPES)}      # A strongest
 _NEEDED_COMPONENTS = {"A": 1, "B1": 1, "C1": 1, "B2": 2, "C2": 2, "C3": 3}
+_CUT_DEMAND = {"A": 2, "B1": 1, "C1": 1, "B2": 0, "C2": 0, "C3": 0}
 
 TYPED_NODE_BUDGET = 400_000       # per typed enumeration
 TYPED_ENUM_MAX = 20               # G1 size cap for typed enumeration
@@ -60,14 +69,9 @@ class ReductionConfig:
             # a smaller cap sends 1- and 2-vertex graphs down the dispatch,
             # which cannot solve them
             raise ValueError("enumeration_budget must be >= 2")
-
-    @property
-    def base_case_limit(self) -> int:
-        return math.floor(4 / self.epsilon)
-
-    @property
-    def small_side_limit(self) -> int:
-        return math.floor(2 / self.epsilon - 4)
+        # fixed by epsilon, and read at every recursion level
+        self.base_case_limit = math.floor(4 / self.epsilon)
+        self.small_side_limit = math.floor(2 / self.epsilon - 4)
 
 
 class _TypedBranchFailed(Exception):
@@ -79,14 +83,9 @@ class _TypedBranchFailed(Exception):
 # solution-type classification
 
 def classify_solution_type(h: EdgeSubset, cut) -> str:
+    """Type of the edge set h w.r.t. the 3 cut vertices, or Untypeable."""
     adj = member_adjacency(h.host, h.members)
-    return _classify(adj, set(cut), low_link(h.host.n, adj))
-
-
-def _classify(adj, cut, links) -> str:
-    """Type of the edge set behind `adj` w.r.t. the 3 cut vertices, or
-    Untypeable; `links` is the `low_link` result for `adj`."""
-    n_comps, comp_of, bridges, _ = links
+    n_comps, comp_of, bridges, _ = low_link(h.host.n, adj)
     cuts_in = [set() for _ in range(n_comps)]
     for x in cut:
         cuts_in[comp_of[x]].add(x)
@@ -148,70 +147,155 @@ def _component_shape(classes, cuts_here, class_of, tree_deg):
 # ---------------------------------------------------------------------------
 # minimum typed subgraph enumeration
 
-def _typed_completion(g1: MultiGraph, cut, t):
-    """`DegreeSearch` completion for type t, called once every non-cut
-    vertex has degree 2."""
+def _typed_completion(g1: MultiGraph, cut, t, pair=None):
+    """`DegreeSearch` completion for type t, called once every vertex meets
+    its demand; with `pair` (type C2), only sets whose two-cut component
+    holds exactly that pair of cut vertices are accepted.
+
+    Adding edges only merges components and 2EC classes.  So with fewer
+    components than the type needs the set is a dead end; a component
+    without a cut vertex must be left by a new edge; and with too many
+    components some two must be joined.  Once the count is the type's and
+    every component holds a cut vertex, a solution superset adds no edge
+    between two components (the count would fall) and, if it is minimum,
+    none inside a 2EC class (dropping it keeps every class, bridge and
+    demand).  So only undecided edges joining two classes of one component
+    can help, and a leaf class of a bridge tree changes only when one of
+    them leaves it.  Per type:
+
+    - A, B2, C3: a bridgeless set is the type.  Otherwise each leaf class
+      must be left; branch across the leaf with the fewest such edges.
+    - C1: the type exactly when the cut vertices lie in three classes;
+      two in one class stay in one, so the set is a dead end otherwise.
+    - C2: a dead end when the two cut vertices that share a component
+      share a class, or are not `pair`.  A leaf class without a cut vertex
+      must be left: branch across it.  Otherwise the one-cut component is
+      one class (it would have two leaves) and the other a path with one
+      of the pair in each end class: type C2.
+    - B1: a dead end when one class holds the three cut vertices.  A leaf
+      class without a cut vertex must be left: branch across it.  With
+      three leaves, one cut vertex in each, two of them must end in one
+      class, so of any two leaves one must be left: branch across the pair
+      whose crossing edges have the smallest union.  With two leaves the
+      bridge tree is a path, and a cut vertex in a middle class reaches an
+      end only when a new edge's tree path passes through that class:
+      branch on those edges.  Otherwise the set is type B1."""
     needed = _NEEDED_COMPONENTS[t]
     emap = g1.edge_map()
     cands = [(e, u, v) for e, u, v in sorted(g1.edges) if u != v]
+    cut = sorted(cut)
 
     def complete(inc, exc):
         # components of the partial solution (isolated vertices included)
         n_comps, comp_of = member_components(g1, inc)
         if n_comps < needed:
-            return []              # adding edges can only merge further
-        # a component without a cut vertex must grow outward
+            return []
         with_cut = {comp_of[x] for x in cut}
         lone = next((c for c in range(n_comps) if c not in with_cut), None)
         if lone is not None:
             return [e for e, u, v in cands
                     if e not in exc and e not in inc
                     and (comp_of[u] == lone) != (comp_of[v] == lone)]
-        # too many components: some pair must merge
         if n_comps > needed:
             return [e for e, u, v in cands
                     if e not in exc and e not in inc and comp_of[u] != comp_of[v]]
-        # right component count, each with a cut vertex; try classification
         adj = member_adjacency(g1, inc)
-        links = low_link(g1.n, adj)
-        bridges = links[2]
-        if t == "A":
-            # one component: type A exactly when it has no bridge, else
-            # repair its shape by branching across a leaf 2EC class
-            if not bridges:
-                return None
-            class_of = two_ec_classes(g1.n, adj, bridges)[1]
-            counts = {}
-            for e in bridges:
-                for x in emap[e]:
-                    counts[class_of[x]] = counts.get(class_of[x], 0) + 1
-            leaf = min(c for c, k in counts.items() if k == 1)
-            return [e for e, u, v in cands
-                    if e not in exc and e not in inc
-                    and (class_of[u] == leaf) != (class_of[v] == leaf)
-                    and e not in bridges]
-        try:
-            if _classify(adj, cut, links) == t:
-                return None
-        except Untypeable:
-            pass
-        # generic completeness fallback: any strict superset solution
-        # contains some currently-undecided edge
-        return [e for e, _, _ in cands if e not in exc and e not in inc]
+        bridges = low_link(g1.n, adj)[2]
+        if not bridges and t in ("A", "B2", "C3"):
+            return None
+        class_of = two_ec_classes(g1.n, adj, bridges)[1]
+        at = {class_of[x] for x in cut}
+        if t == "C1":
+            return None if len(at) == 3 else []
+        if t == "C2":
+            p = next(p for p in itertools.combinations(cut, 2)
+                     if comp_of[p[0]] == comp_of[p[1]])
+            if class_of[p[0]] == class_of[p[1]] or pair not in (None, p):
+                return []
+        if t == "B1" and len(at) == 1:
+            return []
+        tree_deg = Counter(class_of[x] for e in bridges for x in emap[e])
+        leaves = sorted(c for c, k in tree_deg.items() if k == 1)
+        open_ = [(e, class_of[u], class_of[v]) for e, u, v in cands
+                 if e not in inc and e not in exc
+                 and comp_of[u] == comp_of[v] and class_of[u] != class_of[v]]
+
+        def across(*classes):
+            return [e for e, a, b in open_ if a in classes or b in classes]
+
+        if t in ("A", "B2", "C3"):
+            return min(map(across, leaves), key=len)
+        free = [c for c in leaves if c not in at]
+        if free:
+            return min(map(across, free), key=len)
+        if t == "C2":
+            return None
+        if len(leaves) == 3:
+            return min(itertools.starmap(across,
+                                         itertools.combinations(leaves, 2)),
+                       key=len)
+        middle = [c for c in at if tree_deg[c] == 2]
+        if not middle:
+            return None
+        tree = {c: [] for c in tree_deg}
+        for e in bridges:
+            a, b = (class_of[x] for x in emap[e])
+            tree[a].append(b)
+            tree[b].append(a)
+        pos = {leaves[0]: 0}
+        walk = leaves[0]
+        while len(pos) < len(tree):
+            walk = next(c for c in tree[walk] if c not in pos)
+            pos[walk] = len(pos)
+        return min(([e for e, a, b in open_
+                     if min(pos[a], pos[b]) <= pos[m] <= max(pos[a], pos[b])]
+                    for m in sorted(middle)), key=len)
     return complete
 
 
+def _type_floor(n, t):
+    """A lower bound on the size of every type-t set on n vertices (see
+    `enumerate_min_typed_subgraph`)."""
+    if t in ("A", "B1"):
+        return n
+    if t in ("B2", "C1"):
+        return n - 1
+    if t == "C2" or n > 3:
+        return n - 2
+    return 0                       # C3 on the three cut vertices alone
+
+
 def enumerate_min_typed_subgraph(g1: MultiGraph, cut, t: str,
-                                 collect_all: bool = False):
-    """(min value, list of minimum edge sets) of type t, or (None, []).
+                                 collect_all: bool = False, cap=None,
+                                 pair=None):
+    """(min value, list of minimum edge sets) of type t with at most `cap`
+    edges, or (None, []).  With `pair` (type C2 only) the sets are those
+    whose two-cut component holds that pair of cut vertices.
 
     Vertices outside the cut need degree >= 2 (their solution edges are
-    confined to g1); cut vertices may be isolated."""
+    confined to g1).  A cut vertex needs degree 2 for A (the one spanning
+    2EC class has n >= 3 vertices), 1 for B1 and C1 (one component spans
+    every vertex) and for each vertex of `pair` (its component has two
+    classes), and 0 otherwise: a cut vertex may be alone in its component
+    in B2, C2 and C3.  The search's floor, with n = |V(g1)|:
+
+    - A and B1: n.  An A set is spanning and bridgeless.  A B1 set is
+      spanning and connected, and its end class holding two cut vertices
+      contains a cycle.
+    - B2 and C1: n - 1.  C1 is spanning and connected.  B2's component
+      with two cut vertices is one class, so it contains a cycle, and the
+      other component is connected.
+    - C2 and C3: n - 2.  C2 has two components.  C3 has three, each one
+      class; for n > 3 one of them holds a vertex outside the cut, so it
+      contains a cycle (C3 on the three cut vertices alone is empty)."""
     cut = set(cut)
-    return DegreeSearch(g1, cut, TYPED_NODE_BUDGET,
-                        _typed_completion(g1, cut, t),
+    demand = [_CUT_DEMAND[t] if v in cut else 2 for v in range(g1.n)]
+    for x in pair or ():
+        demand[x] = 1
+    return DegreeSearch(g1, demand, TYPED_NODE_BUDGET,
+                        _typed_completion(g1, cut, t, pair),
                         f"typed enumeration budget for {t}",
-                        collect_all).solve()
+                        collect_all, cap, _type_floor(g1.n, t)).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -450,19 +534,27 @@ def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
     local_cut = [map1[x] for x in cut]
     g2_is_2ec = is_two_edge_connected(g2)
 
+    # The branch needs the minimum type (ties go to the type first in
+    # TYPE_ORDER) and B1 when it is within 1 of the minimum.  A goes first,
+    # uncapped; B2, C1, C2 and C3 follow in TYPE_ORDER, each counting only
+    # below every value before it, so each is capped at that value - 1; B1
+    # goes last, capped at the minimum + 1.  C3 fits only a 2EC far side:
+    # a 2EC far side admits type A, which is compatible with everything;
+    # otherwise only the cheap exactly-checkable case (C3 requires type A)
+    # is decided
     opts = {}
-    for t in SOLUTION_TYPES:
-        collect = t in ("C2", "C3")
-        val, sols = enumerate_min_typed_subgraph(g1, local_cut, t,
-                                                 collect_all=collect)
-        if val is None:
-            continue
-        # compatibility with the far side: a 2EC far side admits type A,
-        # which is compatible with everything; otherwise only the cheap
-        # exactly-checkable case (C3 requires type A) is decided
+    smallest = None
+    for t in ("A", "B2", "C1", "C2", "C3", "B1"):
         if t == "C3" and not g2_is_2ec:
             continue
-        opts[t] = (val, sols)
+        cap = None if smallest is None else smallest + (1 if t == "B1" else -1)
+        val, sols = enumerate_min_typed_subgraph(g1, local_cut, t,
+                                                 collect_all=t == "C3",
+                                                 cap=cap)
+        if val is not None:
+            opts[t] = (val, sols)
+            if t != "B1":
+                smallest = val
     if not opts:
         raise _TypedBranchFailed("no typed solution exists on the small side")
 
@@ -494,7 +586,8 @@ def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
         return _simple_typed_branch(g, g2, map2, cut, "C1", opts["C1"][1][0],
                                     bound=2, recurse=recurse, ctx=ctx)
     if t_min == "C2":
-        return _c2_branch(g, g1, map1, g2, map2, cut, opts["C2"][1],
+        return _c2_branch(g, g1, map1, g2, map2, cut,
+                          _c2_patterns(g1, local_cut, *opts["C2"]),
                           recurse, ctx)
     if t_min == "C3":
         return _c3_branch(g, g1, map1, g2, map2, cut, opts["C3"][1],
@@ -511,22 +604,28 @@ def _simple_typed_branch(g, g2, map2, cut, t, opt1, bound, recurse, ctx):
     return base | patch
 
 
-def _c2_patterns(g1, local_cut, sols):
-    """Which cut pair spans the path component, for each minimum C2 set."""
+def _c2_patterns(g1, local_cut, value, sols):
+    """One minimum C2 set for each cut pair that can span the path
+    component, by pair: the unrestricted search's set for its own pair,
+    the first set of a pair-restricted search capped at `value` for each
+    other pair."""
+    (first,) = sols
+    comp_of = member_components(g1, first)[1]
     patterns = {}
-    for sol in sols:
-        comp_of = member_components(g1, sol)[1]
-        # the two cut vertices in one component form the path pair
-        pair = next(p for p in itertools.combinations(sorted(local_cut), 2)
-                    if comp_of[p[0]] == comp_of[p[1]])
-        patterns.setdefault(pair, []).append(sol)
+    for pair in itertools.combinations(sorted(local_cut), 2):
+        if comp_of[pair[0]] == comp_of[pair[1]]:
+            patterns[pair] = [first]
+        else:
+            found = enumerate_min_typed_subgraph(g1, local_cut, "C2",
+                                                 cap=value, pair=pair)[1]
+            if found:
+                patterns[pair] = found
     return patterns
 
 
-def _c2_branch(g, g1, map1, g2, map2, cut, sols, recurse, ctx):
+def _c2_branch(g, g1, map1, g2, map2, cut, patterns, recurse, ctx):
     local_cut = [map1[x] for x in cut]
     to_host = {map1[x]: x for x in cut}
-    patterns = _c2_patterns(g1, local_cut, sols)
     pairs = sorted(patterns)
     if len(pairs) == 1:
         subcase = "i"

@@ -17,7 +17,7 @@ from twoec.cover import (TwoEdgeCover, _candidate_swaps, _improving_move,
                          min_triangle_free_cover)
 from twoec.errors import Infeasible, NotCanonical
 from twoec.generate import random_2ec
-from twoec.graph import MultiGraph
+from twoec.graph import DegreeSearch, MultiGraph
 from twoec.oracle import exact_min_tf_cover
 
 
@@ -115,6 +115,22 @@ def test_min_cover_golden(monkeypatch):
     assert any(exact[0::3]) and not all(exact[0::3]) and all(exact[2::3])
     assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
         "79098f52a9069d853208d259cf4b7d779a6a0f12ac034c9b15339a83e41560bb")
+
+
+def test_tf_cover_node_counts_golden():
+    # the value, edge set and node count of the exact triangle-free cover
+    # search on random_2ec graphs, so a change to the search kernel cannot
+    # move a node of it silently
+    rng = random.Random(77)
+    results = []
+    for _ in range(10):
+        g = random_2ec(rng.randint(6, 12), seed=rng.randrange(10 ** 6))
+        search = DegreeSearch(g, [2] * g.n, cover.TF_NODE_BUDGET,
+                              cover._tf_completion(g), "tf")
+        val, sols = search.solve()
+        results.append([val, [sorted(s) for s in sols], search.nodes])
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
+        "198b76a0e22722df8cfef6961ce798cff4a2f9d325dcabb7b5612d9f4b270d78")
 
 
 def test_heuristic_path_flagged_uncertified(monkeypatch):

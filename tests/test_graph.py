@@ -415,10 +415,9 @@ def test_pendant_flags_match_naive_check(seed):
 # ---------------------------------------------------------------------------
 # include/exclude search
 
-def naive_min_degree_sets(g, exempt):
-    """All minimum sets of loop-free edges giving every vertex outside
-    `exempt` degree >= 2, by size-ordered subset scan: (size, sets) or
-    (None, [])."""
+def naive_min_degree_sets(g, demand):
+    """All minimum sets of loop-free edges giving every vertex v degree >=
+    demand[v], by size-ordered subset scan: (size, sets) or (None, [])."""
     edges = [(e, u, v) for e, u, v in g.edges if u != v]
     for size in range(len(edges) + 1):
         found = []
@@ -427,7 +426,7 @@ def naive_min_degree_sets(g, exempt):
             for _, u, v in combo:
                 deg[u] += 1
                 deg[v] += 1
-            if all(deg[v] >= 2 for v in range(g.n) if v not in exempt):
+            if all(deg[v] >= demand[v] for v in range(g.n)):
                 found.append(frozenset(e for e, _, _ in combo))
         if found:
             return size, found
@@ -436,27 +435,36 @@ def naive_min_degree_sets(g, exempt):
 
 @pytest.mark.parametrize("seed", range(80))
 def test_degree_search_matches_brute_force(seed):
-    # n <= 7 multigraphs with parallel edges and self-loops; the exempt set
-    # is empty, three vertices or random
+    # n <= 7 multigraphs with parallel edges and self-loops; the demand is
+    # 2 everywhere, 1 on three vertices or random in 0-2.  A cap at the
+    # minimum finds the same sets, and one below it finds none
     rng = random.Random(seed)
     n = rng.randint(1, 7)
     g = random_graph(n, rng.randint(n, min(3 * n, 11)), seed)
-    exempt = {0: set(), 1: set(range(min(3, n)))}.get(
-        seed % 3, {v for v in range(n) if rng.random() < 0.3})
-    size, sets = naive_min_degree_sets(g, exempt)
-    best, found = DegreeSearch(g, exempt, 10 ** 6, lambda inc, exc: None,
+    demand = {0: [2] * n, 1: [1] * min(3, n) + [2] * (n - 3)}.get(
+        seed % 3, [rng.choice((0, 1, 2)) for _ in range(n)])
+    size, sets = naive_min_degree_sets(g, demand)
+    best, found = DegreeSearch(g, demand, 10 ** 6, lambda inc, exc: None,
                                "test", collect_all=True).solve()
     assert best == size
     assert len(found) == len(set(found)) and set(found) == set(sets)
-    best, found = DegreeSearch(g, exempt, 10 ** 6, lambda inc, exc: None,
+    best, found = DegreeSearch(g, demand, 10 ** 6, lambda inc, exc: None,
                                "test").solve()
     assert best == size and len(found) == (size is not None)
     assert set(found) <= set(sets)
+    if size is not None:
+        assert DegreeSearch(g, demand, 10 ** 6, lambda inc, exc: None,
+                            "test", cap=size - 1).solve() == (None, [])
+        best, found = DegreeSearch(g, demand, 10 ** 6, lambda inc, exc: None,
+                                   "test", collect_all=True,
+                                   cap=size).solve()
+        assert best == size and set(found) == set(sets)
 
 
 def test_degree_search_budget_raises_with_its_message():
     g = complete_graph(6)
-    search = DegreeSearch(g, (), 5, lambda inc, exc: None, "tiny budget")
+    search = DegreeSearch(g, [2] * g.n, 5, lambda inc, exc: None,
+                          "tiny budget")
     with pytest.raises(BudgetExceeded, match="^tiny budget$"):
         search.solve()
     assert search.nodes == 6

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from twoec.errors import (BudgetExceeded, NotCanonical, NotTwoEdgeConnected,
                           StructuredViolation, Untypeable)
 from twoec.generate import glued_cliques, random_2ec
 from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
-                         is_2ec_edge_set)
+                         is_2ec_edge_set, member_components)
 from twoec.oracle import exact_min_2ecss, verify_2ecss
 from twoec.pipeline import PipelineConfig, _structured_leaf_solver, run_pipeline
 from twoec import cover, graph, oracle, reduction
@@ -260,7 +261,9 @@ def test_classification_golden():
 def test_typed_enumeration_golden(monkeypatch):
     # every type on the first 20 samples with n <= 8.  The solutions stay in
     # the order the search found them and the node budget runs out on some
-    # searches, so the record pins the branching order as well
+    # searches, so the record pins the branching order as well.  Re-recorded
+    # when the typed searches gained per-vertex demands, floors and the
+    # per-type completion rules
     monkeypatch.setattr(reduction, "TYPED_NODE_BUDGET", 20000)
     results = []
     small = [s for s in typed_sample() if s[0].n <= 8][:20]
@@ -278,42 +281,114 @@ def test_typed_enumeration_golden(monkeypatch):
     assert found == set(SOLUTION_TYPES)
     assert "budget" in results
     assert digest(results) == (
-        "fa46d05be5b756bc65d0a6496d84ff5460027a181f3fb6aa2fb0dfda0d8a104a")
+        "98a79ee4c257d283b1d9514cdd9cf5806cf2b65526d6689fa80e8483270b30c3")
 
 
-def test_degree_search_node_counts_golden():
-    # the node count of every search next to its outcome, so a change to
-    # the cost of a search node cannot move a node: every type under both
-    # tie rules, built as enumerate_min_typed_subgraph builds it, on the
-    # first sample with n <= 10 (its B2 search with collect_all runs out of
-    # budget) and the first 12 sparse ones, then the exact triangle-free
-    # cover search on random_2ec graphs
+def test_degree_search_node_counts_golden(monkeypatch):
+    # the node count of every typed search next to its outcome, so a change
+    # to the cost of a search node cannot move a node: every type under both
+    # tie rules on the first sample with n <= 10 and the first 12 sparse
+    # ones.  Re-recorded with test_typed_enumeration_golden, with the
+    # budget lowered from 20000 to 5000 so that two collect_all searches
+    # still run out of it; the triangle-free cover half is test_cover.py's
+    # own golden
+    monkeypatch.setattr(reduction, "TYPED_NODE_BUDGET", 5000)
+    searches = []
+
+    class Recorded(DegreeSearch):
+        def solve(self):
+            searches.append(self)
+            return super().solve()
+
+    monkeypatch.setattr(reduction, "DegreeSearch", Recorded)
     small = [s for s in typed_sample() if s[0].n <= 10]
     sparse = [s for s in small if s[0].m <= 2 * s[0].n][:12]
     results = []
     for g, cut, _, _ in small[:1] + sparse:
-        cut = set(cut)
         for t in SOLUTION_TYPES:
             for collect in (False, True):
-                search = DegreeSearch(g, cut, 20000,
-                                      reduction._typed_completion(g, cut, t),
-                                      t, collect)
                 try:
-                    val, sols = search.solve()
+                    val, sols = enumerate_min_typed_subgraph(g, cut, t,
+                                                             collect)
                 except BudgetExceeded:
-                    results.append(["budget", search.nodes])
+                    results.append(["budget", searches[-1].nodes])
                     continue
-                results.append([val, [sorted(s) for s in sols], search.nodes])
-    assert ["budget", 20001] in results
-    rng = random.Random(77)
-    for _ in range(10):
-        g = random_2ec(rng.randint(6, 12), seed=rng.randrange(10 ** 6))
-        search = DegreeSearch(g, (), cover.TF_NODE_BUDGET,
-                              cover._tf_completion(g), "tf")
-        val, sols = search.solve()
-        results.append([val, [sorted(s) for s in sols], search.nodes])
+                results.append([val, [sorted(s) for s in sols],
+                                searches[-1].nodes])
+    assert ["budget", 5001] in results
     assert digest(results) == (
-        "ac0cb32c3c07291c06af7922aefe09d8ec64a0a10387d7a804f3ac53c2d974ab")
+        "7443623a36cb42c2fc0296c9c0c15562f0cd0b4b73d5360c4f3137c422b24b48")
+
+
+def typed_brute_force(g, cut):
+    """{key: (size, sets)}: every minimum edge set of each type, keyed by
+    the type, and of C2 for each cut pair, keyed by ("C2", pair), from a
+    scan of every edge subset in which the vertices outside the cut have
+    degree >= 2, classified by classify_solution_type."""
+    edges = sorted(g.edges)
+    masks = np.arange(2 ** len(edges))
+    ends = np.zeros((len(edges), g.n), dtype=int)
+    for i, (_, u, v) in enumerate(edges):
+        ends[i, u] += 1
+        ends[i, v] += 1
+    deg = ((masks[:, None] >> np.arange(len(edges))) & 1) @ ends
+    outside = [v for v in range(g.n) if v not in cut]
+    typed = {}
+    for mask in masks[(deg[:, outside] >= 2).all(axis=1)]:
+        members = frozenset(e for i, (e, _, _) in enumerate(edges)
+                            if mask >> i & 1)
+        try:
+            t = classify_solution_type(EdgeSubset(g, members), cut)
+        except Untypeable:
+            continue
+        keys = [t]
+        if t == "C2":
+            comp_of = member_components(g, members)[1]
+            keys.append(("C2", next(p for p in itertools.combinations(cut, 2)
+                                    if comp_of[p[0]] == comp_of[p[1]])))
+        for key in keys:
+            typed.setdefault(key, []).append(members)
+    out = {}
+    for key, sets in typed.items():
+        size = min(map(len, sets))
+        out[key] = (size, {s for s in sets if len(s) == size})
+    return out
+
+
+def test_typed_enumeration_matches_brute_force():
+    # 150 multigraphs with n 5-8 and m <= 12: a Hamiltonian cycle plus
+    # random edges, parallels allowed, with a random cut triple.  For each
+    # type, and for C2 restricted to each cut pair: the minimum, every
+    # minimum set (collect_all), and the searches capped one below, at and
+    # one above the minimum
+    rng = random.Random(1717)
+    for _ in range(150):
+        n = rng.randint(5, 8)
+        m = rng.randint(n, 12)
+        order = rng.sample(range(n), n)
+        g = MultiGraph(n, list(zip(order, order[1:] + order[:1])))
+        while g.m < m:
+            g.add_edge(*rng.sample(range(n), 2))
+        cut = tuple(sorted(rng.sample(range(n), 3)))
+        want = typed_brute_force(g, cut)
+        for t, pair in ([(t, None) for t in SOLUTION_TYPES] +
+                        [("C2", p) for p in itertools.combinations(cut, 2)]):
+            size, sets = want.get(t if pair is None else (t, pair),
+                                  (None, set()))
+            val, found = enumerate_min_typed_subgraph(g, cut, t, pair=pair)
+            assert val == size and len(found) == (size is not None)
+            assert set(found) <= sets
+            val, found = enumerate_min_typed_subgraph(g, cut, t, pair=pair,
+                                                      collect_all=True)
+            assert val == size and len(found) == len(sets)
+            assert set(found) == sets
+            if size is None:
+                continue
+            for cap in (size - 1, size, size + 1):
+                val, found = enumerate_min_typed_subgraph(g, cut, t,
+                                                          cap=cap, pair=pair)
+                assert val == (size if cap >= size else None)
+                assert set(found) <= sets
 
 
 # ---------------------------------------------------------------------------
