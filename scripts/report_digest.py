@@ -6,11 +6,13 @@ Two checkouts that print the same lines give byte-identical solutions,
 notes, certified flags and reduction traces on every instance.  The
 families are those of `run_corpus.instances` (random-2ec, cycle-ring,
 glued-cliques) and the three timed benchmark workloads (dense-random,
-sparse-chains, three-cut) built at --workload-seed.  The
-solver is imported from the src/ directory beside this script.
+sparse-chains, three-cut) built at each --workload-seed in turn; with
+several seeds each workload's line covers all of them.  The solver is
+imported from the src/ directory beside this script.
 
-Example:
+Examples:
   python3 scripts/report_digest.py --max-n 20 --seeds 2 --workload-seed 301
+  python3 scripts/report_digest.py --workload-seed 301 302 303 304 305 306
 """
 
 import argparse
@@ -29,13 +31,14 @@ from twoec.pipeline import (PipelineConfig, run_pipeline,      # noqa: E402
 TIMED_WORKLOADS = ("dense-random", "sparse-chains", "three-cut")
 
 
-def families(max_n, seeds, workload_seed):
+def families(max_n, seeds, workload_seeds):
     """(family, label, graph) for every instance, family by family."""
     for name, g in instances(max_n, seeds):
         yield name.split("/")[0], name, g
     for w in TIMED_WORKLOADS:
-        for label, g in WORKLOADS[w](workload_seed):
-            yield w, label, g
+        for seed in workload_seeds:
+            for label, g in WORKLOADS[w](seed):
+                yield w, label, g
 
 
 def main():
@@ -45,7 +48,8 @@ def main():
                     help="largest corpus instance (default 20)")
     ap.add_argument("--seeds", type=int, default=2,
                     help="corpus seeds per size (default 2)")
-    ap.add_argument("--workload-seed", type=int, default=301)
+    ap.add_argument("--workload-seed", type=int, nargs="+", default=[301],
+                    help="workload seeds (default 301)")
     args = ap.parse_args()
 
     cfg = PipelineConfig(oracle_mode="off", trace=True)

@@ -25,6 +25,11 @@ def init_credits(h: TwoEdgeCover) -> Fraction:
     violations = check_canonical(h)
     if violations:
         raise NotCanonical(violations)
+    return _credit(h)
+
+
+def _credit(h: TwoEdgeCover) -> Fraction:
+    """Total credit of h, which is known to be canonical."""
     d = h.decomposition
     emap = h.host.edge_map()
     complex_comps = {d.component_of[emap[e][0]] for e in d.bridges}
@@ -45,8 +50,10 @@ def init_credits(h: TwoEdgeCover) -> Fraction:
 
 
 def cost(h: TwoEdgeCover, credit: Fraction | None = None) -> Fraction:
+    """|h| + credit(h).  Without `credit`, h is taken to be canonical, as
+    every cover that `cover.swap` accepts is; `init_credits` checks it."""
     if credit is None:
-        credit = init_credits(h)
+        credit = _credit(h)
     return Fraction(len(h.members)) + credit
 
 
@@ -134,14 +141,14 @@ def cover_bridges(g: MultiGraph, h: TwoEdgeCover, credit: Fraction | None = None
     applied move, for contract instrumentation.
     """
     cur = h
-    cur_cost = cost(cur, credit)
+    cur_cost = cost(cur, init_credits(h) if credit is None else credit)
     iterations = 0
     while True:
         nbridges = len(cur.decomposition.bridges)
         if observer is not None:
             observer(nbridges, cur_cost)
         if nbridges == 0:
-            return cur, init_credits(cur)
+            return cur, _credit(cur)
         iterations += 1
         if iterations > len(h.members) + 10:
             raise AssertionError("bridge covering failed to terminate")

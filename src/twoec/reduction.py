@@ -16,6 +16,8 @@ each type (A, B1, B2, C1, C2, C3) on that side.  Each type is one
 floor on its size and a completion that decides the type from the 2EC
 classes of the partial set; `_typed_branch` caps each search by the values
 found before it, so a search that cannot change the branch ends at once.
+Every branch but A then takes one far-side step, `_far_side_step`, with the
+gadget, patch limit and accounting bound that `_FAR_SIDE` lists for it.
 
 Edge ids are stable across induced subgraphs and contractions, so recursive
 solutions compose by plain set union; dummy edges added for the 3-cut gadgets
@@ -512,7 +514,7 @@ def handle_large_3vc(g: MultiGraph, split, cfg: ReductionConfig, recurse, ctx):
     try:
         return _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx)
     except (_TypedBranchFailed, BudgetExceeded, PatchNotFound,
-            NotTwoEdgeConnected, Untypeable) as exc:
+            NotTwoEdgeConnected) as exc:
         _note(ctx, f"typed 3-cut branch abandoned ({exc}); "
                    f"using both-sides-contracted fallback")
         return _both_large_branch(g, g1, map1, g2, map2, cut, recurse, ctx)
@@ -528,6 +530,23 @@ def _both_large_branch(g, g1, map1, g2, map2, cut, recurse, ctx):
     ctx["trace"].append({"step": "3-cut-both-large", "cut": list(cut),
                          "patch": sorted(patch)})
     return out | patch
+
+
+# The far-side step of each typed branch: the gadget added to G2, as the
+# number of new vertices and the dummy edges over the named cut vertices
+# (0, 1, 2) and the new vertices (3, 4), or None to contract the cut; the
+# limit on the patch that joins the two sides; and the accounting bound on
+# delta = |patch| - dummy edges used (B1, B2 and C1 use no dummy edge, so
+# their delta is the patch size and their bound is the patch limit).
+_FAR_SIDE = {
+    "B1": (None, 1, 1),
+    "B2": (None, 2, 2),
+    "C1": (None, 2, 2),
+    "C2-i": ((1, [(0, 3), (1, 3), (1, 2)]), 1, -2),
+    "C2-ii": ((2, [(0, 3), (1, 4), (4, 3), (2, 3)]), 1, -3),
+    "C2-iii": ((1, [(0, 3), (1, 3), (2, 3)]), 1, -2),
+    "C3": ((0, [(0, 1), (0, 1), (1, 2), (1, 2)]), 4, 0),
+}
 
 
 def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
@@ -569,39 +588,38 @@ def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
         _note(ctx, "3-cut t_min=A handled as a contraction step")
         ctx["trace"].append({"step": "3-cut-contract-A", "cut": list(cut)})
         emap = g.edge_map()
-        s = set()
-        for e in sol:
-            a, b = emap[e]
-            s.add(a)
-            s.add(b)
-        return set(sol) | recurse(contract(g, s))
+        return set(sol) | recurse(contract(g, {x for e in sol
+                                                for x in emap[e]}))
 
+    # the kind of far-side step, the cut vertices it names (as g1 ids) and
+    # the small-side sets it may join to the far side
+    named = local_cut
     if "B1" in opts and opts["B1"][0] <= opt_min + 1:
-        return _simple_typed_branch(g, g2, map2, cut, "B1", opts["B1"][1][0],
-                                    bound=1, recurse=recurse, ctx=ctx)
-    if t_min == "B2":
-        return _simple_typed_branch(g, g2, map2, cut, "B2", opts["B2"][1][0],
-                                    bound=2, recurse=recurse, ctx=ctx)
-    if t_min == "C1":
-        return _simple_typed_branch(g, g2, map2, cut, "C1", opts["C1"][1][0],
-                                    bound=2, recurse=recurse, ctx=ctx)
-    if t_min == "C2":
-        return _c2_branch(g, g1, map1, g2, map2, cut,
-                          _c2_patterns(g1, local_cut, *opts["C2"]),
-                          recurse, ctx)
-    if t_min == "C3":
-        return _c3_branch(g, g1, map1, g2, map2, cut, opts["C3"][1],
-                          recurse, ctx)
-    raise _TypedBranchFailed(f"unhandled minimum type {t_min}")
-
-
-def _simple_typed_branch(g, g2, map2, cut, t, opt1, bound, recurse, ctx):
-    h2 = recurse(contract(g2, {map2[x] for x in cut}))
-    base = set(opt1) | set(h2)
-    patch = find_min_patch(g, base, bound)
-    ctx["trace"].append({"step": f"3-cut-{t}", "cut": list(cut),
-                         "patch": sorted(patch)})
-    return base | patch
+        kind, cands = "B1", opts["B1"][1][:1]
+    elif t_min in ("B2", "C1"):
+        kind, cands = t_min, opts[t_min][1][:1]
+    elif t_min == "C2":
+        patterns = _c2_patterns(g1, local_cut, *opts["C2"])
+        pairs = sorted(patterns)
+        cands = [s for p in pairs for s in patterns[p]]
+        if len(pairs) == 1:
+            kind = "C2-i"
+            named = [*pairs[0], *(x for x in local_cut if x not in pairs[0])]
+        elif len(pairs) == 2:
+            # two pairs of three vertices share one, named in the middle
+            kind = "C2-ii"
+            (mid,) = set(pairs[0]) & set(pairs[1])
+            a, b = sorted(x for x in local_cut if x != mid)
+            named = [a, mid, b]
+        else:
+            kind = "C2-iii"
+    else:
+        kind = "C3"
+        sol, named = _c3_naming(g1, local_cut, opts["C3"][1])
+        cands = [sol]
+    to_host = {map1[x]: x for x in cut}
+    return _far_side_step(g, g2, map2, cut, kind, [to_host[x] for x in named],
+                          cands, recurse, ctx)
 
 
 def _c2_patterns(g1, local_cut, value, sols):
@@ -623,121 +641,54 @@ def _c2_patterns(g1, local_cut, value, sols):
     return patterns
 
 
-def _c2_branch(g, g1, map1, g2, map2, cut, patterns, recurse, ctx):
-    local_cut = [map1[x] for x in cut]
-    to_host = {map1[x]: x for x in cut}
-    pairs = sorted(patterns)
-    if len(pairs) == 1:
-        subcase = "i"
-        pu, pv = pairs[0]
-        named = (to_host[pu], to_host[pv],
-                 to_host[next(x for x in local_cut if x not in pairs[0])])
-        cands = patterns[pairs[0]]
-        delta_bound = -2
-    elif len(pairs) == 2:
-        subcase = "ii"
-        shared = set(pairs[0]) & set(pairs[1])
-        if len(shared) != 1:
-            raise _TypedBranchFailed("C2 patterns do not share a vertex")
-        vmid = next(iter(shared))
-        others = sorted(set(local_cut) - shared)
-        named = (to_host[others[0]], to_host[vmid], to_host[others[1]])
-        cands = [s for p in pairs for s in patterns[p]]
-        delta_bound = -3
-    else:
-        subcase = "iii"
-        named = tuple(cut)
-        cands = [s for p in pairs for s in patterns[p]]
-        delta_bound = -2
+def _c3_naming(g1, local_cut, sols):
+    """The first C3 set and cut naming (u, v, w) such that edges of g1
+    outside the set join the components of u and v and those of v and w."""
+    for sol in sols:
+        comp_of = member_components(g1, sol)[1]
+        joined = {frozenset((comp_of[a], comp_of[b]))
+                  for e, a, b in g1.edges if e not in sol}
+        for mid in local_cut:
+            u, w = (x for x in local_cut if x != mid)
+            if {frozenset((comp_of[u], comp_of[mid])),
+                    frozenset((comp_of[mid], comp_of[w]))} <= joined:
+                return sol, [u, mid, w]
+    raise _TypedBranchFailed("no C3 solution admits the required edges")
 
-    nu, nv, nw = named
-    g2x = g2.copy()
-    lu, lv, lw = map2[nu], map2[nv], map2[nw]
-    dummies = []
-    if subcase == "i":
-        y = g2x.n
-        g2x = _with_vertex(g2x)
-        dummies = [g2x.add_edge(lu, y), g2x.add_edge(lv, y),
-                   g2x.add_edge(lv, lw)]
-    elif subcase == "ii":
-        y = g2x.n
-        z = g2x.n + 1
-        g2x = _with_vertex(_with_vertex(g2x))
-        dummies = [g2x.add_edge(lu, y), g2x.add_edge(lv, z),
-                   g2x.add_edge(z, y), g2x.add_edge(lw, y)]
-    else:
-        y = g2x.n
-        g2x = _with_vertex(g2x)
-        dummies = [g2x.add_edge(lu, y), g2x.add_edge(lv, y),
-                   g2x.add_edge(lw, y)]
 
+def _far_side_step(g, g2, map2, cut, kind, named, cands, recurse, ctx):
+    """Solve G2 with the gadget of `kind` over the `named` cut vertices,
+    strip its dummy edges, and join the first candidate small-side set that
+    admits a patch within the kind's limit; its delta must meet the kind's
+    accounting bound (see `_FAR_SIDE`)."""
+    gadget, limit, bound = _FAR_SIDE[kind]
+    if gadget is None:
+        g2x, dummies = contract(g2, {map2[x] for x in cut}), set()
+    else:
+        new, pairs = gadget
+        ids = [map2[x] for x in named] + list(range(g2.n, g2.n + new))
+        g2x = MultiGraph(g2.n + new, list(g2.edges), next_eid=g2._next_eid)
+        dummies = {g2x.add_edge(ids[a], ids[b]) for a, b in pairs}
     raw = recurse(g2x)
-    h2 = set(raw) - set(dummies)
-    used_dummies = len(set(raw) & set(dummies))
+    h2 = raw - dummies
+    used_dummies = len(raw & dummies)
+    t, _, subcase = kind.partition("-")
+    label = f"{t}({subcase})" if subcase else t
     for opt1 in cands:
         base = set(opt1) | h2
         try:
-            patch = find_min_patch(g, base, 1)
+            patch = find_min_patch(g, base, limit)
         except PatchNotFound:
             continue
         delta = len(patch) - used_dummies
-        if delta > delta_bound:
+        if delta > bound:
             raise _TypedBranchFailed(
-                f"C2({subcase}) accounting delta {delta} > {delta_bound}")
-        ctx["trace"].append({"step": f"3-cut-C2-{subcase}", "cut": list(cut),
+                f"{label} accounting delta {delta} > {bound}")
+        ctx["trace"].append({"step": f"3-cut-{kind}", "cut": list(cut),
                              "patch": sorted(patch), "delta": delta})
         return base | patch
-    raise _TypedBranchFailed("no C2 candidate admits a patch of size <= 1")
-
-
-def _c3_branch(g, g1, map1, g2, map2, cut, sols, recurse, ctx):
-    local_cut = [map1[x] for x in cut]
-    to_host = {map1[x]: x for x in cut}
-    # pick a solution and a middle-vertex naming with the two required
-    # G1-edges between C(u)-C(v) and C(v)-C(w)
-    chosen = None
-    for sol in sols:
-        comp_of = member_components(g1, sol)[1]
-        for mid in local_cut:
-            others = [x for x in local_cut if x != mid]
-            if _edge_between_comps(g1, sol, comp_of, others[0], mid) is not None \
-                    and _edge_between_comps(g1, sol, comp_of, mid, others[1]) is not None:
-                chosen = (sol, others[0], mid, others[1])
-                break
-        if chosen:
-            break
-    if chosen is None:
-        raise _TypedBranchFailed("no C3 solution admits the required edges")
-    sol, lu, lv, lw = chosen
-    hu, hv, hw = map2[to_host[lu]], map2[to_host[lv]], map2[to_host[lw]]
-    g2x = g2.copy()
-    dummies = [g2x.add_edge(hu, hv), g2x.add_edge(hu, hv),
-               g2x.add_edge(hv, hw), g2x.add_edge(hv, hw)]
-    raw = recurse(g2x)
-    h2 = set(raw) - set(dummies)
-    used_dummies = len(set(raw) & set(dummies))
-    base = set(sol) | h2
-    patch = find_min_patch(g, base, 4)
-    delta = len(patch) - used_dummies
-    if delta > 0:
-        raise _TypedBranchFailed(f"C3 accounting delta {delta} > 0")
-    ctx["trace"].append({"step": "3-cut-C3", "cut": list(cut),
-                         "patch": sorted(patch), "delta": delta})
-    return base | patch
-
-
-def _with_vertex(g: MultiGraph) -> MultiGraph:
-    return MultiGraph(g.n + 1, list(g.edges), next_eid=g._next_eid)
-
-
-def _edge_between_comps(g1, sol, comp_of, x, y):
-    for e, a, b in sorted(g1.edges):
-        if e in sol:
-            continue
-        if (comp_of[a] == comp_of[x] and comp_of[b] == comp_of[y]) or \
-           (comp_of[b] == comp_of[x] and comp_of[a] == comp_of[y]):
-            return e
-    return None
+    raise _TypedBranchFailed(
+        f"no {t} candidate admits a patch of size <= {limit}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -13,20 +15,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (complete_graph, cycle_graph, disjoint_cycles,
-                      from_networkx, naive_is_2ecss, naive_min_2ecss)
-from twoec.cover import canonicalize, min_triangle_free_cover
+                      from_networkx, naive_is_2ecss, naive_min_2ecss, petersen)
+from twoec.cover import TwoEdgeCover, canonicalize, min_triangle_free_cover
 from twoec.errors import (BudgetExceeded, NotCanonical, NotTwoEdgeConnected,
-                          StructuredViolation, Untypeable)
+                          StructuredViolation, Stuck, Untypeable)
 from twoec.generate import glued_cliques, random_2ec
 from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
                          is_2ec_edge_set, member_components)
 from twoec.oracle import exact_min_2ecss, verify_2ecss
-from twoec.pipeline import PipelineConfig, _structured_leaf_solver, run_pipeline
+from twoec.pipeline import (PipelineConfig, _structured_leaf_solver,
+                            _violation_from_stuck, run_pipeline)
 from twoec import cover, graph, oracle, reduction
 from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
                              _find_irrelevant_edges, classify_solution_type,
                              enumerate_min_typed_subgraph, find_min_patch,
                              reduce)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench.workloads import three_cut  # noqa: E402
 
 
 def exact_leaf(sub):
@@ -36,9 +43,9 @@ def exact_leaf(sub):
     return set(res.witness.members)
 
 
-def run_reduce(g, n0=12, **kw):
+def run_reduce(g, n0=12, leaf=exact_leaf, **kw):
     cfg = ReductionConfig(enumeration_budget=n0, **kw)
-    return reduce(g, cfg, exact_leaf)
+    return reduce(g, cfg, leaf)
 
 
 def random_2ec_small(n, extra, seed):
@@ -682,6 +689,99 @@ def test_both_large_branch_on_big_glued_cliques(monkeypatch):
     sol, ctx = reduce(g, cfg, exact_leaf)
     assert verify_2ecss(g, sol.members)
     assert any(t["step"] == "3-cut-both-large" for t in ctx["trace"])
+
+
+# every typed branch on one glued-random graph (n = 17), with the typed
+# search reporting only the type under test; the solutions were recorded
+# before the typed branches shared one far-side step
+FORCED_TYPE_SOLUTIONS = {
+    "A": ("3-cut-contract-A",
+          [2, 3, 23, 25, 29, 32, 33, 35, 39, 40, 44, 46, 48, 52, 56, 62, 63,
+           66]),
+    "B1": ("3-cut-B1",
+           [1, 3, 12, 22, 23, 25, 31, 32, 35, 39, 40, 41, 44, 45, 48, 56, 62,
+            63, 66]),
+    "B2": ("3-cut-B2",
+           [1, 3, 12, 15, 22, 23, 25, 31, 32, 35, 39, 40, 44, 46, 56, 58, 62,
+            63, 66]),
+    "C1": ("3-cut-C1",
+           [1, 3, 12, 22, 23, 25, 31, 32, 35, 39, 40, 44, 53, 56, 58, 62, 63,
+            66]),
+    "C3": ("3-cut-C3",
+           [3, 7, 9, 12, 15, 19, 24, 29, 31, 32, 39, 40, 56, 57, 61, 62, 66,
+            69]),
+}
+
+
+@pytest.mark.parametrize("forced", sorted(FORCED_TYPE_SOLUTIONS))
+def test_every_typed_branch_solves_its_cut(monkeypatch, forced):
+    search = reduction.enumerate_min_typed_subgraph
+
+    def only_forced(g1, cut, t, collect_all=False, cap=None, pair=None):
+        if t != forced:
+            return None, []
+        if t in ("C1", "C3"):
+            # uncapped, these miss their budget on dense sides
+            cap = reduction._type_floor(g1.n, t)
+        return search(g1, cut, t, collect_all=collect_all, cap=cap, pair=pair)
+
+    monkeypatch.setattr(reduction, "enumerate_min_typed_subgraph", only_forced)
+    label, g = three_cut(302)[3]
+    assert label.startswith("glued-random 10-10-3") and g.n == 17
+    sol, ctx = run_reduce(g)
+    kind, edges = FORCED_TYPE_SOLUTIONS[forced]
+    assert [t["step"] for t in ctx["trace"] if t["step"].startswith("3-cut")] \
+        == [kind]
+    assert verify_2ecss(g, sol.members)
+    assert sorted(sol.members) == edges
+
+
+# ---------------------------------------------------------------------------
+# the structured leaf's violation contract
+
+def test_leaf_violation_witness_is_contracted():
+    g = petersen()
+    calls = []
+
+    def leaf(sub):
+        calls.append(sub.n)
+        if len(calls) == 1:
+            raise StructuredViolation("outer cycle is 2EC",
+                                      edges=range(5), justification="test")
+        return exact_leaf(sub)
+
+    sol, ctx = run_reduce(g, n0=5, leaf=leaf)
+    steps = [t for t in ctx["trace"]
+             if t["step"] == "contract-violation-witness"]
+    assert steps == [{"step": "contract-violation-witness",
+                      "vertices": [0, 1, 2, 3, 4], "edges": [0, 1, 2, 3, 4],
+                      "justification": "test"}]
+    assert "leaf reported a non-structured witness: outer cycle is 2EC" \
+        in ctx["notes"]
+    assert ctx["certified"] is False
+    assert verify_2ecss(g, sol.members)
+
+
+def test_leaf_violation_without_witness_is_raised():
+    def leaf(sub):
+        raise StructuredViolation("no witness")
+
+    with pytest.raises(StructuredViolation, match="no witness"):
+        run_reduce(petersen(), n0=5, leaf=leaf)
+
+
+def test_stuck_gives_the_largest_block_of_a_bridged_component():
+    # a C4 and a C5 joined by a bridge, beside a bridgeless C6
+    g = disjoint_cycles([4, 5, 6])
+    bridge = g.add_edge(0, 4)
+    h = TwoEdgeCover(g, frozenset(g.edge_ids()))
+    sv = _violation_from_stuck(g, h, Stuck({}))
+    assert sv.edges == frozenset(range(4, 9))      # the C5, not the C6
+    assert is_2ec_edge_set(g, sv.edges)
+
+    bridgeless = TwoEdgeCover(g, frozenset(g.edge_ids()) - {bridge})
+    with pytest.raises(Stuck):
+        _violation_from_stuck(g, bridgeless, Stuck({}))
 
 
 # ---------------------------------------------------------------------------
