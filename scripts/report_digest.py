@@ -5,10 +5,12 @@ traced JSON reports the solver writes with the oracle off.
 Two checkouts that print the same lines give byte-identical solutions,
 notes, certified flags and reduction traces on every instance.  The
 families are those of `run_corpus.instances` (random-2ec, cycle-ring,
-glued-cliques) and the three timed benchmark workloads (dense-random,
-sparse-chains, three-cut) built at each --workload-seed in turn; with
-several seeds each workload's line covers all of them.  The solver is
-imported from the src/ directory beside this script.
+glued-cliques), the wheels W_10-W_60 in steps of 5 (a hub joined to every
+vertex of a cycle, n vertices in all) and the three timed benchmark
+workloads (dense-random, sparse-chains, three-cut) built at each
+--workload-seed in turn; with several seeds each workload's line covers all
+of them.  The solver is imported from the src/ directory beside this
+script.
 
 Examples:
   python3 scripts/report_digest.py --max-n 20 --seeds 2 --workload-seed 301
@@ -25,16 +27,26 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import WORKLOADS                      # noqa: E402
 from run_corpus import instances                               # noqa: E402
+from twoec.graph import MultiGraph                             # noqa: E402
 from twoec.pipeline import (PipelineConfig, run_pipeline,      # noqa: E402
                             serialize_report)
 
 TIMED_WORKLOADS = ("dense-random", "sparse-chains", "three-cut")
 
 
+def wheel(n):
+    """W_n: hub 0 joined to every vertex of the cycle 1 .. n - 1."""
+    rim = range(1, n)
+    return MultiGraph(n, [(0, v) for v in rim] + [(v, v % (n - 1) + 1)
+                                                  for v in rim])
+
+
 def families(max_n, seeds, workload_seeds):
     """(family, label, graph) for every instance, family by family."""
     for name, g in instances(max_n, seeds):
         yield name.split("/")[0], name, g
+    for n in range(10, 61, 5):
+        yield "wheels", f"wheels/W{n}", wheel(n)
     for w in TIMED_WORKLOADS:
         for seed in workload_seeds:
             for label, g in WORKLOADS[w](seed):

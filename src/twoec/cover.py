@@ -180,13 +180,13 @@ def min_triangle_free_cover(g: MultiGraph) -> TwoEdgeCover:
                               _tf_completion(g),
                               "triangle-free cover node budget")
         try:
-            best, sols = search.solve()
+            best, members = search.solve()
         except BudgetExceeded:
             pass                   # fall back to the heuristic cover
         else:
             if best is None:
                 raise Infeasible("no triangle-free 2-edge cover exists")
-            return TwoEdgeCover(g, sols[0], certified_minimum=True)
+            return TwoEdgeCover(g, members, certified_minimum=True)
     members = _heuristic_cover(g)
     if not is_tf_two_edge_cover(g, members):
         raise Infeasible("heuristic could not remove all triangle components")

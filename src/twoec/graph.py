@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, NotTwoEdgeConnected, PatchNotFound
+from .errors import BudgetExceeded, PatchNotFound
 
 
 class MultiGraph:
@@ -103,9 +103,6 @@ class MultiGraph:
                 out.append(eid)
             seen.add(key)
         return out
-
-    def copy(self) -> "MultiGraph":
-        return MultiGraph(self.n, list(self.edges), next_eid=self._next_eid)
 
     def without_edges(self, eids) -> "MultiGraph":
         drop = set(eids)
@@ -405,7 +402,7 @@ def find_min_patch(g: MultiGraph, base, limit: int):
 # include/exclude search on degree demands
 
 class DegreeSearch:
-    """Branch and bound for the minimum edge sets of g, of at most `cap`
+    """Branch and bound for a minimum edge set of g, of at most `cap`
     edges, in which every vertex v has degree >= demand[v] (0, 1 or 2) and
     which `complete` accepts.
 
@@ -420,17 +417,16 @@ class DegreeSearch:
     `complete` accepts; degrees and the deficit are updated on every include
     and undo.  A node is searched only while its bound is at most the
     limit: `cap` (no limit without one) until a set is found, then the best
-    size with `collect_all`, else the best size - 1.  The parent computes a
-    child's bound from the deficit its edge's two ends would drop, so a
-    child the limit cuts off is counted as a node without being entered;
-    once a first-only search reaches the floor, every child is cut off.
-    `solve()` returns (minimum size, minimum sets) or (None, []): with
-    `collect_all` every minimum set in the order found, else the first.
-    Counting more than `node_budget` nodes raises BudgetExceeded(what).
+    size - 1.  The parent computes a child's bound from the deficit its
+    edge's two ends would drop, so a child the limit cuts off is counted as
+    a node without being entered; once the best reaches the floor, every
+    child is cut off.  `solve()` returns (minimum size, the first minimum
+    set found) or (None, None).  Counting more than `node_budget` nodes
+    raises BudgetExceeded(what).
     """
 
     def __init__(self, g: MultiGraph, demand, node_budget: int, complete,
-                 what: str, collect_all: bool = False, cap=None, floor=0):
+                 what: str, cap=None, floor=0):
         self.emap = g.edge_map()
         self.by_vertex = [[] for _ in range(g.n)]
         for e, u, v in sorted(g.edges):
@@ -443,12 +439,11 @@ class DegreeSearch:
         self.budget = node_budget
         self.complete = complete
         self.what = what
-        self.collect_all = collect_all
         self.floor = floor
         self.limit = math.inf if cap is None else cap
         self.nodes = 0
         self.best = None
-        self.found = {}            # minimum sets, in the order found
+        self.found = None
 
     def solve(self):
         self.nodes += 1            # the root
@@ -456,7 +451,7 @@ class DegreeSearch:
             raise BudgetExceeded(self.what)
         if max(self.floor, (self.deficit + 1) // 2) <= self.limit:
             self._go(set(), set())
-        return self.best, list(self.found)
+        return self.best, self.found
 
     def _go(self, inc, exc):
         deg, demand = self.deg, self.demand
@@ -496,91 +491,10 @@ class DegreeSearch:
         exc.difference_update(branch)
 
     def _record(self, inc):
-        # the limit lets through no set larger than the best, and ties only
-        # with collect_all
-        if self.best is None or len(inc) < self.best:
-            self.best = len(inc)
-            self.found = {}
-            self.limit = self.best - (not self.collect_all)
-        self.found.setdefault(frozenset(inc))
-
-
-def min_2ecss(g: MultiGraph, node_budget: int):
-    """Minimum 2-ECSS of the 2-edge-connected g, by DegreeSearch: the
-    reduction's exact base case.
-
-    Self-loops and every parallel edge past the second of its vertex pair
-    (the lowest ids are kept) are dropped first; no minimum 2-ECSS needs
-    them.  Once every vertex has degree >= 2, a disconnected set branches
-    on the undecided edges leaving vertex 0's component, ascending by id.
-    A connected set with bridges branches on the undecided edges that cross
-    a leaf class of its bridge tree, taking the leaf with the fewest of
-    them, the first by smallest vertex on ties; none left is a dead end.
-    A connected bridgeless set is feasible.
-
-    These are `oracle.exact_min_2ecss`'s branch lists in its order, the
-    deficient vertex's first, and the two bounds agree: the reference also
-    bounds by n, but |inc| + ceil(deficit / 2) >= n always holds, since
-    each included edge lowers the initial deficit 2n by at most 2.  Both
-    searches prune ties only once a set is found, so both return the first
-    minimum set in the same DFS order: the same edge set, after the same
-    number of nodes.
-
-    Returns an ExactResult.  With more than `node_budget` nodes needed it
-    is the incumbent, uncertified, or None without one.
-    """
-    if g.n <= 1:
-        return ExactResult(0, EdgeSubset(g, frozenset()), 0, True)
-    kept = Counter()
-    useful = []
-    for e, u, v in sorted(g.edges):
-        key = (min(u, v), max(u, v))
-        kept[key] += 1
-        if u != v and kept[key] <= 2:
-            useful.append((e, u, v))
-    h = MultiGraph(g.n, useful)
-    search = DegreeSearch(h, [2] * h.n, node_budget,
-                          _min_2ecss_completion(h), "exact base case budget")
-    try:
-        search.solve()
-        certified = True
-    except BudgetExceeded:
-        certified = False
-    if search.best is None:
-        if not certified:
-            return None
-        raise NotTwoEdgeConnected("no 2-ECSS found")
-    (members,) = search.found      # ties are pruned, so the first minimum
-    return ExactResult(search.best, EdgeSubset(g, members), search.nodes,
-                       certified)
-
-
-def _min_2ecss_completion(h: MultiGraph):
-    emap = h.edge_map()
-    edges = sorted(h.edges)
-
-    def complete(inc, exc):
-        count, component_of = member_components(h, inc)
-        if count > 1:
-            return [e for e, u, v in edges if e not in inc and e not in exc
-                    and (component_of[u] == 0) != (component_of[v] == 0)]
-        adj = member_adjacency(h, inc)
-        bridges = low_link(h.n, adj)[2]
-        if not bridges:
-            return None
-        n_classes, class_of = two_ec_classes(h.n, adj, bridges)
-        tree_deg = Counter(class_of[x] for e in bridges for x in emap[e])
-        crossing = {c: [] for c in range(n_classes) if tree_deg[c] == 1}
-        for e, u, v in edges:
-            cu, cv = class_of[u], class_of[v]
-            if cu != cv and e not in inc and e not in exc:
-                if cu in crossing:
-                    crossing[cu].append(e)
-                if cv in crossing:
-                    crossing[cv].append(e)
-        return min(crossing.values(), key=len)
-
-    return complete
+        # a node is entered only within the limit, so inc beats the best
+        self.best = len(inc)
+        self.found = frozenset(inc)
+        self.limit = self.best - 1
 
 
 # ---------------------------------------------------------------------------

@@ -164,8 +164,8 @@ def run_pipeline(g: MultiGraph, cfg: PipelineConfig | None = None) -> dict:
         cfg.oracle_mode == "auto" and g.n <= ORACLE_AUTO_MAX_N)
     if run_oracle:
         # the reduction's base case has solved small inputs exactly already,
-        # on the same graph and with the same node budget; graph.min_2ecss
-        # returns the reference's value and edge set
+        # on the same graph and with the same node budget, and
+        # reduction.min_2ecss returns the reference's value and edge set
         res = ctx["exact"] if "exact" in ctx else \
             oracle.exact_min_2ecss(g, reduction.ORACLE_NODE_BUDGET)
         if res is not None and res.certified:

@@ -7,17 +7,21 @@ elimination, and finally the structured-leaf solver callback.
 
 `graph.find_min_patch` answers every "smallest completion" question: the
 patches that rejoin split sides and the exact inside count that certifies a
-contractible subgraph.  The exact base case is `graph.min_2ecss`; the
-reference oracle serves only the final check of the assembled solution.
+contractible subgraph.  The reference oracle serves only the final check of
+the assembled solution.
 
-A large 3-cut with a small side is removed with the minimum solutions of
-each type (A, B1, B2, C1, C2, C3) on that side.  Each type is one
-`DegreeSearch` with the degree demands the type forces on the cut, a proven
-floor on its size and a completion that decides the type from the 2EC
-classes of the partial set; `_typed_branch` caps each search by the values
-found before it, so a search that cannot change the branch ends at once.
-Every branch but A then takes one far-side step, `_far_side_step`, with the
-gadget, patch limit and accounting bound that `_FAR_SIDE` lists for it.
+A large 3-cut with a small side is removed with a minimum solution of each
+type (A, B1, B2, C1, C2, C3) on that side.  Each type is one `DegreeSearch`
+with the degree demands the type forces on the cut, a proven floor on its
+size and a completion that decides the type from the 2EC classes of the
+partial set; each search keeps the first minimum set it finds.
+`_typed_branch` caps each search by the values found before it, so a search
+that cannot change the branch ends at once.  Every branch but A then takes
+one far-side step, `_far_side_step`, with the gadget, patch limit and
+accounting bound that `_FAR_SIDE` lists for it.
+
+The exact base case, `min_2ecss`, is the type-A search on an empty cut:
+type A is one spanning 2EC class, which on an empty cut is a 2-ECSS.
 
 Edge ids are stable across induced subgraphs and contractions, so recursive
 solutions compose by plain set union; dummy edges added for the 3-cut gadgets
@@ -35,13 +39,13 @@ from fractions import Fraction
 from . import oracle
 from .errors import (BudgetExceeded, NotTwoEdgeConnected, PatchNotFound,
                      StructuredViolation, Untypeable)
-from .graph import (DegreeSearch, EdgeSubset, MultiGraph,
+from .graph import (DegreeSearch, EdgeSubset, ExactResult, MultiGraph,
                     connected_components, contract,
                     find_contractible_certificate, find_min_patch,
                     find_vertex_cut, induced_subgraph, is_2ec_edge_set,
                     is_two_edge_connected, iterate_vertex_cuts, low_link,
-                    member_adjacency, member_components, min_2ecss,
-                    splitting_vertices, three_cut_core, two_ec_classes)
+                    member_adjacency, member_components, splitting_vertices,
+                    three_cut_core, two_ec_classes)
 
 SOLUTION_TYPES = ("A", "B1", "B2", "C1", "C2", "C3")
 TYPE_ORDER = {t: i for i, t in enumerate(SOLUTION_TYPES)}      # A strongest
@@ -181,7 +185,15 @@ def _typed_completion(g1: MultiGraph, cut, t, pair=None):
       whose crossing edges have the smallest union.  With two leaves the
       bridge tree is a path, and a cut vertex in a middle class reaches an
       end only when a new edge's tree path passes through that class:
-      branch on those edges.  Otherwise the set is type B1."""
+      branch on those edges.  Otherwise the set is type B1.
+
+    A lone component is sought only among two or more: a single one holds
+    every cut vertex, or there is no cut.  With an empty cut, type A is a
+    minimum 2-ECSS (`min_2ecss`): a disconnected set branches on the
+    undecided edges leaving component 0, and a connected set with bridges
+    across the leaf class with the fewest undecided crossing edges, the
+    first by smallest vertex on ties.  These are the branch lists of
+    `oracle.exact_min_2ecss`, in its order."""
     needed = _NEEDED_COMPONENTS[t]
     emap = g1.edge_map()
     cands = [(e, u, v) for e, u, v in sorted(g1.edges) if u != v]
@@ -194,7 +206,7 @@ def _typed_completion(g1: MultiGraph, cut, t, pair=None):
             return []
         with_cut = {comp_of[x] for x in cut}
         lone = next((c for c in range(n_comps) if c not in with_cut), None)
-        if lone is not None:
+        if lone is not None and n_comps > 1:
             return [e for e, u, v in cands
                     if e not in exc and e not in inc
                     and (comp_of[u] == lone) != (comp_of[v] == lone)]
@@ -267,12 +279,11 @@ def _type_floor(n, t):
     return 0                       # C3 on the three cut vertices alone
 
 
-def enumerate_min_typed_subgraph(g1: MultiGraph, cut, t: str,
-                                 collect_all: bool = False, cap=None,
+def enumerate_min_typed_subgraph(g1: MultiGraph, cut, t: str, cap=None,
                                  pair=None):
-    """(min value, list of minimum edge sets) of type t with at most `cap`
-    edges, or (None, []).  With `pair` (type C2 only) the sets are those
-    whose two-cut component holds that pair of cut vertices.
+    """(min value, first minimum edge set found) of type t with at most
+    `cap` edges, or (None, None).  With `pair` (type C2 only) the sets are
+    those whose two-cut component holds that pair of cut vertices.
 
     Vertices outside the cut need degree >= 2 (their solution edges are
     confined to g1).  A cut vertex needs degree 2 for A (the one spanning
@@ -297,7 +308,50 @@ def enumerate_min_typed_subgraph(g1: MultiGraph, cut, t: str,
     return DegreeSearch(g1, demand, TYPED_NODE_BUDGET,
                         _typed_completion(g1, cut, t, pair),
                         f"typed enumeration budget for {t}",
-                        collect_all, cap, _type_floor(g1.n, t)).solve()
+                        cap, _type_floor(g1.n, t)).solve()
+
+
+def min_2ecss(g: MultiGraph, node_budget: int):
+    """Minimum 2-ECSS of the 2-edge-connected g: the reduction's exact base
+    case, the type-A search on an empty cut.
+
+    Self-loops and every parallel edge past the second of its vertex pair
+    (the lowest ids are kept) are dropped first; no minimum 2-ECSS needs
+    them.  The completion's branch lists are `oracle.exact_min_2ecss`'s in
+    its order, the deficient vertex's first, and the two bounds agree: the
+    reference also bounds by n, but |inc| + ceil(deficit / 2) >= n always
+    holds, since each included edge lowers the initial deficit 2n by at
+    most 2.  Both searches prune ties only once a set is found, so both
+    return the first minimum set in the same DFS order: the same edge set,
+    after the same number of nodes.
+
+    Returns an ExactResult.  With more than `node_budget` nodes needed it
+    is the incumbent, uncertified, or None without one.
+    """
+    if g.n <= 1:
+        return ExactResult(0, EdgeSubset(g, frozenset()), 0, True)
+    kept = Counter()
+    useful = []
+    for e, u, v in sorted(g.edges):
+        key = (min(u, v), max(u, v))
+        kept[key] += 1
+        if u != v and kept[key] <= 2:
+            useful.append((e, u, v))
+    h = MultiGraph(g.n, useful)
+    search = DegreeSearch(h, [2] * h.n, node_budget,
+                          _typed_completion(h, (), "A"),
+                          "exact base case budget")
+    try:
+        search.solve()
+        certified = True
+    except BudgetExceeded:
+        certified = False
+    if search.best is None:
+        if not certified:
+            return None
+        raise NotTwoEdgeConnected("no 2-ECSS found")
+    return ExactResult(search.best, EdgeSubset(g, search.found), search.nodes,
+                       certified)
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +621,9 @@ def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
         if t == "C3" and not g2_is_2ec:
             continue
         cap = None if smallest is None else smallest + (1 if t == "B1" else -1)
-        val, sols = enumerate_min_typed_subgraph(g1, local_cut, t,
-                                                 collect_all=t == "C3",
-                                                 cap=cap)
+        val, sol = enumerate_min_typed_subgraph(g1, local_cut, t, cap=cap)
         if val is not None:
-            opts[t] = (val, sols)
+            opts[t] = (val, sol)
             if t != "B1":
                 smallest = val
     if not opts:
@@ -584,7 +636,7 @@ def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
         # a spanning 2EC subgraph of G1 exists at minimum size; treat it as a
         # contractible-subgraph step (the analysis excludes this case only
         # under the full contractibility scan, which we deliberately weaken)
-        sol = min(opts["A"][1])
+        sol = opts["A"][1]
         _note(ctx, "3-cut t_min=A handled as a contraction step")
         ctx["trace"].append({"step": "3-cut-contract-A", "cut": list(cut)})
         emap = g.edge_map()
@@ -595,13 +647,13 @@ def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
     # the small-side sets it may join to the far side
     named = local_cut
     if "B1" in opts and opts["B1"][0] <= opt_min + 1:
-        kind, cands = "B1", opts["B1"][1][:1]
+        kind, cands = "B1", [opts["B1"][1]]
     elif t_min in ("B2", "C1"):
-        kind, cands = t_min, opts[t_min][1][:1]
+        kind, cands = t_min, [opts[t_min][1]]
     elif t_min == "C2":
         patterns = _c2_patterns(g1, local_cut, *opts["C2"])
         pairs = sorted(patterns)
-        cands = [s for p in pairs for s in patterns[p]]
+        cands = [patterns[p] for p in pairs]
         if len(pairs) == 1:
             kind = "C2-i"
             named = [*pairs[0], *(x for x in local_cut if x not in pairs[0])]
@@ -615,52 +667,69 @@ def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
             kind = "C2-iii"
     else:
         kind = "C3"
-        sol, named = _c3_naming(g1, local_cut, opts["C3"][1])
-        cands = [sol]
+        cands = [opts["C3"][1]]
+        named = _c3_naming(g1, local_cut, cands[0])
     to_host = {map1[x]: x for x in cut}
     return _far_side_step(g, g2, map2, cut, kind, [to_host[x] for x in named],
                           cands, recurse, ctx)
 
 
-def _c2_patterns(g1, local_cut, value, sols):
+def _c2_patterns(g1, local_cut, value, first):
     """One minimum C2 set for each cut pair that can span the path
-    component, by pair: the unrestricted search's set for its own pair,
-    the first set of a pair-restricted search capped at `value` for each
+    component, by pair: the unrestricted search's set `first` for its own
+    pair, the set of a pair-restricted search capped at `value` for each
     other pair."""
-    (first,) = sols
     comp_of = member_components(g1, first)[1]
     patterns = {}
     for pair in itertools.combinations(sorted(local_cut), 2):
         if comp_of[pair[0]] == comp_of[pair[1]]:
-            patterns[pair] = [first]
+            patterns[pair] = first
         else:
             found = enumerate_min_typed_subgraph(g1, local_cut, "C2",
                                                  cap=value, pair=pair)[1]
-            if found:
+            if found is not None:
                 patterns[pair] = found
     return patterns
 
 
-def _c3_naming(g1, local_cut, sols):
-    """The first C3 set and cut naming (u, v, w) such that edges of g1
-    outside the set join the components of u and v and those of v and w."""
-    for sol in sols:
-        comp_of = member_components(g1, sol)[1]
-        joined = {frozenset((comp_of[a], comp_of[b]))
-                  for e, a, b in g1.edges if e not in sol}
-        for mid in local_cut:
-            u, w = (x for x in local_cut if x != mid)
-            if {frozenset((comp_of[u], comp_of[mid])),
-                    frozenset((comp_of[mid], comp_of[w]))} <= joined:
-                return sol, [u, mid, w]
+def _c3_naming(g1, local_cut, sol):
+    """The cut naming [u, v, w] such that edges of g1 outside the C3 set
+    `sol` join the components of u and v and those of v and w.
+
+    One always exists, so the raise is only a guard.  `_reduce` takes the
+    3-cut step only when G has no cut vertex and no non-isolating 2-cut.
+    So every component of G - S inside V1 has neighbours at two or more of
+    the three cut vertices (else one would be a cut vertex), and any two of
+    them share one.  Every cut vertex x has a neighbour in V1 + S, else the
+    other two would part V1 from V2 + x, a non-isolating 2-cut.  Hence G1
+    is connected.  The three components of `sol` hold one cut vertex each
+    and cover V(G1), so contracting them gives a connected graph on 3
+    nodes, and its node adjacent to both others is v."""
+    comp_of = member_components(g1, sol)[1]
+    joined = {frozenset((comp_of[a], comp_of[b]))
+              for e, a, b in g1.edges if e not in sol}
+    for mid in local_cut:
+        u, w = (x for x in local_cut if x != mid)
+        if {frozenset((comp_of[u], comp_of[mid])),
+                frozenset((comp_of[mid], comp_of[w]))} <= joined:
+            return [u, mid, w]
     raise _TypedBranchFailed("no C3 solution admits the required edges")
 
 
 def _far_side_step(g, g2, map2, cut, kind, named, cands, recurse, ctx):
     """Solve G2 with the gadget of `kind` over the `named` cut vertices,
     strip its dummy edges, and join the first candidate small-side set that
-    admits a patch within the kind's limit; its delta must meet the kind's
-    accounting bound (see `_FAR_SIDE`)."""
+    admits a patch within the kind's limit and whose delta meets the kind's
+    accounting bound (see `_FAR_SIDE`).
+
+    The candidates are minimum sets of one size, so any one that meets the
+    bound gives the step its guarantee, and which one does depends on the
+    solution of G2.  In C2(iii) on a wheel, for instance, that solution
+    uses the two dummy edges at one cut pair; the candidates of the other
+    pairs need a 1-edge patch (delta -1 > -2) and that pair's candidate
+    none (delta -2).  So a candidate that misses the bound is passed over,
+    and the first miss is raised only when no candidate meets it.  A first
+    candidate that meets the bound is still the one joined."""
     gadget, limit, bound = _FAR_SIDE[kind]
     if gadget is None:
         g2x, dummies = contract(g2, {map2[x] for x in cut}), set()
@@ -674,6 +743,7 @@ def _far_side_step(g, g2, map2, cut, kind, named, cands, recurse, ctx):
     used_dummies = len(raw & dummies)
     t, _, subcase = kind.partition("-")
     label = f"{t}({subcase})" if subcase else t
+    miss = None
     for opt1 in cands:
         base = set(opt1) | h2
         try:
@@ -682,13 +752,13 @@ def _far_side_step(g, g2, map2, cut, kind, named, cands, recurse, ctx):
             continue
         delta = len(patch) - used_dummies
         if delta > bound:
-            raise _TypedBranchFailed(
-                f"{label} accounting delta {delta} > {bound}")
+            miss = miss or f"{label} accounting delta {delta} > {bound}"
+            continue
         ctx["trace"].append({"step": f"3-cut-{kind}", "cut": list(cut),
                              "patch": sorted(patch), "delta": delta})
         return base | patch
     raise _TypedBranchFailed(
-        f"no {t} candidate admits a patch of size <= {limit}")
+        miss or f"no {t} candidate admits a patch of size <= {limit}")
 
 
 # ---------------------------------------------------------------------------

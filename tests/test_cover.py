@@ -127,8 +127,10 @@ def test_tf_cover_node_counts_golden():
         g = random_2ec(rng.randint(6, 12), seed=rng.randrange(10 ** 6))
         search = DegreeSearch(g, [2] * g.n, cover.TF_NODE_BUDGET,
                               cover._tf_completion(g), "tf")
-        val, sols = search.solve()
-        results.append([val, [sorted(s) for s in sols], search.nodes])
+        val, sol = search.solve()
+        # the set stays wrapped in a list, as it was recorded
+        results.append([val, [] if sol is None else [sorted(sol)],
+                        search.nodes])
     assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
         "198b76a0e22722df8cfef6961ce798cff4a2f9d325dcabb7b5612d9f4b270d78")
 

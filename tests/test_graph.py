@@ -25,8 +25,9 @@ from twoec.graph import (DegreeSearch, MultiGraph,
                          induced_subgraph, is_2ec_edge_set,
                          is_two_edge_connected, iterate_vertex_cuts,
                          low_link, max_matching_across, member_adjacency,
-                         member_components, min_2ecss, min_edges_inside,
+                         member_components, min_edges_inside,
                          splitting_vertices, two_ec_classes)
+from twoec.reduction import min_2ecss
 
 
 def random_graph(n, m, seed):
@@ -436,29 +437,28 @@ def naive_min_degree_sets(g, demand):
 @pytest.mark.parametrize("seed", range(80))
 def test_degree_search_matches_brute_force(seed):
     # n <= 7 multigraphs with parallel edges and self-loops; the demand is
-    # 2 everywhere, 1 on three vertices or random in 0-2.  A cap at the
-    # minimum finds the same sets, and one below it finds none
+    # 2 everywhere, 1 on three vertices or random in 0-2.  The search finds
+    # one minimum set; a cap at or above the minimum finds the same set, and
+    # one below it finds none
     rng = random.Random(seed)
     n = rng.randint(1, 7)
     g = random_graph(n, rng.randint(n, min(3 * n, 11)), seed)
     demand = {0: [2] * n, 1: [1] * min(3, n) + [2] * (n - 3)}.get(
         seed % 3, [rng.choice((0, 1, 2)) for _ in range(n)])
     size, sets = naive_min_degree_sets(g, demand)
-    best, found = DegreeSearch(g, demand, 10 ** 6, lambda inc, exc: None,
-                               "test", collect_all=True).solve()
+
+    def search(cap=None):
+        return DegreeSearch(g, demand, 10 ** 6, lambda inc, exc: None,
+                            "test", cap=cap).solve()
+
+    best, found = search()
     assert best == size
-    assert len(found) == len(set(found)) and set(found) == set(sets)
-    best, found = DegreeSearch(g, demand, 10 ** 6, lambda inc, exc: None,
-                               "test").solve()
-    assert best == size and len(found) == (size is not None)
-    assert set(found) <= set(sets)
-    if size is not None:
-        assert DegreeSearch(g, demand, 10 ** 6, lambda inc, exc: None,
-                            "test", cap=size - 1).solve() == (None, [])
-        best, found = DegreeSearch(g, demand, 10 ** 6, lambda inc, exc: None,
-                                   "test", collect_all=True,
-                                   cap=size).solve()
-        assert best == size and set(found) == set(sets)
+    if size is None:
+        assert found is None
+        return
+    assert found in sets
+    assert search(size - 1) == (None, None)
+    assert search(size) == search(size + 1) == (size, found)
 
 
 def test_degree_search_budget_raises_with_its_message():

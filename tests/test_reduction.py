@@ -207,8 +207,8 @@ def test_classify_cycle_plus_pendant_path_is_C2():
 
 def test_typed_enum_cycle_type_A():
     g = cycle_graph(9)
-    val, sols = enumerate_min_typed_subgraph(g, (0, 3, 6), "A")
-    assert val == 9 and sols == [frozenset(g.edge_ids())]
+    val, sol = enumerate_min_typed_subgraph(g, (0, 3, 6), "A")
+    assert val == 9 and sol == frozenset(g.edge_ids())
 
 
 def test_typed_enum_c3_three_hanging_cycles():
@@ -218,16 +218,14 @@ def test_typed_enum_c3_three_hanging_cycles():
     g.add_edge(1, 5)
     g.add_edge(5, 9)
     g.add_edge(9, 1)
-    val, sols = enumerate_min_typed_subgraph(g, (0, 4, 8), "C3",
-                                             collect_all=True)
-    assert val == 12
-    assert all(len(s) == 12 for s in sols)
+    val, sol = enumerate_min_typed_subgraph(g, (0, 4, 8), "C3")
+    assert val == len(sol) == 12
+    assert classify_solution_type(EdgeSubset(g, sol), (0, 4, 8)) == "C3"
 
 
 def test_typed_enum_impossible_type_absent():
     g = cycle_graph(7)           # a cycle cannot split into 3 components
-    val, sols = enumerate_min_typed_subgraph(g, (0, 2, 4), "C3")
-    assert val is None and sols == []
+    assert enumerate_min_typed_subgraph(g, (0, 2, 4), "C3") == (None, None)
 
 
 def typed_sample():
@@ -266,40 +264,39 @@ def test_classification_golden():
 
 
 def test_typed_enumeration_golden(monkeypatch):
-    # every type on the first 20 samples with n <= 8.  The solutions stay in
-    # the order the search found them and the node budget runs out on some
-    # searches, so the record pins the branching order as well.  Re-recorded
-    # when the typed searches gained per-vertex demands, floors and the
-    # per-type completion rules
-    monkeypatch.setattr(reduction, "TYPED_NODE_BUDGET", 20000)
+    # every type on the first 20 samples with n <= 8.  The solution is the
+    # first minimum set the search finds and the node budget runs out on
+    # some searches, so the record pins the branching order as well.
+    # Re-recorded when the searches came to keep only the first minimum
+    # set, with the budget lowered from 20000 to 1000 so that some still run
+    # out of it
+    monkeypatch.setattr(reduction, "TYPED_NODE_BUDGET", 1000)
     results = []
     small = [s for s in typed_sample() if s[0].n <= 8][:20]
     for g, cut, _, _ in small:
         for t in SOLUTION_TYPES:
             try:
-                val, sols = enumerate_min_typed_subgraph(g, cut, t,
-                                                         collect_all=True)
+                val, sol = enumerate_min_typed_subgraph(g, cut, t)
             except BudgetExceeded:
                 results.append("budget")
                 continue
-            results.append([val, [sorted(s) for s in sols]])
+            results.append([val, None if sol is None else sorted(sol)])
     found = {t for t, r in zip(SOLUTION_TYPES * len(small), results)
              if r != "budget" and r[0] is not None}
     assert found == set(SOLUTION_TYPES)
     assert "budget" in results
     assert digest(results) == (
-        "98a79ee4c257d283b1d9514cdd9cf5806cf2b65526d6689fa80e8483270b30c3")
+        "8db577f90a86190cc00438ef7f560929cf0cf6ed6378952cd25012ce4a0baa0f")
 
 
 def test_degree_search_node_counts_golden(monkeypatch):
     # the node count of every typed search next to its outcome, so a change
-    # to the cost of a search node cannot move a node: every type under both
-    # tie rules on the first sample with n <= 10 and the first 12 sparse
-    # ones.  Re-recorded with test_typed_enumeration_golden, with the
-    # budget lowered from 20000 to 5000 so that two collect_all searches
-    # still run out of it; the triangle-free cover half is test_cover.py's
-    # own golden
-    monkeypatch.setattr(reduction, "TYPED_NODE_BUDGET", 5000)
+    # to the cost of a search node cannot move a node: every type on the
+    # first sample with n <= 10 and the first 12 sparse ones.  Re-recorded
+    # with test_typed_enumeration_golden, with the budget lowered from 5000
+    # to 1000 so that three searches still run out of it; the
+    # triangle-free cover half is test_cover.py's own golden
+    monkeypatch.setattr(reduction, "TYPED_NODE_BUDGET", 1000)
     searches = []
 
     class Recorded(DegreeSearch):
@@ -313,18 +310,16 @@ def test_degree_search_node_counts_golden(monkeypatch):
     results = []
     for g, cut, _, _ in small[:1] + sparse:
         for t in SOLUTION_TYPES:
-            for collect in (False, True):
-                try:
-                    val, sols = enumerate_min_typed_subgraph(g, cut, t,
-                                                             collect)
-                except BudgetExceeded:
-                    results.append(["budget", searches[-1].nodes])
-                    continue
-                results.append([val, [sorted(s) for s in sols],
-                                searches[-1].nodes])
-    assert ["budget", 5001] in results
+            try:
+                val, sol = enumerate_min_typed_subgraph(g, cut, t)
+            except BudgetExceeded:
+                results.append(["budget", searches[-1].nodes])
+                continue
+            results.append([val, None if sol is None else sorted(sol),
+                            searches[-1].nodes])
+    assert ["budget", 1001] in results
     assert digest(results) == (
-        "7443623a36cb42c2fc0296c9c0c15562f0cd0b4b73d5360c4f3137c422b24b48")
+        "eb384d0f1e1f2b56d61f09c2ac2139018e36ca0f22723b1a455cef2af67caf17")
 
 
 def typed_brute_force(g, cut):
@@ -365,9 +360,9 @@ def typed_brute_force(g, cut):
 def test_typed_enumeration_matches_brute_force():
     # 150 multigraphs with n 5-8 and m <= 12: a Hamiltonian cycle plus
     # random edges, parallels allowed, with a random cut triple.  For each
-    # type, and for C2 restricted to each cut pair: the minimum, every
-    # minimum set (collect_all), and the searches capped one below, at and
-    # one above the minimum
+    # type, and for C2 restricted to each cut pair: the minimum and a
+    # minimum set; capped one below the minimum nothing, capped at or one
+    # above it the same set
     rng = random.Random(1717)
     for _ in range(150):
         n = rng.randint(5, 8)
@@ -383,19 +378,36 @@ def test_typed_enumeration_matches_brute_force():
             size, sets = want.get(t if pair is None else (t, pair),
                                   (None, set()))
             val, found = enumerate_min_typed_subgraph(g, cut, t, pair=pair)
-            assert val == size and len(found) == (size is not None)
-            assert set(found) <= sets
-            val, found = enumerate_min_typed_subgraph(g, cut, t, pair=pair,
-                                                      collect_all=True)
-            assert val == size and len(found) == len(sets)
-            assert set(found) == sets
+            assert val == size and (found is None) == (size is None)
             if size is None:
                 continue
+            assert found in sets
             for cap in (size - 1, size, size + 1):
-                val, found = enumerate_min_typed_subgraph(g, cut, t,
-                                                          cap=cap, pair=pair)
-                assert val == (size if cap >= size else None)
-                assert set(found) <= sets
+                assert enumerate_min_typed_subgraph(
+                    g, cut, t, cap=cap, pair=pair) == (
+                        (size, found) if cap >= size else (None, None))
+
+
+def test_first_minimum_c3_set_has_a_naming():
+    # _c3_naming's docstring proves that G1 is connected at the 3-cut step,
+    # so the three components of any C3 set leave one of them adjacent to
+    # the other two: on random connected graphs with a random cut triple,
+    # the first minimum C3 set always has a naming
+    rng = random.Random(2110)
+    named = 0
+    for _ in range(300):
+        n = rng.randint(5, 10)
+        g = MultiGraph(n, [(rng.randrange(v), v) for v in range(1, n)])
+        for _ in range(rng.randint(0, 2 * n)):
+            g.add_edge(*rng.sample(range(n), 2))
+        cut = sorted(rng.sample(range(n), 3))
+        val, sol = enumerate_min_typed_subgraph(g, cut, "C3")
+        if sol is None:
+            continue
+        u, v, w = reduction._c3_naming(g, cut, sol)
+        assert sorted((u, v, w)) == cut
+        named += 1
+    assert named >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +662,8 @@ def test_large_three_cut_matches_naive_scan():
 
 @pytest.mark.parametrize("mode", ("off", "auto", "force"))
 def test_small_input_is_solved_exactly_once(monkeypatch, mode):
-    # the base case runs on graph.min_2ecss, never on the reference, and the
-    # report's oracle block reuses its depth-0 solve
+    # the base case runs on reduction.min_2ecss, never on the reference, and
+    # the report's oracle block reuses its depth-0 solve
     calls = []
     real = oracle.exact_min_2ecss
 
@@ -691,6 +703,20 @@ def test_both_large_branch_on_big_glued_cliques(monkeypatch):
     assert any(t["step"] == "3-cut-both-large" for t in ctx["trace"])
 
 
+def test_wheels_solve_to_a_hamiltonian_cycle():
+    # W_n, a hub joined to every vertex of an (n - 1)-cycle, is Hamiltonian,
+    # so OPT = n.  Its 3-cuts take the typed C2(iii) step, which must find
+    # the candidate that meets the accounting bound for every wheel to come
+    # out at exactly n edges
+    rng = random.Random(1340)
+    for n in range(14, 41, 3):
+        perm = rng.sample(range(n), n)
+        g = MultiGraph(n, [(perm[u], perm[v])
+                           for u, v in nx.wheel_graph(n).edges()])
+        report = run_pipeline(g, PipelineConfig(oracle_mode="off"))
+        assert report["solution"]["size"] == n, n
+
+
 # every typed branch on one glued-random graph (n = 17), with the typed
 # search reporting only the type under test; the solutions were recorded
 # before the typed branches shared one far-side step
@@ -717,13 +743,13 @@ FORCED_TYPE_SOLUTIONS = {
 def test_every_typed_branch_solves_its_cut(monkeypatch, forced):
     search = reduction.enumerate_min_typed_subgraph
 
-    def only_forced(g1, cut, t, collect_all=False, cap=None, pair=None):
+    def only_forced(g1, cut, t, cap=None, pair=None):
         if t != forced:
-            return None, []
+            return None, None
         if t in ("C1", "C3"):
             # uncapped, these miss their budget on dense sides
             cap = reduction._type_floor(g1.n, t)
-        return search(g1, cut, t, collect_all=collect_all, cap=cap, pair=pair)
+        return search(g1, cut, t, cap=cap, pair=pair)
 
     monkeypatch.setattr(reduction, "enumerate_min_typed_subgraph", only_forced)
     label, g = three_cut(302)[3]
