@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Line-traced reach census of the solver over the report-digest instances.
+
+Solves every instance of `report_digest.families(20, 2, [301])` (the
+random-2ec, cycle-ring and glued-cliques corpus up to n = 20 with two
+seeds, the wheels W_10-W_60 and the three timed workloads at seed 301)
+with the oracle off, under `sys.settrace`; the graphs are built under the
+trace too.  It prints, for each function of src/twoec with a line that no
+instance ran, its qualified name and those line numbers ("never called"
+when no line ran), then the number of reduction steps and of glue steps
+of each kind over all instances.
+
+It takes no options.  One run takes about 60 s in one process on a 2-core
+x86-64 VM.
+
+Example:
+  python3 scripts/reach_census.py
+"""
+
+import inspect
+import sys
+from collections import Counter
+from pathlib import Path
+
+from report_digest import families
+
+import twoec
+from twoec.pipeline import PipelineConfig, run_pipeline
+
+SRC = Path(twoec.__file__).resolve().parent
+
+
+def functions(code, in_function=False):
+    """Every function code object nested in `code`.  Class bodies, and
+    comprehensions outside a function, run at import and are passed
+    through."""
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            inner = bool(const.co_flags & inspect.CO_OPTIMIZED)
+            if inner and (in_function or not const.co_name.startswith("<")):
+                yield const
+            yield from functions(const, inner)
+
+
+def code_lines(code):
+    """The line numbers of code's own instructions."""
+    return {line for _, _, line in code.co_lines() if line is not None}
+
+
+def ranges(lines):
+    """'3-5, 9' for {3, 4, 5, 9}."""
+    out = []
+    for x in sorted(lines):
+        if out and out[-1][1] == x - 1:
+            out[-1][1] = x
+        else:
+            out.append([x, x])
+    return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in out)
+
+
+def main():
+    ran = {}                     # file name -> line numbers run
+
+    def tracer(frame, event, arg):
+        lines = ran.get(frame.f_code.co_filename)
+        if lines is None:
+            return None
+        # a call's first instruction sits on its first line, which gets no
+        # line event
+        lines.add(frame.f_code.co_firstlineno)
+
+        def local(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return local
+        return local
+
+    modules = sorted(SRC.glob("*.py"))
+    for path in modules:
+        ran[str(path)] = set()
+    steps = Counter()
+    glue = Counter()
+    count = 0
+    sys.settrace(tracer)
+    try:
+        cfg = PipelineConfig(oracle_mode="off", trace=True)
+        for _, _, g in families(20, 2, [301]):
+            report = run_pipeline(g, cfg)
+            count += 1
+            steps.update(t["step"] for t in report["trace"])
+            glue.update(s["kind"] for leaf in report["leaves"]
+                        for s in leaf["glue_steps"])
+    finally:
+        sys.settrace(None)
+
+    print(f"# {count} instances; lines of src/twoec no instance ran")
+    for path in modules:
+        code = compile(path.read_text(), str(path), "exec")
+        for fn in functions(code):
+            lines = code_lines(fn)
+            missed = lines - ran[str(path)]
+            if not missed:
+                continue
+            where = "never called" if missed == lines else ranges(missed)
+            print(f"{path.stem}.{fn.co_qualname}: {where}")
+    for title, counts in (("reduction steps", steps), ("glue steps", glue)):
+        print(f"# {title}: {sum(counts.values())}")
+        for kind, k in sorted(counts.items()):
+            print(f"{kind}\t{k}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -93,8 +93,6 @@ def is_tf_two_edge_cover(g: MultiGraph, members) -> bool:
     deg = [0] * g.n
     for e in members:
         u, v = emap[e]
-        if u == v:
-            return False
         deg[u] += 1
         deg[v] += 1
     if any(d < 2 for d in deg):
@@ -103,8 +101,8 @@ def is_tf_two_edge_cover(g: MultiGraph, members) -> bool:
 
 
 def _triangle_component(g: MultiGraph, members, comps=None):
-    """Vertex set of the first component, by smallest vertex, of the
-    loop-free edge set that is a triangle (3 vertices, 3 edges), or None.
+    """Vertex set of the first component, by smallest vertex, of the edge
+    set that is a triangle (3 vertices, 3 edges), or None.
     `comps` is `(n_components, component_of)` of the edge set when the
     caller has it."""
     n_comps, comp_of = comps or member_components(g, members)
@@ -146,7 +144,7 @@ def _heuristic_cover(g: MultiGraph):
     deg = [0] * g.n
     members = set()
     # greedily satisfy degree demands, preferring edges fixing two deficits
-    edges = sorted((eid, u, v) for eid, u, v in g.edges if u != v)
+    edges = sorted(g.edges)
     for rounds in range(2):
         for eid, u, v in edges:
             if eid in members:
@@ -268,7 +266,7 @@ def _candidate_swaps(g: MultiGraph, members, shrink_only=False):
     comp_of = member_components(g, members)[1]
     # (eid, u, v, joins two cover components), ascending by id
     non_members = [(e, u, v, comp_of[u] != comp_of[v])
-                   for e, u, v in sorted(g.edges) if e not in members and u != v]
+                   for e, u, v in sorted(g.edges) if e not in members]
     # v -> ascending ids of the non-member edges at v
     at = [[] for _ in range(g.n)]
     for e, u, v, _ in non_members:
@@ -348,10 +346,9 @@ def _improving_move(g: MultiGraph, members, obj):
     every degree >= 2 are generated (`_candidate_swaps`).  That is exact: a
     swap leaving a vertex below degree 2 is no 2-edge cover, so it can never
     be returned, and skipping it keeps the order of the others, hence the
-    same first improving swap.  The generated swaps have full degrees and no
-    self-loops (the cover has none and the pool excludes them), so the only
-    part of the triangle-free test left is the triangle-component check,
-    which `_objective` makes.
+    same first improving swap.  The generated swaps have full degrees, so
+    the only part of the triangle-free test left is the triangle-component
+    check, which `_objective` makes.
 
     Two more cuts are exact for the same reason, as they drop only swaps
     that cannot improve.  A 2-edge cover has |F| >= n, and with |F| = n every

@@ -74,7 +74,7 @@ def _ear_candidates(g: MultiGraph, h: TwoEdgeCover, max_len: int):
     component but different 2EC classes (so the ear covers >= 1 bridge)."""
     comp_of, class_of = h.decomposition.component_of, h.decomposition.class_of
     non_cover = [(e, u, v) for e, u, v in sorted(g.edges)
-                 if e not in h.members and u != v]
+                 if e not in h.members]
     nc_adj = {}
     for e, u, v in non_cover:
         nc_adj.setdefault(u, []).append((v, e))

@@ -9,7 +9,8 @@ alone, a trivial-segment step merges it with a neighbour across a matching;
 otherwise a non-trivial-segment step adds a cycle of >= 3 nodes through it,
 replacing a C4/C5 node's cycle by a Hamiltonian path where one is on it.
 When no move merges a small node, the step raises `StructuredViolation`
-with that node's component as the witness, and the reduction contracts it.
+with that node's component as the witness, and the reduction labels it with
+`certify_contractible` at the configured alpha and contracts it.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from fractions import Fraction
 from .cover import TwoEdgeCover, swap
 from .credits import cost
 from .errors import CaseLadderExhausted, StructuredViolation
-from .graph import (MultiGraph, certify_contractible, contract_many,
-                    find_cycle_through_edges, induced_subgraph, low_link,
-                    max_matching_across, member_adjacency, two_ec_classes)
+from .graph import (MultiGraph, contract_many, find_cycle_through_edges,
+                    induced_subgraph, low_link, max_matching_across,
+                    member_adjacency, two_ec_classes)
 
 
 @dataclass
 class ComponentGraph:
-    contracted: MultiGraph          # self-loops removed
+    contracted: MultiGraph
     node_vertices: list             # node -> sorted host vertex list
     node_class: list                # node -> component classification string
 
@@ -49,15 +50,10 @@ class GlueStep:
 
 def build_component_graph(g: MultiGraph, h: TwoEdgeCover) -> ComponentGraph:
     d = h.decomposition
-    quotient = contract_many(g, d.components)
-    contracted = MultiGraph(quotient.n)
-    for eid, u, v in quotient.edges:
-        if u != v:
-            contracted.add_edge(u, v, eid)
     # components are ordered by smallest vertex, matching contract_many's
     # representative numbering, so node i corresponds to component i
     return ComponentGraph(
-        contracted=contracted,
+        contracted=contract_many(g, d.components),
         node_vertices=[list(c) for c in d.components],
         node_class=[h.classify_component(i) for i in range(len(d.components))],
     )
@@ -238,11 +234,9 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
                 if got:
                     return got
                 # Case 3: the component is contractible; report upstream
-                ce = h.component_edges(a)
-                just = certify_contractible(g, ce, Fraction(5, 4))
                 last_violation = StructuredViolation(
                     f"C6/C7 component {a} admits no glue move",
-                    edges=ce, justification=just)
+                    edges=h.component_edges(a))
                 continue
         last_violation = last_violation or StructuredViolation(
             f"no valid trivial glue against neighbor {a}",
@@ -356,11 +350,9 @@ def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
                 return got
     if small:
         a = small[0]
-        ce = h.component_edges(a)
-        just = certify_contractible(g, ce, Fraction(5, 4))
         raise StructuredViolation(
             f"no cycle-based merge for small node {a} in its segment",
-            edges=ce, justification=just)
+            edges=h.component_edges(a))
     # all nodes of the segment are C6/C7 or large: one cycle of length >= 3
     k = _shortest_cycle_through(cg, l, min_len=3, forbid_nodes=set(range(cg.n)) - seg)
     if k is not None:

@@ -17,7 +17,15 @@ from .errors import BudgetExceeded, PatchNotFound
 
 
 class MultiGraph:
-    """Mutable multigraph with stable edge ids (self-loops and parallels allowed)."""
+    """Mutable multigraph with stable edge ids: parallels are kept,
+    self-loops never stored.
+
+    A self-loop lies in no 2-edge-connected spanning subgraph and changes no
+    cut, degree demand or cover.  So `add_edge(u, u)` stores nothing but
+    still uses up its id, and later edges keep theirs.  `edges`, `m` and
+    every view built on them are loop-free, and a contraction drops the
+    edges inside a contracted set.
+    """
 
     __slots__ = ("n", "edges", "_next_eid", "_adj", "_emap", "_nbr_mask")
 
@@ -45,9 +53,10 @@ class MultiGraph:
             raise ValueError(f"endpoint out of range: ({u},{v}) with n={self.n}")
         if eid is None:
             eid = self._next_eid
-        self.edges.append((eid, u, v))
         self._next_eid = max(self._next_eid, eid + 1)
-        self._adj = self._emap = self._nbr_mask = None
+        if u != v:
+            self.edges.append((eid, u, v))
+            self._adj = self._emap = self._nbr_mask = None
         return eid
 
     @property
@@ -63,13 +72,12 @@ class MultiGraph:
         return self._emap
 
     def adjacency(self):
-        """v -> sorted list of (other, eid); self-loops excluded."""
+        """v -> sorted list of (other, eid)."""
         if self._adj is None:
             adj = [[] for _ in range(self.n)]
             for eid, u, v in self.edges:
-                if u != v:
-                    adj[u].append((v, eid))
-                    adj[v].append((u, eid))
+                adj[u].append((v, eid))
+                adj[v].append((u, eid))
             for lst in adj:
                 lst.sort()
             self._adj = adj
@@ -79,27 +87,25 @@ class MultiGraph:
         if self._nbr_mask is None:
             masks = [0] * self.n
             for eid, u, v in self.edges:
-                if u != v:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
             self._nbr_mask = masks
         return self._nbr_mask
 
     def degree(self, v: int) -> int:
-        # self-loops excluded (they never help connectivity or covers)
         return len(self.adjacency()[v])
 
     def edge_ids(self):
         return {eid for eid, _, _ in self.edges}
 
     def redundant_edges(self):
-        """Ascending ids of the self-loops and of every parallel edge but the
-        lowest-id one of its bundle."""
+        """Ascending ids of every parallel edge but the lowest-id one of its
+        bundle."""
         seen = set()
         out = []
         for eid, u, v in sorted(self.edges):
             key = (min(u, v), max(u, v))
-            if u == v or key in seen:
+            if key in seen:
                 out.append(eid)
             seen.add(key)
         return out
@@ -169,26 +175,25 @@ def connected_components(g: MultiGraph, removed=()):
 
 
 def member_adjacency(g: MultiGraph, members):
-    """v -> [(w, eid)] over the member edges (self-loops left out), the
-    adjacency `low_link` takes."""
+    """v -> [(w, eid)] over the member edges, the adjacency `low_link`
+    takes."""
     emap = g.edge_map()
     adj = [[] for _ in range(g.n)]
     for e in members:
         u, v = emap[e]
-        if u != v:
-            adj[u].append((v, e))
-            adj[v].append((u, e))
+        adj[u].append((v, e))
+        adj[v].append((u, e))
     return adj
 
 
 def low_link(n: int, adj, removed=()):
     """One iterative Tarjan low-link pass over adjacency lists.
 
-    `adj[v]` lists `(w, eid)` pairs without self-loops.  Returns
-    `(n_components, component_of, bridges, cut_vertices)`: components are
-    numbered by their smallest vertex (isolated vertices included), bridges
-    are edge ids, cut vertices are the articulation points.  The DFS skips the
-    edge it arrived by, by id, so parallel edges are never bridges.
+    `adj[v]` lists `(w, eid)` pairs.  Returns `(n_components, component_of,
+    bridges, cut_vertices)`: components are numbered by their smallest
+    vertex (isolated vertices included), bridges are edge ids, cut vertices
+    are the articulation points.  The DFS skips the edge it arrived by, by
+    id, so parallel edges are never bridges.
 
     The pass runs on G - `removed` without copying `adj`: a removed vertex
     starts out visited with discovery index n, above every index the pass
@@ -306,10 +311,7 @@ def two_ec_classes(n: int, adj, bridges):
 
 
 def is_two_edge_connected(g: MultiGraph) -> bool:
-    """True iff g is connected and bridgeless (a single vertex counts).
-
-    Self-loops never count toward connectivity.
-    """
+    """True iff g is connected and bridgeless (a single vertex counts)."""
     return _is_2ec(g.n, g.adjacency())
 
 
@@ -380,7 +382,7 @@ def find_min_patch(g: MultiGraph, base, limit: int):
     """Smallest F, |F| <= limit, making base + F a 2-ECSS of g, the first in
     id order among those of its size.
 
-    Candidates are the non-loop edges outside base that join two different
+    Candidates are the edges outside base that join two different
     2EC classes of base: an edge inside one class is never needed, since its
     ends stay 2-edge-connected without it.  Each candidate set costs one
     low-link pass.  Returns the patch set; raises PatchNotFound.
@@ -389,7 +391,7 @@ def find_min_patch(g: MultiGraph, base, limit: int):
     adj = member_adjacency(g, base)
     class_of = two_ec_classes(g.n, adj, low_link(g.n, adj)[2])[1]
     useful = [e for e, u, v in sorted(g.edges)
-              if e not in base and u != v and class_of[u] != class_of[v]]
+              if e not in base and class_of[u] != class_of[v]]
     for size in range(0, limit + 1):
         for combo in itertools.combinations(useful, size):
             if _is_2ec(g.n, member_adjacency(g, base.union(combo))):
@@ -407,22 +409,21 @@ class DegreeSearch:
     which `complete` accepts.
 
     While some vertex is short of its demand the search branches on the
-    smallest one, over its undecided edges ascending by id (self-loops are
-    never used); a short vertex with fewer edges left (not excluded) than
-    its demand is a dead end.  Once none is short, `complete(inc, exc)`
-    returns None (feasible), [] (dead end) or the undecided non-loop edges
-    to branch on.  Each branch edge is tried included, then excluded for
-    the siblings after it.  The bound is max(floor, |inc| + ceil(deficit /
-    2)), where `floor` is a lower bound the caller has proven for every set
-    `complete` accepts; degrees and the deficit are updated on every include
-    and undo.  A node is searched only while its bound is at most the
-    limit: `cap` (no limit without one) until a set is found, then the best
-    size - 1.  The parent computes a child's bound from the deficit its
-    edge's two ends would drop, so a child the limit cuts off is counted as
-    a node without being entered; once the best reaches the floor, every
-    child is cut off.  `solve()` returns (minimum size, the first minimum
-    set found) or (None, None).  Counting more than `node_budget` nodes
-    raises BudgetExceeded(what).
+    smallest one, over its undecided edges ascending by id; a short vertex
+    with fewer edges left (not excluded) than its demand is a dead end.
+    Once none is short, `complete(inc, exc)` returns None (feasible), []
+    (dead end) or the undecided edges to branch on.  Each branch edge is
+    tried included, then excluded for the siblings after it.  The bound is
+    max(floor, |inc| + ceil(deficit / 2)), where `floor` is a lower bound
+    the caller has proven for every set `complete` accepts; degrees and the
+    deficit are updated on every include and undo.  A node is searched only
+    while its bound is at most the limit: `cap` (no limit without one) until
+    a set is found, then the best size - 1.  The parent computes a child's
+    bound from the deficit its edge's two ends would drop, so a child the
+    limit cuts off is counted as a node without being entered; once the best
+    reaches the floor, every child is cut off.  `solve()` returns (minimum
+    size, the first minimum set found) or (None, None).  Counting more than
+    `node_budget` nodes raises BudgetExceeded(what).
     """
 
     def __init__(self, g: MultiGraph, demand, node_budget: int, complete,
@@ -430,9 +431,8 @@ class DegreeSearch:
         self.emap = g.edge_map()
         self.by_vertex = [[] for _ in range(g.n)]
         for e, u, v in sorted(g.edges):
-            if u != v:
-                self.by_vertex[u].append(e)
-                self.by_vertex[v].append(e)
+            self.by_vertex[u].append(e)
+            self.by_vertex[v].append(e)
         self.demand = list(demand)
         self.deg = [0] * g.n
         self.deficit = sum(self.demand)
@@ -670,7 +670,8 @@ def three_cut_core(g: MultiGraph):
 # contraction / induced subgraphs
 
 def contract(g: MultiGraph, s) -> MultiGraph:
-    """Contract vertex set s to a single vertex (internal edges become self-loops)."""
+    """Contract vertex set s to a single vertex (its internal edges are
+    dropped)."""
     return contract_many(g, [s])
 
 
@@ -679,6 +680,7 @@ def contract_many(g: MultiGraph, sets) -> MultiGraph:
 
     New vertex ids follow the order of the representatives (min of each set)
     interleaved with untouched vertices, so numbering is deterministic.
+    Edges inside a set are dropped; every other edge keeps its id.
     """
     rep = {}
     for s in sets:
@@ -738,12 +740,6 @@ def find_cycle_through_edges(g: MultiGraph, f):
     for eid in f:
         if eid not in emap:
             raise ValueError(f"required edge {eid} not in graph")
-    loops = [eid for eid in f if emap[eid][0] == emap[eid][1]]
-    if loops:
-        # a simple cycle containing a self-loop is the loop alone
-        if len(f) == 1:
-            return [loops[0]]
-        return None
     if not f:
         raise ValueError("f must be non-empty")
 
@@ -869,10 +865,10 @@ def forced_edge_lower_bound(g: MultiGraph, s):
 
 
 def _countable_inside_edges(g: MultiGraph, s):
-    """The non-loop edges inside s, or None where the inside counts give up."""
+    """The edges inside s, or None where the inside counts give up."""
     if len(s) > 8 or g.n > INSIDE_COUNT_MAX_N:
         return None
-    inside = [e for e, u, v in g.edges if u != v and u in s and v in s]
+    inside = [e for e, u, v in g.edges if u in s and v in s]
     return inside if len(inside) <= 24 else None
 
 
@@ -886,19 +882,19 @@ def min_edges_inside(g: MultiGraph, s):
     """
     if (inside := _countable_inside_edges(g, s)) is None:
         return None
-    outside = {e for e, u, v in g.edges if u != v and not (u in s and v in s)}
+    outside = g.edge_ids().difference(inside)
     return len(find_min_patch(g, outside, len(inside)))
 
 
 def greedy_edges_inside(g: MultiGraph, s):
     """Upper bound on `min_edges_inside(g, s)`, or None where that gives up
-    or g is not 2EC: from all non-loop edges, drop each inside edge in id
-    order whose loss keeps the rest 2EC (one low-link pass each), and count.
-    An edge at a vertex of degree <= 2 is kept without a pass."""
+    or g is not 2EC: from all edges, drop each inside edge in id order whose
+    loss keeps the rest 2EC (one low-link pass each), and count.  An edge at
+    a vertex of degree <= 2 is kept without a pass."""
     inside = _countable_inside_edges(g, s)
     emap = g.edge_map()
-    keep = {e for e, u, v in g.edges if u != v}
-    if inside is None or not _is_2ec(g.n, member_adjacency(g, keep)):
+    keep = g.edge_ids()
+    if inside is None or not is_two_edge_connected(g):
         return None
     deg = [g.degree(v) for v in range(g.n)]       # degrees in keep
     for e in sorted(inside):

@@ -1,7 +1,7 @@
 """Recursive reduction of an arbitrary 2EC input to structured graphs.
 
 Dispatch order per call: exact solve on small graphs, 1-vertex-cut split,
-self-loop/parallel removal, contractible-subgraph contraction, irrelevant-edge
+parallel-edge removal, contractible-subgraph contraction, irrelevant-edge
 removal, non-isolating-2-cut split (substituted procedure), large-3-cut
 elimination, and finally the structured-leaf solver callback.
 
@@ -40,7 +40,7 @@ from . import oracle
 from .errors import (BudgetExceeded, NotTwoEdgeConnected, PatchNotFound,
                      StructuredViolation, Untypeable)
 from .graph import (DegreeSearch, EdgeSubset, ExactResult, MultiGraph,
-                    connected_components, contract,
+                    certify_contractible, connected_components, contract,
                     find_contractible_certificate, find_min_patch,
                     find_vertex_cut, induced_subgraph, is_2ec_edge_set,
                     is_two_edge_connected, iterate_vertex_cuts, low_link,
@@ -196,7 +196,7 @@ def _typed_completion(g1: MultiGraph, cut, t, pair=None):
     `oracle.exact_min_2ecss`, in its order."""
     needed = _NEEDED_COMPONENTS[t]
     emap = g1.edge_map()
-    cands = [(e, u, v) for e, u, v in sorted(g1.edges) if u != v]
+    cands = sorted(g1.edges)
     cut = sorted(cut)
 
     def complete(inc, exc):
@@ -315,10 +315,10 @@ def min_2ecss(g: MultiGraph, node_budget: int):
     """Minimum 2-ECSS of the 2-edge-connected g: the reduction's exact base
     case, the type-A search on an empty cut.
 
-    Self-loops and every parallel edge past the second of its vertex pair
-    (the lowest ids are kept) are dropped first; no minimum 2-ECSS needs
-    them.  The completion's branch lists are `oracle.exact_min_2ecss`'s in
-    its order, the deficient vertex's first, and the two bounds agree: the
+    Every parallel edge past the second of its vertex pair (the lowest ids
+    are kept) is dropped first; no minimum 2-ECSS needs it.  The
+    completion's branch lists are `oracle.exact_min_2ecss`'s in its order,
+    the deficient vertex's first, and the two bounds agree: the
     reference also bounds by n, but |inc| + ceil(deficit / 2) >= n always
     holds, since each included edge lowers the initial deficit 2n by at
     most 2.  Both searches prune ties only once a set is found, so both
@@ -335,7 +335,7 @@ def min_2ecss(g: MultiGraph, node_budget: int):
     for e, u, v in sorted(g.edges):
         key = (min(u, v), max(u, v))
         kept[key] += 1
-        if u != v and kept[key] <= 2:
+        if kept[key] <= 2:
             useful.append((e, u, v))
     h = MultiGraph(g.n, useful)
     search = DegreeSearch(h, [2] * h.n, node_budget,
@@ -399,7 +399,7 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
         if n == 2:
             # the dispatch would drop one edge of the only parallel pair
             # kept and leave a bridge; any two parallel edges are optimal
-            pair = sorted(e for e, u, v in g.edges if u != v)[:2]
+            pair = sorted(g.edge_ids())[:2]
             ctx["trace"].append({"step": "brute-force", "n": n, "size": 2})
             return set(pair)
     if n <= cfg.base_case_limit:
@@ -454,14 +454,19 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
 
 
 def _structured_leaf(g, cfg, solver, ctx, depth):
+    """Solve the leaf g with `solver`; a witness it reports is contracted,
+    and one without a justification is labelled by `certify_contractible`
+    at the configured alpha (None when it does not certify)."""
     try:
         members = solver(g)
     except StructuredViolation as sv:
         if sv.edges:
             _note(ctx, f"leaf reported a non-structured witness: {sv}")
+            just = sv.justification
+            if just is None:
+                just = certify_contractible(g, sv.edges, cfg.alpha)
             return _contract_step(g, cfg, solver, ctx, depth, set(sv.edges),
-                                  "contract-violation-witness",
-                                  sv.justification)
+                                  "contract-violation-witness", just)
         raise
     ctx["trace"].append({"step": "structured-leaf", "n": g.n,
                          "size": len(members)})
@@ -557,7 +562,7 @@ def handle_large_3vc(g: MultiGraph, split, cfg: ReductionConfig, recurse, ctx):
     cut, v1, v2 = split
     u, v, w = cut
     g1, map1 = induced_subgraph(g, v1 | set(cut))
-    chord_ids = [e for e, a, b in g.edges if a in cut and b in cut and a != b]
+    chord_ids = [e for e, a, b in g.edges if a in cut and b in cut]
     g2, map2 = induced_subgraph(g, v2 | set(cut), extra_drop=chord_ids)
 
     if len(v1) > cfg.small_side_limit or g1.n > TYPED_ENUM_MAX:

@@ -75,6 +75,18 @@ def test_cli_solves_cycle(tmp_path, capsys):
     assert report["ratio"] == 1.0
 
 
+def test_cli_ignores_self_loops_and_keeps_line_ids(tmp_path, capsys):
+    # C_5 with a loop line before two of its edges: the loop is dropped and
+    # solution ids still index the input's edge lines
+    lines = ["0 1", "1 2", "2 2", "2 3", "3 4", "4 0"]
+    p = tmp_path / "loop.txt"
+    p.write_text("5 6\n" + "\n".join(lines) + "\n")
+    assert main([str(p)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["solution"]["edges"] == [0, 1, 3, 4, 5]
+    assert report["input"]["m"] == 5
+
+
 def test_cli_parse_error_exit_1(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("3 9\n0 1\n")

@@ -54,18 +54,22 @@ def test_self_loop_and_parallel_detection():
     assert g.redundant_edges() == []
     e = g.add_edge(0, 1)
     assert g.redundant_edges() == [e]
+    # a self-loop uses up a fresh id and stores nothing
     g2 = cycle_graph(4)
     loop = g2.add_edge(2, 2)
-    assert g2.redundant_edges() == [loop]
+    assert loop == 4
+    assert g2.m == 4 and loop not in g2.edge_ids()
+    assert g2.redundant_edges() == []
+    assert g2.add_edge(0, 2) == 5
 
 
-def test_redundant_edges_lists_loops_and_extra_parallels_ascending():
+def test_redundant_edges_lists_extra_parallels_ascending():
     g = cycle_graph(4)
     assert g.redundant_edges() == []
     p1 = g.add_edge(1, 0)
-    loop = g.add_edge(2, 2)
+    g.add_edge(2, 2)
     p2 = g.add_edge(0, 1)
-    assert g.redundant_edges() == [p1, loop, p2]
+    assert g.redundant_edges() == [p1, p2]
 
 
 def test_degree_excludes_self_loops():
@@ -574,14 +578,38 @@ def test_matching_is_a_matching():
 # ---------------------------------------------------------------------------
 # contraction / induced subgraphs
 
-def test_contract_preserves_edge_ids_and_makes_loops():
+def test_contract_preserves_edge_ids_and_drops_internal_edges():
     g = cycle_graph(4)
+    g.add_edge(1, 0)
     c = contract(g, {0, 1})
     assert c.n == 3
-    assert c.edge_ids() == {0, 1, 2, 3}
-    emap = c.edge_map()
-    u, v = emap[0]
-    assert u == v            # contracted edge became a self-loop
+    assert c.edge_ids() == {1, 2, 3}     # edges 0 and 4 lay inside {0, 1}
+    assert c.edge_map() == {1: (0, 1), 2: (1, 2), 3: (2, 0)}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_no_multigraph_holds_a_self_loop(seed):
+    # random multigraphs drawn with self-loops and parallels: construction,
+    # contraction and induced subgraphs store no loop and keep the id of
+    # every edge whose ends stay apart
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    drawn = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randint(0, 3 * n))]
+    g = MultiGraph(n, drawn)
+    assert g.edges == [(e, u, v) for e, (u, v) in enumerate(drawn) if u != v]
+    assert g.add_edge(0, 1) == len(drawn)
+    a, b, vs = (set(rng.sample(range(n), rng.randint(1, n)))
+                for _ in range(3))
+    sets = [a] if a & b else [a, b]
+    rep = {v: min(s) for s in sets for v in s}
+    for h, keeps in (
+            (contract(g, a), lambda u, v: not (u in a and v in a)),
+            (contract_many(g, sets),
+             lambda u, v: rep.get(u, u) != rep.get(v, v)),
+            (induced_subgraph(g, vs)[0], lambda u, v: u in vs and v in vs)):
+        assert all(u != v for _, u, v in h.edges)
+        assert h.edge_ids() == {e for e, u, v in g.edges if keeps(u, v)}
 
 
 def test_contract_many_disjoint():

@@ -18,7 +18,8 @@ from conftest import (complete_graph, cycle_graph, disjoint_cycles,
                       from_networkx, naive_is_2ecss, naive_min_2ecss, petersen)
 from twoec.cover import TwoEdgeCover, canonicalize, min_triangle_free_cover
 from twoec.errors import (BudgetExceeded, NotCanonical, NotTwoEdgeConnected,
-                          StructuredViolation, Stuck, Untypeable)
+                          PatchNotFound, StructuredViolation, Stuck,
+                          Untypeable)
 from twoec.generate import glued_cliques, random_2ec
 from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
                          is_2ec_edge_set, member_components)
@@ -426,8 +427,8 @@ def test_find_min_patch_zero_when_feasible():
 
 def test_redundant_edge_drops_traced_one_entry_each_in_id_order():
     g = cycle_graph(14)
-    extra = [g.add_edge(3, 4), g.add_edge(0, 1), g.add_edge(5, 5),
-             g.add_edge(4, 3)]
+    extra = [g.add_edge(3, 4), g.add_edge(0, 1), g.add_edge(4, 3)]
+    g.add_edge(5, 5)                   # a self-loop is never stored
     sol, ctx = run_reduce(g, n0=6)
     assert verify_2ecss(g, sol.members)
     drops = [t["edge"] for t in ctx["trace"]
@@ -762,6 +763,65 @@ def test_every_typed_branch_solves_its_cut(monkeypatch, forced):
     assert sorted(sol.members) == edges
 
 
+def three_cut_steps(ctx):
+    return [t["step"] for t in ctx["trace"] if t["step"].startswith("3-cut")]
+
+
+def test_far_side_step_raises_its_first_accounting_miss(monkeypatch):
+    # with the C2(iii) bound lowered to -5 no candidate meets it, so the
+    # first miss is raised and the cut falls back to both sides contracted
+    gadget, limit, _ = reduction._FAR_SIDE["C2-iii"]
+    monkeypatch.setitem(reduction._FAR_SIDE, "C2-iii", (gadget, limit, -5))
+    _, g = three_cut(302)[3]
+    sol, ctx = run_reduce(g)
+    assert three_cut_steps(ctx) == ["3-cut-both-large"]
+    assert ("typed 3-cut branch abandoned (C2(iii) accounting delta -1 > "
+            "-5); using both-sides-contracted fallback") in ctx["notes"]
+    assert verify_2ecss(g, sol.members)
+    assert len(sol) == 19
+
+
+def test_far_side_step_passes_over_a_candidate_without_a_patch(monkeypatch):
+    # with patch limit 0, the C2(iii) candidates that need a patch edge are
+    # passed over and the first that needs none is joined
+    gadget, _, bound = reduction._FAR_SIDE["C2-iii"]
+    monkeypatch.setitem(reduction._FAR_SIDE, "C2-iii", (gadget, 0, bound))
+    missed = []
+
+    def recording(g, base, limit):
+        try:
+            return find_min_patch(g, base, limit)
+        except PatchNotFound:
+            missed.append(limit)
+            raise
+
+    monkeypatch.setattr(reduction, "find_min_patch", recording)
+    _, g = three_cut(302)[3]
+    sol, ctx = run_reduce(g)
+    assert 0 in missed
+    assert [t for t in ctx["trace"] if t["step"].startswith("3-cut")] == [
+        {"step": "3-cut-C2-iii", "cut": [11, 12, 15], "patch": [],
+         "delta": -2}]
+    assert verify_2ecss(g, sol.members)
+
+
+def test_far_side_step_raises_when_no_candidate_admits_a_patch(monkeypatch):
+    # B1 forced, with patch limit 0: its one candidate needs a patch edge
+    search = reduction.enumerate_min_typed_subgraph
+    monkeypatch.setattr(reduction, "enumerate_min_typed_subgraph",
+                        lambda g1, cut, t, cap=None, pair=None:
+                        search(g1, cut, t, cap, pair) if t == "B1"
+                        else (None, None))
+    monkeypatch.setitem(reduction._FAR_SIDE, "B1", (None, 0, 0))
+    _, g = three_cut(302)[3]
+    sol, ctx = run_reduce(g)
+    assert three_cut_steps(ctx) == ["3-cut-both-large"]
+    assert ("typed 3-cut branch abandoned (no B1 candidate admits a patch "
+            "of size <= 0); using both-sides-contracted fallback") \
+        in ctx["notes"]
+    assert verify_2ecss(g, sol.members)
+
+
 # ---------------------------------------------------------------------------
 # the structured leaf's violation contract
 
@@ -785,6 +845,27 @@ def test_leaf_violation_witness_is_contracted():
     assert "leaf reported a non-structured witness: outer cycle is 2EC" \
         in ctx["notes"]
     assert ctx["certified"] is False
+    assert verify_2ecss(g, sol.members)
+
+
+def test_unlabelled_leaf_witness_is_certified_at_the_configured_alpha():
+    # Petersen's outer 5-cycle is contractible at alpha = 2 but not at 5/4
+    g = petersen()
+    calls = []
+
+    def leaf(sub):
+        calls.append(sub.n)
+        if len(calls) == 1:
+            raise StructuredViolation("outer cycle is 2EC", edges=range(5))
+        return exact_leaf(sub)
+
+    sol, ctx = run_reduce(g, n0=5, leaf=leaf, alpha=Fraction(2))
+    (step,) = [t for t in ctx["trace"]
+               if t["step"] == "contract-violation-witness"]
+    label = graph.certify_contractible(g, range(5), Fraction(2))
+    assert step["justification"] == label
+    assert label is not None
+    assert graph.certify_contractible(g, range(5), Fraction(5, 4)) is None
     assert verify_2ecss(g, sol.members)
 
 
