@@ -702,19 +702,15 @@ def contract_many(g: MultiGraph, sets) -> MultiGraph:
     return out
 
 
-def induced_subgraph(g: MultiGraph, vertices, extra_drop=()):
+def induced_subgraph(g: MultiGraph, vertices):
     """Induced subgraph on `vertices` (edge ids preserved, vertices renumbered).
 
-    Returns (subgraph, old->new vertex map).  `extra_drop` removes specific
-    edge ids even when both endpoints are kept.
+    Returns (subgraph, old->new vertex map).
     """
     vs = sorted(set(vertices))
     vmap = {v: i for i, v in enumerate(vs)}
-    drop = set(extra_drop)
     out = MultiGraph(len(vs))
     for eid, u, v in g.edges:
-        if eid in drop:
-            continue
         if u in vmap and v in vmap:
             out.add_edge(vmap[u], vmap[v], eid)
     out._next_eid = max(out._next_eid, g._next_eid)

@@ -336,7 +336,8 @@ def min_edges_inside(g: MultiGraph, s, max_inside: int = 24):
 
 
 def exact_inside_oracle(g: MultiGraph, s):
-    """Adapter with the signature certify_contractible expects."""
+    """The reference inside count that perfbench probes: `min_edges_inside`
+    for |s| <= 8 on at most 24 vertices, else None."""
     if len(s) > 8 or g.n > 24:
         return None
     return min_edges_inside(g, s)

@@ -39,9 +39,13 @@ class PipelineConfig(ReductionConfig):
 
 
 def graph_text(g: MultiGraph) -> str:
-    """Canonical text serialization (the CLI ingestion format)."""
-    lines = [f"{g.n} {g.m}"]
-    for _, u, v in g.edges:
+    """Canonical text serialization (the CLI ingestion format): one line per
+    edge id in id order, and `0 0` for an id that stores no edge (a dropped
+    self-loop), so the text parses back with every edge at its id."""
+    emap = g.edge_map()
+    lines = [f"{g.n} {g._next_eid}"]
+    for eid in range(g._next_eid):
+        u, v = emap.get(eid, (0, 0))
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 

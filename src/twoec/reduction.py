@@ -3,7 +3,11 @@
 Dispatch order per call: exact solve on small graphs, 1-vertex-cut split,
 parallel-edge removal, contractible-subgraph contraction, irrelevant-edge
 removal, non-isolating-2-cut split (substituted procedure), large-3-cut
-elimination, and finally the structured-leaf solver callback.
+elimination, and finally the structured-leaf solver callback; each level
+recurses through one handle, `recurse`.  The 1-cut, the non-isolating 2-cut
+and an untyped large 3-cut share one split step, `_split`: each side is
+solved as G[side + S] with the cut S contracted, and `_join` rejoins the
+sides of a 2- or 3-cut with a minimum patch of at most 2|S| edges.
 
 `graph.find_min_patch` answers every "smallest completion" question: the
 patches that rejoin split sides and the exact inside count that certifies a
@@ -361,17 +365,17 @@ def reduce(g: MultiGraph, cfg: ReductionConfig, structured_solver):
     """Returns (EdgeSubset solution, ctx).  `ctx["trace"]` records every
     applied step with enough data to replay reassembly; `ctx["exact"]` holds
     the exact base case's result when g itself was small enough for it."""
-    ctx = {"certified": True, "trace": [], "notes": []}
+    ctx = {"trace": [], "notes": []}
     members = _reduce(g, cfg, structured_solver, ctx, 0)
     sol = EdgeSubset(g, frozenset(members))
     if not oracle.verify_2ecss(g, sol.members):
         raise AssertionError("reduction produced an infeasible solution")
+    ctx["certified"] = not ctx["notes"]
     return sol, ctx
 
 
 def _note(ctx, message):
     ctx["notes"].append(message)
-    ctx["certified"] = False
 
 
 def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
@@ -381,6 +385,10 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
         raise NotTwoEdgeConnected(
             "graph is not 2-edge-connected" +
             (" (mid-recursion: invariant violation)" if depth else ""))
+
+    def recurse(sub):
+        return _reduce(sub, cfg, solver, ctx, depth + 1)
+
     n = g.n
     threshold = min(cfg.base_case_limit, cfg.enumeration_budget)
     if n <= threshold:
@@ -404,7 +412,7 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
             return set(pair)
     if n <= cfg.base_case_limit:
         # eligible for a full exact solve, but over the configured budget
-        if ctx["certified"]:
+        if not ctx["notes"]:
             _note(ctx, f"n={n} <= 4/eps clipped by enumeration budget "
                        f"{cfg.enumeration_budget}")
 
@@ -413,47 +421,68 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
         comps = connected_components(g, cut1)
         ctx["trace"].append({"step": "1-cut-split", "cut": list(cut1),
                              "parts": len(comps)})
-        out = set()
-        for comp in comps:
-            sub, _ = induced_subgraph(g, comp + list(cut1))
-            out |= _reduce(sub, cfg, solver, ctx, depth + 1)
-        return out
+        return _split(g, cut1, comps, recurse)
 
     redundant = g.redundant_edges()
     if redundant:
         for eid in redundant:
             ctx["trace"].append({"step": "drop-redundant-edge", "edge": eid})
-        return _reduce(g.without_edges(redundant), cfg, solver, ctx, depth + 1)
+        return recurse(g.without_edges(redundant))
 
     found = find_contractible_certificate(g, cfg.alpha)
     if found is not None:
         c_edges, justification = found
-        return _contract_step(g, cfg, solver, ctx, depth, c_edges,
-                              "contract-subgraph", justification)
+        return _contract_step(g, c_edges, "contract-subgraph", justification,
+                              recurse, ctx)
 
     irrelevant = _find_irrelevant_edges(g)
     if irrelevant:
         for eid in irrelevant:
             ctx["trace"].append({"step": "drop-irrelevant-edge", "edge": eid})
-        return _reduce(g.without_edges(irrelevant), cfg, solver, ctx,
-                       depth + 1)
+        return recurse(g.without_edges(irrelevant))
 
     # the first 2-cut that does not just isolate one vertex
     for cut2 in iterate_vertex_cuts(g, 2):
         comps = connected_components(g, cut2)
         if len(comps) >= 3 or min(map(len, comps)) > 1:
-            return _handle_two_cut(g, cut2, comps, cfg, solver, ctx, depth)
+            _note(ctx, "non-isolating 2-cut substitute procedure at "
+                       f"{{{cut2[0]},{cut2[1]}}}")
+            out = _split(g, cut2, [comps[0], set().union(*comps[1:])],
+                         recurse)
+            return _join(g, out, cut2, "2-cut-split", ctx)
 
     split = _find_large_three_cut(g)
     if split is not None:
-        return handle_large_3vc(g, split, cfg,
-                                lambda sub: _reduce(sub, cfg, solver, ctx,
-                                                    depth + 1), ctx)
+        return handle_large_3vc(g, split, cfg, recurse, ctx)
 
-    return _structured_leaf(g, cfg, solver, ctx, depth)
+    return _structured_leaf(g, cfg, solver, recurse, ctx)
 
 
-def _structured_leaf(g, cfg, solver, ctx, depth):
+def _split(g, cut, sides, recurse):
+    """Union over the sides of the solutions of G[side + cut] with the cut
+    contracted, which drops the edges inside it."""
+    out = set()
+    for side in sides:
+        sub, vmap = induced_subgraph(g, set(side) | set(cut))
+        out |= recurse(contract(sub, {vmap[x] for x in cut}))
+    return out
+
+
+def _join(g, out, cut, step, ctx):
+    """The split sides' union `out` joined by a minimum patch of at most
+    2|S| edges for the cut S; a patch over 2|S| - 2 edges is noted."""
+    bound = 2 * len(cut) - 2
+    patch = find_min_patch(g, out, bound + 2)
+    if len(patch) > bound:
+        what = "patch" if len(cut) == 2 else "join patch"
+        _note(ctx, f"{len(cut)}-cut {what} exceeded bound {bound} "
+                   f"(size {len(patch)})")
+    ctx["trace"].append({"step": step, "cut": list(cut),
+                         "patch": sorted(patch)})
+    return out | patch
+
+
+def _structured_leaf(g, cfg, solver, recurse, ctx):
     """Solve the leaf g with `solver`; a witness it reports is contracted,
     and one without a justification is labelled by `certify_contractible`
     at the configured alpha (None when it does not certify)."""
@@ -465,15 +494,16 @@ def _structured_leaf(g, cfg, solver, ctx, depth):
             just = sv.justification
             if just is None:
                 just = certify_contractible(g, sv.edges, cfg.alpha)
-            return _contract_step(g, cfg, solver, ctx, depth, set(sv.edges),
-                                  "contract-violation-witness", just)
+            return _contract_step(g, set(sv.edges),
+                                  "contract-violation-witness", just,
+                                  recurse, ctx)
         raise
     ctx["trace"].append({"step": "structured-leaf", "n": g.n,
                          "size": len(members)})
     return set(members)
 
 
-def _contract_step(g, cfg, solver, ctx, depth, c_edges, label, justification):
+def _contract_step(g, c_edges, label, justification, recurse, ctx):
     if not is_2ec_edge_set(g, c_edges):
         raise AssertionError("contraction witness is not 2EC")
     emap = g.edge_map()
@@ -481,8 +511,7 @@ def _contract_step(g, cfg, solver, ctx, depth, c_edges, label, justification):
     ctx["trace"].append({"step": label, "vertices": sorted(s),
                          "edges": sorted(c_edges),
                          "justification": justification})
-    rest = _reduce(contract(g, s), cfg, solver, ctx, depth + 1)
-    return set(c_edges) | rest
+    return set(c_edges) | recurse(contract(g, s))
 
 
 def _find_irrelevant_edges(g: MultiGraph):
@@ -505,27 +534,6 @@ def _find_irrelevant_edges(g: MultiGraph):
             splitters = splitting_vertices(adj, {u})
             out += [e for w, e in adj[u] if w > u and w in splitters]
     return out
-
-
-def _handle_two_cut(g, cut, comps, cfg, solver, ctx, depth):
-    """Substituted non-isolating-2-cut reduction: split at the cut {u,v}
-    into the first component of G - {u,v} and the rest, contract the pair on
-    each closed side, recurse, rejoin with a minimum patch."""
-    u, v = cut
-    _note(ctx, f"non-isolating 2-cut substitute procedure at {{{u},{v}}}")
-    side_a = set(comps[0])
-    side_b = set().union(*comps[1:])
-    out = set()
-    for side in (side_a, side_b):
-        sub, vmap = induced_subgraph(g, side | {u, v})
-        out |= _reduce(contract(sub, {vmap[u], vmap[v]}), cfg, solver, ctx,
-                       depth + 1)
-    patch = find_min_patch(g, out, 4)
-    if len(patch) > 2:
-        _note(ctx, f"2-cut patch exceeded bound 2 (size {len(patch)})")
-    ctx["trace"].append({"step": "2-cut-split", "cut": [u, v],
-                         "patch": sorted(patch)})
-    return out | patch
 
 
 def _find_large_three_cut(g: MultiGraph):
@@ -560,35 +568,18 @@ def _find_large_three_cut(g: MultiGraph):
 
 def handle_large_3vc(g: MultiGraph, split, cfg: ReductionConfig, recurse, ctx):
     cut, v1, v2 = split
-    u, v, w = cut
-    g1, map1 = induced_subgraph(g, v1 | set(cut))
-    chord_ids = [e for e, a, b in g.edges if a in cut and b in cut]
-    g2, map2 = induced_subgraph(g, v2 | set(cut), extra_drop=chord_ids)
-
-    if len(v1) > cfg.small_side_limit or g1.n > TYPED_ENUM_MAX:
-        if g1.n > TYPED_ENUM_MAX and len(v1) <= cfg.small_side_limit:
-            _note(ctx, f"typed enumeration skipped: |V(G1)|={g1.n} over cap")
-        return _both_large_branch(g, g1, map1, g2, map2, cut, recurse, ctx)
-
-    try:
-        return _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx)
-    except (_TypedBranchFailed, BudgetExceeded, PatchNotFound,
-            NotTwoEdgeConnected) as exc:
-        _note(ctx, f"typed 3-cut branch abandoned ({exc}); "
-                   f"using both-sides-contracted fallback")
-        return _both_large_branch(g, g1, map1, g2, map2, cut, recurse, ctx)
-
-
-def _both_large_branch(g, g1, map1, g2, map2, cut, recurse, ctx):
-    out = set()
-    for gi, mp in ((g1, map1), (g2, map2)):
-        out |= recurse(contract(gi, {mp[x] for x in cut}))
-    patch = find_min_patch(g, out, 6)
-    if len(patch) > 4:
-        _note(ctx, f"3-cut join patch exceeded bound 4 (size {len(patch)})")
-    ctx["trace"].append({"step": "3-cut-both-large", "cut": list(cut),
-                         "patch": sorted(patch)})
-    return out | patch
+    n1 = len(v1) + len(cut)                  # |V(G1)|
+    if len(v1) <= cfg.small_side_limit and n1 > TYPED_ENUM_MAX:
+        _note(ctx, f"typed enumeration skipped: |V(G1)|={n1} over cap")
+    elif len(v1) <= cfg.small_side_limit:
+        try:
+            return _typed_branch(g, cut, v1, v2, recurse, ctx)
+        except (_TypedBranchFailed, BudgetExceeded, PatchNotFound,
+                NotTwoEdgeConnected) as exc:
+            _note(ctx, f"typed 3-cut branch abandoned ({exc}); "
+                       f"using both-sides-contracted fallback")
+    out = _split(g, cut, [v1, v2], recurse)
+    return _join(g, out, cut, "3-cut-both-large", ctx)
 
 
 # The far-side step of each typed branch: the gadget added to G2, as the
@@ -608,7 +599,11 @@ _FAR_SIDE = {
 }
 
 
-def _typed_branch(g, g1, map1, g2, map2, cut, cfg, recurse, ctx):
+def _typed_branch(g, cut, v1, v2, recurse, ctx):
+    g1, map1 = induced_subgraph(g, v1 | set(cut))
+    # G2 keeps no edge between two cut vertices
+    g2, map2 = induced_subgraph(g, v2 | set(cut))
+    g2 = g2.without_edges(e for e, a, b in g.edges if a in cut and b in cut)
     local_cut = [map1[x] for x in cut]
     g2_is_2ec = is_two_edge_connected(g2)
 

@@ -55,6 +55,10 @@ def test_parse_empty():
 def test_graph_text_roundtrip():
     g = parse_graph("4 5\n0 1\n1 2\n2 3\n3 0\n0 2\n")
     assert parse_graph(graph_text(g)).edges == g.edges
+    # C_5 with a loop line third: every edge keeps its line id
+    g = parse_graph("5 6\n0 1\n1 2\n2 2\n2 3\n3 4\n4 0\n")
+    assert graph_text(g) == "5 6\n0 1\n1 2\n0 0\n2 3\n3 4\n4 0\n"
+    assert parse_graph(graph_text(g)).edges == g.edges
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
                          is_2ec_edge_set, member_components)
 from twoec.oracle import exact_min_2ecss, verify_2ecss
 from twoec.pipeline import (PipelineConfig, _structured_leaf_solver,
-                            _violation_from_stuck, run_pipeline)
+                            _violation_from_stuck, run_pipeline,
+                            serialize_report)
 from twoec import cover, graph, oracle, reduction
 from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
                              _find_irrelevant_edges, classify_solution_type,
@@ -34,7 +35,7 @@ from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from perfbench.workloads import three_cut  # noqa: E402
+from perfbench.workloads import sparse_chains, three_cut  # noqa: E402
 
 
 def exact_leaf(sub):
@@ -688,11 +689,12 @@ def test_small_input_is_solved_exactly_once(monkeypatch, mode):
 # large 3-cut end-to-end
 
 def test_glued_cliques_reduces_feasibly():
+    # |V1| = 7 and |V(G1)| = 10 are within both limits: a typed step
     g = glued_cliques(10, 10, 3)
     sol, ctx = run_reduce(g, n0=12)
     assert verify_2ecss(g, sol.members)
-    steps = [t["step"] for t in ctx["trace"]]
-    assert any(s.startswith("3-cut") for s in steps)
+    assert three_cut_steps(ctx) == ["3-cut-C2-iii"]
+    assert SKIPPED_NOTE not in ctx["notes"]
 
 
 def test_both_large_branch_on_big_glued_cliques(monkeypatch):
@@ -702,6 +704,97 @@ def test_both_large_branch_on_big_glued_cliques(monkeypatch):
     sol, ctx = reduce(g, cfg, exact_leaf)
     assert verify_2ecss(g, sol.members)
     assert any(t["step"] == "3-cut-both-large" for t in ctx["trace"])
+
+
+SKIPPED_NOTE = "typed enumeration skipped: |V(G1)|=10 over cap"
+
+
+def test_large_side_takes_the_fallback_without_a_typed_search(monkeypatch):
+    # |V1| = 7 on glued_cliques(10, 10, 3): over a small-side limit of 5
+    def no_search(*args, **kw):
+        raise AssertionError("typed search on a large small side")
+
+    monkeypatch.setattr(reduction, "enumerate_min_typed_subgraph", no_search)
+    g = glued_cliques(10, 10, 3)
+    cfg = ReductionConfig(enumeration_budget=12)
+    cfg.small_side_limit = 5
+    sol, ctx = reduce(g, cfg, exact_leaf)
+    assert three_cut_steps(ctx) == ["3-cut-both-large"]
+    assert SKIPPED_NOTE not in ctx["notes"]
+    assert verify_2ecss(g, sol.members)
+
+
+def test_small_side_over_the_typed_cap_is_noted(monkeypatch):
+    # G1 = G[V1 + S] has 10 vertices, one over the cap
+    monkeypatch.setattr(reduction, "TYPED_ENUM_MAX", 9)
+    g = glued_cliques(10, 10, 3)
+    sol, ctx = run_reduce(g)
+    assert three_cut_steps(ctx) == ["3-cut-both-large"]
+    assert SKIPPED_NOTE in ctx["notes"]
+    assert verify_2ecss(g, sol.members)
+
+
+def _glued_at_a_vertex():
+    """random_2ec(7), C_5 and random_2ec(8) sharing one vertex, relabelled
+    so that the cut vertex is not vertex 0."""
+    parts = [random_2ec(7, seed=1), cycle_graph(5), random_2ec(8, seed=2)]
+    g = MultiGraph(sum(p.n for p in parts) - 2)
+    base = 0
+    for p in parts:
+        for _, u, v in p.edges:
+            g.add_edge(*(base + x if x else 0 for x in (u, v)))
+        base += p.n - 1
+    perm = list(range(g.n))
+    random.Random(5).shuffle(perm)
+    return MultiGraph(g.n, [(perm[u], perm[v]) for _, u, v in g.edges])
+
+
+def _non_isolating_two_cut():
+    """Three paths between vertices 0 and 1, with 5, 5 and 4 inner
+    vertices."""
+    g = MultiGraph(16)
+    for path in ([0, 2, 3, 4, 5, 6, 1], [0, 7, 8, 9, 10, 11, 1],
+                 [0, 12, 13, 14, 15, 1]):
+        for a, b in zip(path, path[1:]):
+            g.add_edge(a, b)
+    return g
+
+
+def _wheel(n):
+    """W_n: hub 0 joined to every vertex of the cycle 1 .. n - 1."""
+    rim = range(1, n)
+    return MultiGraph(n, [(0, v) for v in rim] + [(v, v % (n - 1) + 1)
+                                                  for v in rim])
+
+
+def test_traced_reports_golden(monkeypatch):
+    # one traced report per step kind of the reduction; recorded before the
+    # 1-cut, 2-cut and both-large 3-cut branches shared one split step
+    repeated = cycle_graph(14)
+    repeated.add_edge(0, 1)
+    repeated.add_edge(5, 6)
+    chains = sparse_chains(301)
+    cases = [
+        ("1-cut-split", _glued_at_a_vertex()),
+        ("drop-redundant-edge", repeated),
+        ("drop-irrelevant-edge", chains[40][1]),    # chorded C_20, gap 2
+        ("contract-subgraph", chains[43][1]),       # chorded C_24, gap 4
+        ("2-cut-split", _non_isolating_two_cut()),
+        ("3-cut-C2-iii", _wheel(17)),
+        ("3-cut-both-large", glued_cliques(10, 10, 3)),
+        ("structured-leaf", random_2ec(16, seed=3)),
+    ]
+    reports = []
+    for kind, g in cases:
+        with monkeypatch.context() as m:
+            if kind == "3-cut-both-large":
+                m.setattr(reduction, "TYPED_ENUM_MAX", 9)
+            report = run_pipeline(g, PipelineConfig(oracle_mode="off",
+                                                    trace=True))
+        assert kind in {t["step"] for t in report["trace"]}, kind
+        reports.append(serialize_report(report))
+    assert digest(reports) == (
+        "e3fe960f3b0aa27061f84bf857fb0ab07882c8fdd4c9bd1e6f43bf1a2abe5e51")
 
 
 def test_wheels_solve_to_a_hamiltonian_cycle():
