@@ -6,11 +6,14 @@ Two checkouts that print the same lines give byte-identical solutions,
 notes, certified flags and reduction traces on every instance.  The
 families are those of `run_corpus.instances` (random-2ec, cycle-ring,
 glued-cliques), the wheels W_10-W_60 in steps of 5 (a hub joined to every
-vertex of a cycle, n vertices in all) and the three timed benchmark
-workloads (dense-random, sparse-chains, three-cut) built at each
+vertex of a cycle, n vertices in all), the glue family and the three timed
+benchmark workloads (dense-random, sparse-chains, three-cut) built at each
 --workload-seed in turn; with several seeds each workload's line covers all
-of them.  The solver is imported from the src/ directory beside this
-script.
+of them.  The glue family holds cubic graphs whose leaves take glue steps
+of every kind: the generalized Petersen graphs GP(n, k) for even n from 10
+to 26 and 1 <= k < n/2 (72 graphs), then the Pappus, Desargues,
+Moebius-Kantor, dodecahedral and Heawood graphs.  The solver is imported
+from the src/ directory beside this script.
 
 Examples:
   python3 scripts/report_digest.py --max-n 20 --seeds 2 --workload-seed 301
@@ -21,6 +24,8 @@ import argparse
 import hashlib
 import sys
 from pathlib import Path
+
+import networkx as nx
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -41,12 +46,43 @@ def wheel(n):
                                                   for v in rim])
 
 
+def from_networkx(gx):
+    """The MultiGraph of gx, vertices numbered in gx's node order and edges
+    added in sorted order."""
+    gx = nx.convert_node_labels_to_integers(gx)
+    return MultiGraph(gx.number_of_nodes(), sorted(gx.edges()))
+
+
+def generalized_petersen(n, k):
+    """GP(n, k): outer cycle 0 .. n - 1, spokes i - (n + i) and the inner
+    star polygon (n + i) - (n + (i + k) mod n), renumbered in the order the
+    vertices are first named."""
+    gp = nx.Graph()
+    for i in range(n):
+        gp.add_edge(i, (i + 1) % n)
+        gp.add_edge(i, n + i)
+        gp.add_edge(n + i, n + (i + k) % n)
+    return from_networkx(gp)
+
+
+def glue_graphs():
+    """(label, graph) for the glue family."""
+    for n in range(10, 27, 2):
+        for k in range(1, n // 2):
+            yield f"glue/GP{n}-{k}", generalized_petersen(n, k)
+    for name in ("pappus", "desargues", "moebius_kantor", "dodecahedral",
+                 "heawood"):
+        yield f"glue/{name}", from_networkx(getattr(nx, name + "_graph")())
+
+
 def families(max_n, seeds, workload_seeds):
     """(family, label, graph) for every instance, family by family."""
     for name, g in instances(max_n, seeds):
         yield name.split("/")[0], name, g
     for n in range(10, 61, 5):
         yield "wheels", f"wheels/W{n}", wheel(n)
+    for label, g in glue_graphs():
+        yield "glue", label, g
     for w in TIMED_WORKLOADS:
         for seed in workload_seeds:
             for label, g in WORKLOADS[w](seed):

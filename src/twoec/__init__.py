@@ -4,10 +4,10 @@ Public surface: the multigraph core, exact oracles, the cover/credit/glue
 phases, the recursive reduction, and the end-to-end pipeline used by the CLI.
 """
 
-from .errors import (BudgetExceeded, CaseLadderExhausted, Infeasible,
-                     NotCanonical, NotTwoEdgeConnected, ParseError,
-                     PatchNotFound, RejectionLimit, Stuck,
-                     StructuredViolation, TwoECError, Untypeable)
+from .errors import (BudgetExceeded, Infeasible, NotCanonical,
+                     NotTwoEdgeConnected, ParseError, PatchNotFound,
+                     RejectionLimit, Stuck, StructuredViolation, TwoECError,
+                     Untypeable)
 from .graph import (EdgeSubset, MultiGraph, contract, contract_many,
                     decompose, find_vertex_cut, induced_subgraph,
                     is_two_edge_connected, iterate_vertex_cuts,
@@ -22,9 +22,9 @@ from .generate import generate
 from .pipeline import PipelineConfig, run_pipeline
 
 __all__ = [
-    "BudgetExceeded", "CaseLadderExhausted", "Infeasible", "NotCanonical",
-    "NotTwoEdgeConnected", "ParseError", "PatchNotFound", "RejectionLimit",
-    "Stuck", "StructuredViolation", "TwoECError", "Untypeable",
+    "BudgetExceeded", "Infeasible", "NotCanonical", "NotTwoEdgeConnected",
+    "ParseError", "PatchNotFound", "RejectionLimit", "Stuck",
+    "StructuredViolation", "TwoECError", "Untypeable",
     "EdgeSubset", "MultiGraph", "contract", "contract_many", "decompose",
     "find_vertex_cut", "induced_subgraph", "is_two_edge_connected",
     "iterate_vertex_cuts", "max_matching_across",

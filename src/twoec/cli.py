@@ -17,9 +17,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import (CaseLadderExhausted, Infeasible, NotTwoEdgeConnected,
-                     ParseError, RejectionLimit, Stuck, StructuredViolation,
-                     TwoECError)
+from .errors import (Infeasible, NotTwoEdgeConnected, ParseError,
+                     RejectionLimit, Stuck, StructuredViolation, TwoECError)
 from .generate import FAMILIES, generate
 from .graph import MultiGraph
 from .pipeline import PipelineConfig, graph_text, run_pipeline, serialize_report
@@ -163,8 +162,7 @@ def main(argv=None) -> int:
     except (NotTwoEdgeConnected, Infeasible) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (Stuck, StructuredViolation, CaseLadderExhausted,
-            AssertionError) as exc:
+    except (Stuck, StructuredViolation, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except TwoECError as exc:

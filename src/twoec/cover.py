@@ -371,26 +371,17 @@ def _improving_move(g: MultiGraph, members, obj):
 def canonicalize(g: MultiGraph, h: TwoEdgeCover) -> TwoEdgeCover:
     """Local search to canonical form; raises NotCanonical if it stalls short.
 
-    The objective strictly decreases each iteration, so the loop terminates;
-    the iteration counter enforces the polynomial bound as a hard assertion.
-    The search stops at (n, 1, 0, 0), a spanning cycle, which no cover beats
-    (see `_improving_move`).
+    Each move strictly lowers the objective, a tuple of four bounded
+    non-negative integers compared lexicographically, so no objective
+    repeats and the loop ends.  The search stops at (n, 1, 0, 0), a spanning
+    cycle, which no cover beats (see `_improving_move`).
     """
     if not is_tf_two_edge_cover(g, h.members):
         raise ValueError("input is not a triangle-free 2-edge cover")
     members = set(h.members)
     obj = _objective(g, members)
-    max_iters = (len(members) + 1) * (g.n + 2) * 4 + 100
-    iters = 0
-    while True:
-        got = _improving_move(g, members, obj)
-        if got is None:
-            break
+    while (got := _improving_move(g, members, obj)) is not None:
         members, obj = got
-        members = set(members)
-        iters += 1
-        if iters > max_iters:
-            raise AssertionError("canonicalize exceeded its iteration bound")
     out = h.replace(members)
     violations = check_canonical(out)
     if violations:

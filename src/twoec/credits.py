@@ -119,62 +119,50 @@ def _local_removal_pool(h: TwoEdgeCover, x, y):
                   if e not in d.bridges and d.class_of[emap[e][0]] in classes)
 
 
-def _evaluate(g, h, old_bridges, old_cost, add, remove):
-    """The cover after the move and its cost when the move keeps the cover
-    canonical, lowers the bridge count and does not raise the cost."""
-    cand = swap(g, h, add, remove)
-    if cand is None or len(cand.decomposition.bridges) >= old_bridges:
-        return None
-    new_cost = cost(cand)
-    if new_cost > old_cost:
-        return None
-    return cand, new_cost
-
-
 def cover_bridges(g: MultiGraph, h: TwoEdgeCover, credit: Fraction | None = None,
                   observer=None):
     """Transform a canonical cover into a bridgeless canonical cover.
 
-    Iterates strictly-bridge-decreasing, cost-non-increasing moves; raises
-    Stuck with diagnostics when none exists within the search caps.
+    Each iteration takes, for every ear, the first removal set (smallest
+    first) whose move keeps the cover canonical, lowers the bridge count and
+    does not raise the cost, and applies the least of them by (bridges, cost,
+    ear, removal set), the first on ties.  Ears with a local removal pool are
+    tried before ears with the whole cover as pool.  The bridge count falls
+    every iteration, so the loop ends; it raises Stuck with diagnostics when
+    no move exists within the search caps.
     `observer(bridge_count, cost)` is called once on entry and after every
     applied move, for contract instrumentation.
     """
     cur = h
     cur_cost = cost(cur, init_credits(h) if credit is None else credit)
-    iterations = 0
     while True:
         nbridges = len(cur.decomposition.bridges)
         if observer is not None:
             observer(nbridges, cur_cost)
         if nbridges == 0:
             return cur, _credit(cur)
-        iterations += 1
-        if iterations > len(h.members) + 10:
-            raise AssertionError("bridge covering failed to terminate")
-        best = None  # (bridges_after, cost_after, add, remove, cover)
-        found = False
+        moves = []                 # (key, cover, cost), one per working ear
         for widen in (False, True):
             for x, y, add in _ear_candidates(g, cur, MAX_EAR):
                 pool = _local_removal_pool(cur, x, y) if not widen else \
                     sorted(cur.members)
-                removal_sets = [()]
-                removal_sets += [(e,) for e in pool]
-                removal_sets += list(itertools.combinations(pool, 2))
-                for remove in removal_sets:
-                    got = _evaluate(g, cur, nbridges, cur_cost, add, remove)
-                    if got is None:
+                for remove in itertools.chain(
+                        [()], itertools.combinations(pool, 1),
+                        itertools.combinations(pool, 2)):
+                    cand = swap(g, cur, add, remove)
+                    if cand is None or \
+                            len(cand.decomposition.bridges) >= nbridges:
                         continue
-                    cand, new_cost = got
-                    key = (len(cand.decomposition.bridges), new_cost,
-                           tuple(sorted(add)), tuple(sorted(remove)))
-                    if best is None or key < best[0]:
-                        best = (key, cand, new_cost)
-                    found = True
+                    new_cost = cost(cand)
+                    if new_cost > cur_cost:
+                        continue
+                    moves.append(((len(cand.decomposition.bridges), new_cost,
+                                   tuple(sorted(add)), tuple(sorted(remove))),
+                                  cand, new_cost))
                     break          # smallest removal set for this ear suffices
-            if found:
+            if moves:
                 break
-        if best is None:
+        if not moves:
             raise Stuck({
                 "phase": "cover_bridges",
                 "bridges": sorted(cur.decomposition.bridges),
@@ -182,4 +170,4 @@ def cover_bridges(g: MultiGraph, h: TwoEdgeCover, credit: Fraction | None = None
                 "host_n": g.n,
                 "host_edges": [(e, u, v) for e, u, v in g.edges],
             })
-        _, cur, cur_cost = best
+        _, cur, cur_cost = min(moves, key=lambda move: move[0])

@@ -62,9 +62,5 @@ class StructuredViolation(TwoECError):
         super().__init__(message)
 
 
-class CaseLadderExhausted(TwoECError):
-    """A case analysis that is total on structured inputs ran out of cases."""
-
-
 class RejectionLimit(TwoECError):
     """Random generation failed to produce an instance within the retry cap."""

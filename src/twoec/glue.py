@@ -8,9 +8,37 @@ the component graph with parallel edges collapsed: when that is the node
 alone, a trivial-segment step merges it with a neighbour across a matching;
 otherwise a non-trivial-segment step adds a cycle of >= 3 nodes through it,
 replacing a C4/C5 node's cycle by a Hamiltonian path where one is on it.
-When no move merges a small node, the step raises `StructuredViolation`
-with that node's component as the witness, and the reduction labels it with
-`certify_contractible` at the configured alpha and contracts it.
+Each rung of a ladder lists its candidate (added, removed) moves in order and
+`_first` takes the first one `_apply` accepts.  When no move merges a small
+node, the step raises `StructuredViolation` with that node's component as
+the witness, and the reduction labels it with `certify_contractible` at the
+configured alpha and contracts it.
+
+No other exit can fire.  The cover is canonical, bridgeless and
+triangle-free on a simple 2EC host (a leaf of the reduction has no parallel
+edges), so its components are cycles C4-C7 (credit i/4, at least 1) and
+Large2EC components (>= 8 edges, so >= 5 vertices, credit 2), and the
+component graph, a contraction of the host, is 2EC.
+Adding a cycle of the component graph through k nodes merges them into one
+bridgeless component with >= 8 edges, which is canonical.  So:
+- `make_huge` finds both its cycles: in a 2EC graph of >= 2 nodes every
+  node lies on a cycle (a parallel pair counts as one).  Its first cycle
+  costs k + 2 - (credits of its k nodes) <= 2; the second runs through the
+  merged node, of credit 2, and costs <= 1, so `_apply` accepts the step at
+  +3.  The first cycle alone merges >= 3 nodes (>= 12 vertices) unless it
+  is a parallel pair; then the second merges >= 1 more, so the result has a
+  huge node or is a single component.
+- In a trivial segment the huge node has a neighbour, and every neighbour
+  that does not glue leaves a violation to raise.
+- A non-trivial segment is a 2EC class of >= 2 nodes of the component
+  graph with parallel edges collapsed, a simple graph, so it holds a cycle
+  of k >= 3 nodes through the huge node.  With no C4/C5 node in it, every
+  other node has credit >= 3/2, and adding the cycle costs
+  <= k - 3(k - 1)/2 <= 0.
+- Every step lowers the component count and only merges components (a move
+  removes edges of the small component it absorbs, and keeps it spanned),
+  so once a huge node exists it stays, `make_huge` runs at most once, and
+  `glue_all` ends.
 """
 
 from __future__ import annotations
@@ -21,7 +49,7 @@ from fractions import Fraction
 
 from .cover import TwoEdgeCover, swap
 from .credits import cost
-from .errors import CaseLadderExhausted, StructuredViolation
+from .errors import StructuredViolation
 from .graph import (MultiGraph, contract_many, find_cycle_through_edges,
                     induced_subgraph, low_link, max_matching_across,
                     member_adjacency, two_ec_classes)
@@ -146,43 +174,40 @@ def _apply(g, h, added, removed, kind, max_delta=0):
     return cand, step
 
 
+def _first(g, h, moves, kind):
+    """The first of the (added, removed) `moves` that `_apply` accepts, as
+    (cover, step), or None."""
+    for added, removed in moves:
+        got = _apply(g, h, added, removed, kind)
+        if got:
+            return got
+    return None
+
+
 def make_huge(g: MultiGraph, h: TwoEdgeCover):
     """Create a component with >= 10 vertices by adding one or two cycles of
-    the component graph; the single glue step allowed to cost up to +3."""
+    the component graph; the single glue step allowed to cost up to +3.
+    Returns (h, None) when h already has a huge or a single component.  The
+    module docstring shows that both cycles exist and the step is accepted."""
     cg = build_component_graph(g, h)
     if _huge_node(cg) is not None or cg.n == 1:
         return h, None
     # start at the node with the most vertices
     a = max(range(cg.n), key=lambda i: (len(cg.node_vertices[i]), -i))
-    k1 = _shortest_cycle_through(cg, a, min_len=2)
-    if k1 is None:
-        raise CaseLadderExhausted("component graph of a 2EC host has no cycle")
-    added = set(k1)
-    cand = h.replace(h.members | added)
-    cg2 = build_component_graph(g, cand)
+    added = set(_shortest_cycle_through(cg, a, min_len=2))
+    cg2 = build_component_graph(g, h.replace(h.members | added))
     if _huge_node(cg2) is None and cg2.n > 1:
         # the merged node contains the previous start component
         rep = min(cg.node_vertices[a])
         b = next(i for i, vs in enumerate(cg2.node_vertices) if rep in vs)
-        k2 = _shortest_cycle_through(cg2, b, min_len=2)
-        if k2 is None:
-            raise CaseLadderExhausted("no second cycle through the merged node")
-        added |= set(k2)
-    got = _apply(g, h, added, (), "MakeHuge", max_delta=3)
-    if got is None:
-        raise CaseLadderExhausted("make_huge produced an invalid cover")
-    cand, step = got
-    cg3 = build_component_graph(g, cand)
-    assert _huge_node(cg3) is not None or cg3.n == 1, "make_huge failed to make huge"
-    return cand, step
+        added |= set(_shortest_cycle_through(cg2, b, min_len=2))
+    return _apply(g, h, added, (), "MakeHuge", max_delta=3)
 
 
 def hamiltonian_path_between(g_induced: MultiGraph, u: int, v: int):
     """Exhaustive Hamiltonian u-v path search; returns an edge-id list."""
     n = g_induced.n
     adj = g_induced.adjacency()
-    if u == v:
-        return None
 
     def dfs(cur, visited, eids):
         if len(visited) == n and cur == v:
@@ -205,91 +230,69 @@ def hamiltonian_path_between(g_induced: MultiGraph, u: int, v: int):
 
 
 def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: int):
-    """Merge the huge component C_L (a trivial segment) with a neighbor."""
-    adj = cg.contracted.adjacency()
-    neighbors = sorted({w for w, _ in adj[l]})
-    last_violation = None
+    """Merge the huge component C_L (a trivial segment) with a neighbour.
+
+    Neighbours are tried in order.  When none glues, the violation raised is
+    that of the last neighbour with no 3-matching or, for a C6/C7, no move;
+    when no neighbour is such, the first neighbour's "no valid trivial glue".
+    """
+    emap = g.edge_map()
+    neighbors = sorted({w for w, _ in cg.contracted.adjacency()[l]})
+    violation = None
     for a in neighbors:
         cls = cg.node_class[a]
         m = max_matching_across(g, cg.node_vertices[a], cg.node_vertices[l])
         if cls == "Large2EC":
             # any two matching edges merge the components
-            if len(m) >= 2:
-                got = _apply(g, h, m[:2], (), "TrivialSegmentGlue")
-                if got:
-                    return got
-        elif cls in ("C4", "C5", "C6", "C7"):
-            if len(m) < 3:
-                last_violation = StructuredViolation(
-                    f"no 3-matching between components {a} and {l}",
-                    edges=h.component_edges(a))
-                continue
-            if cls in ("C4", "C5"):
-                # two of the >=3 matched endpoints in C_A are cycle-adjacent
-                got = _swap_adjacent_pair(g, h, cg, a, m)
-                if got:
-                    return got
-            else:
-                got = _c67_glue(g, h, cg, a, m)
-                if got:
-                    return got
-                # Case 3: the component is contractible; report upstream
-                last_violation = StructuredViolation(
-                    f"C6/C7 component {a} admits no glue move",
-                    edges=h.component_edges(a))
-                continue
-        last_violation = last_violation or StructuredViolation(
-            f"no valid trivial glue against neighbor {a}",
-            edges=h.component_edges(a))
-    if last_violation is not None:
-        raise last_violation
-    raise CaseLadderExhausted(f"huge node {l} has no neighbors")
-
-
-def _swap_adjacent_pair(g: MultiGraph, h: TwoEdgeCover, cg, a, matching):
-    """C4/C5 case: remove the cycle edge between two adjacent matched
-    endpoints, add their two matching edges."""
-    emap = g.edge_map()
-    comp_a = set(cg.node_vertices[a])
-    ends = {}
-    for eid in matching:
-        u, v = emap[eid]
-        inside = u if u in comp_a else v
-        ends[inside] = eid
-    for e in h.component_edges(a):
-        u, v = emap[e]
-        if u in ends and v in ends and ends[u] != ends[v]:
-            got = _apply(g, h, (ends[u], ends[v]), (e,), "TrivialSegmentGlue")
-            if got:
-                return got
-    return None
-
-
-def _c67_glue(g: MultiGraph, h: TwoEdgeCover, cg, a, matching):
-    """C6/C7 case: find two matching edges whose C_A endpoints admit a
-    Hamiltonian path in G[V(C_A)]; replace the cycle by path + both edges.
-    A 4-matching (when available) widens the candidate pairs, which is how the
-    non-pendant case of the analysis is realized."""
-    emap = g.edge_map()
-    comp_a = set(cg.node_vertices[a])
-    sub, vmap = induced_subgraph(g, comp_a)
-    comp_edges = set(h.component_edges(a))
-    ends = {}
-    for eid in matching:
-        u, v = emap[eid]
-        inside = u if u in comp_a else v
-        ends.setdefault(inside, eid)
-    inside_vs = sorted(ends)
-    for u, v in itertools.combinations(inside_vs, 2):
-        path = hamiltonian_path_between(sub, vmap[u], vmap[v])
-        if path is None:
+            moves = [(m[:2], ())] if len(m) >= 2 else []
+        elif len(m) < 3:
+            violation = StructuredViolation(
+                f"no 3-matching between components {a} and {l}",
+                edges=h.component_edges(a))
             continue
-        added = set(path) | {ends[u], ends[v]}
-        removed = comp_edges - set(path)
-        got = _apply(g, h, added, removed, "TrivialSegmentGlue")
+        else:
+            comp_a = set(cg.node_vertices[a])
+            ends = {}                       # C_A end -> its matching edge
+            for eid in m:
+                u, v = emap[eid]
+                ends[u if u in comp_a else v] = eid
+            moves = (_swap_adjacent_pair(g, h, a, ends) if cls in ("C4", "C5")
+                     else _c67_glue(g, h, cg, a, ends))
+        got = _first(g, h, moves, "TrivialSegmentGlue")
         if got:
             return got
-    return None
+        if cls in ("C6", "C7"):
+            # Case 3: the component is contractible; report upstream
+            violation = StructuredViolation(
+                f"C6/C7 component {a} admits no glue move",
+                edges=h.component_edges(a))
+    raise violation or StructuredViolation(
+        f"no valid trivial glue against neighbor {neighbors[0]}",
+        edges=h.component_edges(neighbors[0]))
+
+
+def _swap_adjacent_pair(g: MultiGraph, h: TwoEdgeCover, a, ends):
+    """C4/C5 moves: remove a cycle edge between two matched ends, add their
+    two matching edges.  `ends` maps each matched C_A vertex to its edge;
+    two of >= 3 matched vertices of a C4 or C5 are cycle-adjacent."""
+    emap = g.edge_map()
+    for e in h.component_edges(a):
+        u, v = emap[e]
+        if u in ends and v in ends:
+            yield (ends[u], ends[v]), (e,)
+
+
+def _c67_glue(g: MultiGraph, h: TwoEdgeCover, cg, a, ends):
+    """C6/C7 moves: for two matched ends of C_A joined by a Hamiltonian path
+    in G[V(C_A)], replace the cycle by the path and both matching edges.
+    A 4-matching (when available) widens the candidate pairs, which is how the
+    non-pendant case of the analysis is realized."""
+    sub, vmap = induced_subgraph(g, cg.node_vertices[a])
+    comp_edges = set(h.component_edges(a))
+    for u, v in itertools.combinations(sorted(ends), 2):
+        path = hamiltonian_path_between(sub, vmap[u], vmap[v])
+        if path is not None:
+            yield set(path) | {ends[u], ends[v]}, comp_edges - set(path)
 
 
 def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
@@ -317,8 +320,9 @@ def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGr
             if cyc is None or frozenset(cyc) in seen:
                 continue
             seen.add(frozenset(cyc))
-            u, v = _attachment_points(emap, cyc, comp_a)
-            if u is None or u == v:
+            # a simple cycle through a meets C_A in two edges, one end each
+            u, v = (x for e in cyc for x in emap[e] if x in comp_a)
+            if u == v:
                 continue
             path = hamiltonian_path_between(sub_a, vmap_a[u], vmap_a[v])
             if path is None:
@@ -326,66 +330,40 @@ def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGr
             yield set(cyc) | set(path), comp_a_edges - set(path)
 
 
-def _attachment_points(emap, cyc, comp_a):
-    pts = []
-    for e in cyc:
-        u, v = emap[e]
-        if u in comp_a:
-            pts.append(u)
-        if v in comp_a:
-            pts.append(v)
-    if len(pts) != 2:
-        return None, None
-    return pts[0], pts[1]
-
-
 def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
                             l: int, seg: frozenset):
+    """Merge a node of the huge node's non-trivial segment: a C4/C5 node
+    through a cycle and a Hamiltonian path, else (the segment holding only
+    C6/C7 and large nodes) every node of a shortest cycle of >= 3 nodes,
+    which the module docstring shows is accepted."""
     small = sorted(n for n in seg
                    if n != l and cg.node_class[n] in ("C4", "C5"))
-    for a in small:
-        for added, removed in cycle_through_huge_and_small(g, h, cg, l, a):
-            got = _apply(g, h, added, removed, "NonTrivialSegmentGlue")
-            if got:
-                return got
     if small:
-        a = small[0]
-        raise StructuredViolation(
-            f"no cycle-based merge for small node {a} in its segment",
-            edges=h.component_edges(a))
-    # all nodes of the segment are C6/C7 or large: one cycle of length >= 3
-    k = _shortest_cycle_through(cg, l, min_len=3, forbid_nodes=set(range(cg.n)) - seg)
-    if k is not None:
-        got = _apply(g, h, set(k), (), "NonTrivialSegmentGlue")
+        got = _first(g, h, itertools.chain.from_iterable(
+            cycle_through_huge_and_small(g, h, cg, l, a) for a in small),
+            "NonTrivialSegmentGlue")
         if got:
             return got
-    raise CaseLadderExhausted(
-        f"no admissible cycle through huge node {l} in its non-trivial segment")
+        raise StructuredViolation(
+            f"no cycle-based merge for small node {small[0]} in its segment",
+            edges=h.component_edges(small[0]))
+    k = _shortest_cycle_through(cg, l, min_len=3, forbid_nodes=set(range(cg.n)) - seg)
+    return _first(g, h, [(set(k), ())], "NonTrivialSegmentGlue")
 
 
 def glue_all(g: MultiGraph, h: TwoEdgeCover):
     """Drive gluing to a single spanning 2EC component; returns the final
-    member set and the ordered step list."""
+    cover and the ordered step list.  h must be a canonical, bridgeless,
+    triangle-free 2-edge cover of the simple 2EC host g (see the module
+    docstring for why the loop then ends)."""
     steps = []
-    cur = h
-    made_huge = False
-    guard = len(h.decomposition.components) + 3
-    for _ in range(guard):
-        cg = build_component_graph(g, cur)
-        if cg.n == 1:
-            return cur, steps
-        if _huge_node(cg) is None:
-            assert not made_huge, "huge component vanished mid-glue"
-            cur, step = make_huge(g, cur)
-            made_huge = True
-            if step is not None:
-                steps.append(step)
-            continue
+    while (cg := build_component_graph(g, h)).n > 1:
         l = _huge_node(cg)
-        seg = segment_of(cg, l)
-        if len(seg) > 1:
-            cur, step = glue_nontrivial_segment(g, cur, cg, l, seg)
+        if l is None:
+            h, step = make_huge(g, h)
+        elif len(seg := segment_of(cg, l)) > 1:
+            h, step = glue_nontrivial_segment(g, h, cg, l, seg)
         else:
-            cur, step = glue_trivial_segment(g, cur, cg, l)
+            h, step = glue_trivial_segment(g, h, cg, l)
         steps.append(step)
-    raise AssertionError("glue loop exceeded its component-count guard")
+    return h, steps

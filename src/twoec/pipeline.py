@@ -94,7 +94,7 @@ def _violation_from_stuck(sub: MultiGraph, h: TwoEdgeCover,
     raise exc
 
 
-def _structured_leaf_solver(cfg: PipelineConfig, leaf_records: list):
+def _structured_leaf_solver(leaf_records: list):
     def solve(sub: MultiGraph):
         record = {"n": sub.n, "m": sub.m}
         h = min_triangle_free_cover(sub)
@@ -151,7 +151,7 @@ def run_pipeline(g: MultiGraph, cfg: PipelineConfig | None = None) -> dict:
 
     leaf_records: list = []
     # reduce verifies the solution on g before it returns
-    sol, ctx = reduce(g, cfg, _structured_leaf_solver(cfg, leaf_records))
+    sol, ctx = reduce(g, cfg, _structured_leaf_solver(leaf_records))
 
     report["leaves"] = leaf_records
     report["certified"] = ctx["certified"]

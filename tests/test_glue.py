@@ -210,6 +210,21 @@ def test_glue_reports_violation_without_three_matching():
     assert is_two_edge_connected(sub)
 
 
+def test_trivial_glue_raises_the_last_missing_matching():
+    # C10 is huge; the C8 (edges from C10 vertex 2 only) has a 1-matching
+    # and each C5 a 2-matching, so no neighbour glues.  The ladder raises
+    # the violation of the last neighbour without a 3-matching, not the C8's
+    # "no valid trivial glue"
+    g = disjoint_cycles([10, 8, 5, 5])
+    cover = set(g.edge_ids())
+    for u, v in [(2, 10), (2, 14), (0, 18), (4, 20), (6, 23), (8, 25)]:
+        g.add_edge(u, v)
+    with pytest.raises(StructuredViolation) as exc_info:
+        glue_all(g, cover_of(g, cover))
+    assert str(exc_info.value) == "no 3-matching between components 3 and 0"
+    assert exc_info.value.edges == frozenset(range(23, 28))
+
+
 def test_glue_single_component_is_noop():
     g = cycle_graph(12)
     h = cover_of(g, set(g.edge_ids()))

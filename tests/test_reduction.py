@@ -1045,6 +1045,6 @@ def test_canonicalize_stall_gives_a_contraction_witness():
     assert [v.kind for v in stall.value.violations] == \
         ["PendantBlockUnder6"] * 2
     with pytest.raises(StructuredViolation) as exc:
-        _structured_leaf_solver(PipelineConfig(), [])(g)
+        _structured_leaf_solver([])(g)
     assert exc.value.edges == {0, 1, 10}
     assert is_2ec_edge_set(g, exc.value.edges)
