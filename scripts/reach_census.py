@@ -9,7 +9,8 @@ the three timed workloads at seed 301) with the oracle off, under
 each function of src/twoec with a line that no instance ran, its qualified
 name and those line numbers ("never called" when no line ran), then the
 number of reduction steps and of glue steps of each kind over all
-instances.
+instances, then how many covers `glue_all` received and how many of their
+components are of each kind (`TwoEdgeCover.classification()`).
 
 It takes no options.  One run takes about 55 s in one process on a 2-core
 x86-64 VM.
@@ -26,6 +27,7 @@ from pathlib import Path
 from report_digest import families
 
 import twoec
+from twoec import pipeline
 from twoec.pipeline import PipelineConfig, run_pipeline
 
 SRC = Path(twoec.__file__).resolve().parent
@@ -81,7 +83,19 @@ def main():
         ran[str(path)] = set()
     steps = Counter()
     glue = Counter()
+    kinds = Counter()
+    covers = 0
     count = 0
+    glue_all = pipeline.glue_all
+
+    def counting_glue_all(g, h):
+        nonlocal covers
+        out = glue_all(g, h)
+        covers += 1
+        kinds.update(h.classification())
+        return out
+
+    pipeline.glue_all = counting_glue_all
     sys.settrace(tracer)
     try:
         cfg = PipelineConfig(oracle_mode="off", trace=True)
@@ -93,6 +107,7 @@ def main():
                         for s in leaf["glue_steps"])
     finally:
         sys.settrace(None)
+        pipeline.glue_all = glue_all
 
     print(f"# {count} instances; lines of src/twoec no instance ran")
     for path in modules:
@@ -108,6 +123,9 @@ def main():
         print(f"# {title}: {sum(counts.values())}")
         for kind, k in sorted(counts.items()):
             print(f"{kind}\t{k}")
+    print(f"# cover kinds entering glue: {covers} covers")
+    for kind in ("C4", "C5", "C6", "C7", "Large2EC", "Complex", "Other"):
+        print(f"{kind}\t{kinds[kind]}")
     return 0
 
 

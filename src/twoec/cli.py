@@ -13,6 +13,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -98,17 +99,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _family_params(args) -> dict:
-    table = {
-        "random-2ec": [("n", "n"), ("p", "p")],
-        "structured-random": [("n", "n"), ("p", "p")],
-        "cycle-ring": [("k", "k"), ("cyclen", "cyclen")],
-        "glued-cliques": [("a", "a"), ("b", "b"), ("shared", "shared")],
-    }
+    """The family generator's parameters given on the command line, by the
+    names of its signature; ValueError names the first required one missing."""
     out = {}
-    for flag, key in table[args.family]:
-        val = getattr(args, flag)
+    for name, param in inspect.signature(FAMILIES[args.family]).parameters.items():
+        if name == "seed":
+            continue
+        val = getattr(args, name)
         if val is not None:
-            out[key] = val
+            out[name] = val
+        elif param.default is param.empty:
+            raise ValueError(f"--family {args.family} needs --{name}")
     return out
 
 

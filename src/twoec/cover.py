@@ -36,7 +36,10 @@ class TwoEdgeCover:
     host: MultiGraph
     members: frozenset
     certified_minimum: bool = True
-    _decomp: BlockDecomposition | None = field(default=None, repr=False)
+    # caches, so they change neither repr nor ==
+    _decomp: BlockDecomposition | None = field(default=None, repr=False,
+                                               compare=False)
+    _kinds: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.members = frozenset(self.members)
@@ -53,31 +56,27 @@ class TwoEdgeCover:
     def component_edges(self, ci: int):
         return self.decomposition.component_edges[ci]
 
-    def classify_component(self, ci: int) -> str:
-        """One of C4..C7, Large2EC, Complex, Other."""
-        d = self.decomposition
-        comp = d.components[ci]
-        edges = self.component_edges(ci)
-        if any(b in d.bridges for b in edges):
-            return "Complex"
-        k = len(edges)
-        if k >= 8:
-            return "Large2EC"
-        if 4 <= k <= 7 and k == len(comp):
-            # cycle check: every vertex of the component has degree exactly 2
-            deg = {v: 0 for v in comp}
-            emap = self.host.edge_map()
-            for e in edges:
-                u, v = emap[e]
-                deg[u] += 1
-                deg[v] += 1
-            if all(x == 2 for x in deg.values()):
-                return f"C{k}"
-        return "Other"
+    def classification(self) -> list:
+        """The kind of each component, by index: "Complex" when it has a
+        bridge, else "Large2EC" with >= 8 edges, C4..C7 for 4-7 edges on as
+        many vertices, else "Other".  Computed once and kept with the cover.
 
-    def classification(self):
-        return [self.classify_component(i)
-                for i in range(len(self.decomposition.components))]
+        A component that is not complex is connected and bridgeless.  A
+        connected graph with as many edges as vertices has exactly one
+        cycle, and a bridgeless one is that cycle, parallel pairs included
+        (self-loops are never stored)."""
+        if self._kinds is None:
+            d = self.decomposition
+            emap = self.host.edge_map()
+            complex_ = {d.component_of[emap[e][0]] for e in d.bridges}
+            self._kinds = [
+                "Complex" if ci in complex_
+                else "Large2EC" if len(edges) >= 8
+                else f"C{len(edges)}" if 4 <= len(edges) == len(comp) <= 7
+                else "Other"
+                for ci, (comp, edges) in enumerate(zip(d.components,
+                                                       d.component_edges))]
+        return self._kinds
 
     def replace(self, members) -> "TwoEdgeCover":
         return TwoEdgeCover(self.host, frozenset(members),
@@ -202,21 +201,16 @@ class CanonicalViolation:
 
 def check_canonical(h: TwoEdgeCover):
     """Empty list iff h satisfies the canonical-form definition."""
-    out = []
     d = h.decomposition
-    for ci in range(len(d.components)):
-        cls = h.classify_component(ci)
-        if cls == "Other":
-            out.append(CanonicalViolation("SmallNonCycleComponent",
-                                          tuple(d.components[ci])))
+    kinds = h.classification()
+    out = [CanonicalViolation("SmallNonCycleComponent", tuple(comp))
+           for comp, kind in zip(d.components, kinds) if kind == "Other"]
     for bi, block in enumerate(d.blocks):
         if d.pendant_flags[bi] and len(block) < 6:
             out.append(CanonicalViolation("PendantBlockUnder6", tuple(block)))
-        elif not d.pendant_flags[bi]:
-            ci = d.block_component[bi]
-            complex_comp = any(b in d.bridges for b in h.component_edges(ci))
-            if complex_comp and len(block) < 4:
-                out.append(CanonicalViolation("NonPendantBlockUnder4", tuple(block)))
+        elif not d.pendant_flags[bi] and len(block) < 4 and \
+                kinds[d.block_component[bi]] == "Complex":
+            out.append(CanonicalViolation("NonPendantBlockUnder4", tuple(block)))
     return out
 
 

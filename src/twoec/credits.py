@@ -31,20 +31,13 @@ def init_credits(h: TwoEdgeCover) -> Fraction:
 def _credit(h: TwoEdgeCover) -> Fraction:
     """Total credit of h, which is known to be canonical."""
     d = h.decomposition
-    emap = h.host.edge_map()
-    complex_comps = {d.component_of[emap[e][0]] for e in d.bridges}
-    quarters = 0
-    # check_canonical has rejected every "Other" component
-    for ci in range(len(d.components)):
-        cls = h.classify_component(ci)
-        if cls == "Large2EC":
-            quarters += 8                             # credit 2
-        elif cls == "Complex":
-            quarters += 4                             # component credit 1
-        else:
-            quarters += int(cls[1:])                  # i/4 for a C_i
+    kinds = h.classification()
+    # check_canonical has rejected every "Other" component: Large2EC 2,
+    # complex 1, C_i i/4
+    quarters = sum(8 if kind == "Large2EC" else 4 if kind == "Complex"
+                   else int(kind[1:]) for kind in kinds)
     # credit 1 per block of a complex component, 1/4 per bridge
-    quarters += 4 * sum(c in complex_comps for c in d.block_component)
+    quarters += 4 * sum(kinds[c] == "Complex" for c in d.block_component)
     quarters += len(d.bridges)
     return Fraction(quarters, 4)
 

@@ -83,7 +83,7 @@ def build_component_graph(g: MultiGraph, h: TwoEdgeCover) -> ComponentGraph:
     return ComponentGraph(
         contracted=contract_many(g, d.components),
         node_vertices=[list(c) for c in d.components],
-        node_class=[h.classify_component(i) for i in range(len(d.components))],
+        node_class=h.classification(),
     )
 
 

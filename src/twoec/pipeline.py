@@ -59,13 +59,14 @@ def fingerprint(g: MultiGraph) -> dict:
 def _violation_from_not_canonical(sub: MultiGraph, h: TwoEdgeCover,
                                   exc: NotCanonical) -> StructuredViolation:
     """A canonicalization stall exhibits a component or block of the cover
-    whose shape the canonical form forbids on structured hosts; its bridgeless
-    part is a 2EC subgraph usable as a contraction witness."""
+    whose shape the canonical form forbids on structured hosts; the first
+    that is a 2EC subgraph is the contraction witness.  A component is taken
+    with its bridges: an "Other" one has none, and a complex one is no 2EC
+    set either way, as two leaf blocks of its bridge tree stay apart."""
     d = h.decomposition
     for v in exc.violations:
         if v.kind == "SmallNonCycleComponent":
-            ci = d.component_of[v.witness[0]]
-            edges = [e for e in h.component_edges(ci) if e not in d.bridges]
+            edges = h.component_edges(d.component_of[v.witness[0]])
         else:
             edges = list(v.witness)            # block violations carry edge ids
         if is_2ec_edge_set(sub, edges):
@@ -80,13 +81,9 @@ def _violation_from_stuck(sub: MultiGraph, h: TwoEdgeCover,
     """Bridge covering stuck: the largest block of a complex component is a
     2EC subgraph; contract it and retry the reduction."""
     d = h.decomposition
-    emap = sub.edge_map()
-    complex_comps = {d.component_of[emap[e][0]] for e in d.bridges}
-    best = None
-    for bi, block in enumerate(d.blocks):
-        if d.block_component[bi] in complex_comps:
-            if best is None or len(block) > len(best):
-                best = block
+    kinds = h.classification()
+    best = max((block for block, ci in zip(d.blocks, d.block_component)
+                if kinds[ci] == "Complex"), key=len, default=None)
     if best is not None and len(best) >= 3:
         return StructuredViolation(
             "bridge covering found no admissible move", edges=list(best),

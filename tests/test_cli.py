@@ -114,6 +114,16 @@ def test_cli_generates_family(capsys):
     assert report["input"]["n"] == 12
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["--family", "random-2ec"], "--n"),
+    (["--family", "glued-cliques", "--a", "10"], "--b"),
+])
+def test_cli_family_missing_parameter_is_usage_error(args, flag, capsys):
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {args[0]} {args[1]} needs {flag}\n"
+
+
 def test_cli_out_file_and_dot_dir(tmp_path, capsys):
     p = write_c8(tmp_path)
     out = tmp_path / "report.json"

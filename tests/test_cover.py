@@ -68,6 +68,83 @@ def test_classification_complex():
     assert h.classification() == ["Complex"]
 
 
+def naive_classification(g, members):
+    """Kind of each component of the edge set, by smallest vertex: a bridge
+    gives Complex, >= 8 edges Large2EC, a connected 2-regular component on
+    4-7 vertices C_k, anything else Other."""
+    emap = g.edge_map()
+    gx = nx.MultiGraph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(emap[e] for e in members)
+    out = []
+    for comp in sorted(nx.connected_components(gx), key=min):
+        sub = gx.subgraph(comp)
+        if any(True for _ in nx.bridges(sub)):
+            out.append("Complex")
+        elif sub.number_of_edges() >= 8:
+            out.append("Large2EC")
+        elif 4 <= len(comp) <= 7 and all(d == 2 for _, d in sub.degree()):
+            out.append(f"C{len(comp)}")
+        else:
+            out.append("Other")
+    return out
+
+
+def random_pieces_graph(rng):
+    """Disjoint random pieces (isolated vertices, parallel pairs, paths,
+    triangles, C4-C7 with or without a chord, cycles of 8-11 edges, two
+    cycles joined by a bridge), then a few edges between pieces."""
+    n = 0
+    edges = []
+
+    def fresh(k):
+        nonlocal n
+        n += k
+        return list(range(n - k, n))
+
+    def ring(vs):
+        edges.extend(zip(vs, vs[1:] + vs[:1]))
+
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.randrange(7)
+        if kind == 0:
+            fresh(1)
+        elif kind == 1:
+            edges.extend([tuple(fresh(2))] * 2)
+        elif kind == 2:
+            vs = fresh(rng.randint(2, 4))
+            edges.extend(zip(vs, vs[1:]))
+        elif kind in (3, 4):
+            vs = fresh(3 if kind == 3 else rng.randint(4, 7))
+            ring(vs)
+            if rng.random() < 0.4:
+                edges.append((vs[0], vs[2]))
+        elif kind == 5:
+            ring(fresh(rng.randint(8, 11)))
+        else:
+            a, b = fresh(rng.randint(3, 5)), fresh(rng.randint(3, 5))
+            ring(a)
+            ring(b)
+            edges.append((a[0], b[0]))
+    for _ in range(rng.randint(0, 2)):
+        edges.append((rng.randrange(n), rng.randrange(n)))
+    return MultiGraph(n, edges)
+
+
+def test_classification_matches_networkx():
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_pieces_graph(rng)
+        members = frozenset(e for e in g.edge_ids() if rng.random() < 0.95)
+        h = TwoEdgeCover(g, members)
+        assert h.classification() == naive_classification(g, members), seed
+        assert h.replace(members) == h         # the caches take no part in ==
+        # a cover built by replace reports its own kinds, not h's
+        other = frozenset(e for e in g.edge_ids() if rng.random() < 0.7)
+        assert h.replace(other).classification() == \
+            naive_classification(g, other), seed
+
+
 # ---------------------------------------------------------------------------
 # minimum cover (certified path) vs independent oracle — dual-route check
 
