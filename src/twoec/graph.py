@@ -556,19 +556,22 @@ def splitting_vertices(adj, removed):
             and (n_comps >= 3 or any(w not in removed for w, _ in nbrs))}
 
 
-def iterate_vertex_cuts(g: MultiGraph, k: int):
-    """Yield every k-subset whose removal disconnects g, as a sorted tuple,
-    in lexicographic order.
+def iterate_vertex_cuts(g: MultiGraph, k: int, within=None):
+    """Yield every k-subset of `within` (all of V by default) whose removal
+    disconnects g, as a sorted tuple, in lexicographic order.
 
     S + (v,) is a cut exactly when v splits G - S, for S running over the
-    lexicographic (k-1)-prefixes that stop before the last vertex (no v lies
-    above it), so each prefix costs one low-link pass.
+    lexicographic (k-1)-prefixes of sorted(`within`) that stop before its
+    last vertex (no v lies above it), so each prefix costs one low-link
+    pass.  A caller that knows every cut it wants lies in a smaller set
+    (see `cut_region`) passes that set as `within`.
     `connected_components(g, cut)` gives the components a cut leaves.
     """
     adj = g.adjacency()
-    for prefix in itertools.combinations(range(g.n - 1), k - 1):
+    pool = range(g.n) if within is None else sorted(within)
+    for prefix in itertools.combinations(pool[:-1], k - 1):
         splitters = splitting_vertices(adj, set(prefix))
-        for v in range(prefix[-1] + 1 if prefix else 0, g.n):
+        for v in pool[pool.index(prefix[-1]) + 1 if prefix else 0:]:
             if v in splitters:
                 yield prefix + (v,)
 
@@ -625,8 +628,8 @@ def _fan(adj, source, targets, removed=()):
 
 
 def three_cut_core(g: MultiGraph):
-    """A vertex set K such that, for every 3-set S, K - S lies in one
-    component of G - S; the empty set when the roots fail.
+    """A vertex set K such that, for every set S of at most 3 vertices, K - S
+    lies in one component of G - S; the empty set when the roots fail.
 
     K starts from four roots of largest degree, every pair of them adjacent
     or joined by 4 internally disjoint paths (for non-adjacent a, b: a 4-fan
@@ -635,17 +638,25 @@ def three_cut_core(g: MultiGraph):
     to distinct vertices of K that share only their start.
 
     Proof: S misses some root r.  Another root outside S is adjacent to r,
-    or S, with 3 vertices, misses all of one of their 4 paths.  A later
-    vertex outside S likewise keeps an edge, or a whole fan path, to a
+    or S, with at most 3 vertices, misses all of one of their 4 paths.  A
+    later vertex outside S likewise keeps an edge, or a whole fan path, to a
     vertex of K - S that joined before it, which by induction lies in r's
     component.  So every other component of G - S lies outside K.
+
+    With fewer than 4 vertices of >= 4 distinct neighbors the result is the
+    empty set, before any sort or fan.  A joiner needs 4 neighbors, and
+    every vertex with 4 is a root, so the core could hold at most the four
+    roots, and the empty set is always a valid core.
+
+    Region lemma: a cut S of at most 3 vertices with a component C of G - S
+    outside K and N(C) = S lies in R = N(V - K), which `cut_region` returns.
     """
-    adj = g.adjacency()
     masks = g.neighbor_masks()
+    if sum(m.bit_count() >= 4 for m in masks) < 4:
+        return set()
+    adj = g.adjacency()
     order = sorted(range(g.n), key=lambda v: (-masks[v].bit_count(), v))
     roots = order[:4]
-    if len(roots) < 4:
-        return set()
     for a, b in itertools.combinations(roots, 2):
         if not masks[a] >> b & 1:
             nb = {w for w, _ in adj[b]}
@@ -664,6 +675,24 @@ def three_cut_core(g: MultiGraph):
                 core_mask |= 1 << v
                 grown = True
     return core
+
+
+def cut_region(g: MultiGraph, core):
+    """R = N(V - K) for the core K of `three_cut_core`: every vertex with a
+    neighbor outside K, or all of V when K is empty.
+
+    A cut S of at most 3 vertices leaves two or more components, and K - S,
+    nonempty since |K| >= 4, lies in one of them, so every other component
+    C lies outside K.  When N(C) = S, each vertex of S has a neighbor in C,
+    so S lies in R.  If G is connected without a cut vertex, every component
+    of G - S is joined to both vertices of a 2-cut S, so every 2-cut lies in
+    R; `reduction._find_large_three_cut` shows the same for the 3-cuts it
+    looks for.
+    """
+    if not core:
+        return set(range(g.n))
+    outside = sum(1 << v for v in range(g.n) if v not in core)
+    return {v for v, m in enumerate(g.neighbor_masks()) if m & outside}
 
 
 # ---------------------------------------------------------------------------

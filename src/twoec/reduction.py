@@ -45,7 +45,7 @@ from .errors import (BudgetExceeded, NotTwoEdgeConnected, PatchNotFound,
                      StructuredViolation, Untypeable)
 from .graph import (DegreeSearch, EdgeSubset, ExactResult, MultiGraph,
                     certify_contractible, connected_components, contract,
-                    find_contractible_certificate, find_min_patch,
+                    cut_region, find_contractible_certificate, find_min_patch,
                     find_vertex_cut, induced_subgraph, is_2ec_edge_set,
                     is_two_edge_connected, iterate_vertex_cuts, low_link,
                     member_adjacency, member_components, splitting_vertices,
@@ -383,8 +383,8 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
         raise AssertionError("reduction recursion exceeded its depth guard")
     if not is_two_edge_connected(g):
         raise NotTwoEdgeConnected(
-            "graph is not 2-edge-connected" +
-            (" (mid-recursion: invariant violation)" if depth else ""))
+            "graph is not 2-edge-connected (mid-recursion: invariant "
+            "violation)" if depth else "input graph is not 2-edge-connected")
 
     def recurse(sub):
         return _reduce(sub, cfg, solver, ctx, depth + 1)
@@ -435,14 +435,17 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
         return _contract_step(g, c_edges, "contract-subgraph", justification,
                               recurse, ctx)
 
-    irrelevant = _find_irrelevant_edges(g)
+    # every cut the next three steps look for lies in the region
+    core = three_cut_core(g)
+    region = cut_region(g, core)
+    irrelevant = _find_irrelevant_edges(g, region)
     if irrelevant:
         for eid in irrelevant:
             ctx["trace"].append({"step": "drop-irrelevant-edge", "edge": eid})
         return recurse(g.without_edges(irrelevant))
 
     # the first 2-cut that does not just isolate one vertex
-    for cut2 in iterate_vertex_cuts(g, 2):
+    for cut2 in iterate_vertex_cuts(g, 2, region):
         comps = connected_components(g, cut2)
         if len(comps) >= 3 or min(map(len, comps)) > 1:
             _note(ctx, "non-isolating 2-cut substitute procedure at "
@@ -451,7 +454,7 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
                          recurse)
             return _join(g, out, cut2, "2-cut-split", ctx)
 
-    split = _find_large_three_cut(g)
+    split = _find_large_three_cut(g, core, region)
     if split is not None:
         return handle_large_3vc(g, split, cfg, recurse, ctx)
 
@@ -514,7 +517,7 @@ def _contract_step(g, c_edges, label, justification, recurse, ctx):
     return set(c_edges) | recurse(contract(g, s))
 
 
-def _find_irrelevant_edges(g: MultiGraph):
+def _find_irrelevant_edges(g: MultiGraph, region=None):
     """Every edge whose endpoint pair {u, v} is a 2-vertex cut, ordered by
     pair, then by id.
 
@@ -523,11 +526,15 @@ def _find_irrelevant_edges(g: MultiGraph):
     such an edge reconnects no cut, so the rest stay irrelevant and the
     whole set can be dropped at once.  When G is connected without a cut
     vertex, every part of G - {u, v} holds neighbors of both (else the other
-    cuts it off), so adjacent u and v each have >= 3 distinct neighbors."""
+    cuts it off), so adjacent u and v each have >= 3 distinct neighbors, and
+    both lie in `graph.cut_region`.  So a vertex takes part only with 3 or
+    more neighbors and inside `region` (all of V by default), and u gets a
+    pass only with such a higher neighbor."""
     adj = g.adjacency()
     n_comps, _, _, points = low_link(g.n, adj)
-    wide = [n_comps > 1 or bool(points) or m.bit_count() >= 3
-            for m in g.neighbor_masks()]
+    inside = range(g.n) if region is None else region
+    wide = [v in inside and (n_comps > 1 or bool(points) or m.bit_count() >= 3)
+            for v, m in enumerate(g.neighbor_masks())]
     out = []
     for u in range(g.n):
         if wide[u] and any(w > u and wide[w] for w, _ in adj[u]):
@@ -536,18 +543,32 @@ def _find_irrelevant_edges(g: MultiGraph):
     return out
 
 
-def _find_large_three_cut(g: MultiGraph):
+def _find_large_three_cut(g: MultiGraph, core=None, region=None):
     """First 3-vertex cut admitting a side grouping with both sides >= 7.
 
     Returns (cut vertices, V1, V2) with |V1| <= |V2|, or None.  The
     components of G - cut always hold n - 3 vertices, so below 17 vertices
     no cut qualifies and the scan is skipped.  It is skipped too when fewer
-    than 7 vertices lie outside `three_cut_core`: every component of G - cut
-    but one lies outside the core, so one side would."""
+    than 7 vertices lie outside `core` (`three_cut_core(g)` by default):
+    every component of G - cut but one lies outside the core, so one side
+    would.
+
+    Only 3-sets of `region` (all of V by default) are scanned.  `_reduce`
+    passes `graph.cut_region(g, core)`, which holds every qualifying cut
+    once G has no cut vertex and no 2-cut but isolating ones.  The side
+    without the core's component is a union of components outside the core,
+    of >= 7 vertices.  A component C there has N(C) of 2 or 3 cut vertices
+    (G has no cut vertex).  With 2, N(C) is a 2-cut leaving C and the rest,
+    which holds the other side and the third cut vertex, so it isolates C,
+    a single vertex; and no two such vertices hang on one pair, which would
+    be a 2-cut of 3 components.  These are at most 3 vertices, so some C
+    has N(C) = S, and S lies in the region."""
     total = g.n - 3
-    if total < 14 or g.n - len(three_cut_core(g)) < 7:
+    if core is None:
+        core = three_cut_core(g)
+    if total < 14 or g.n - len(core) < 7:
         return None
-    for cut in iterate_vertex_cuts(g, 3):
+    for cut in iterate_vertex_cuts(g, 3, region):
         comps = connected_components(g, cut)
         k = len(comps)
         for pick in range(1, 2 ** (k - 1)):

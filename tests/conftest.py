@@ -59,6 +59,16 @@ def from_networkx(gx):
     return g
 
 
+def subdivided(g: MultiGraph, picked) -> MultiGraph:
+    """g with each picked edge (u, v) replaced by a path u - x - v through a
+    new degree-2 vertex x."""
+    edges = [(u, v) for _, u, v in g.edges]
+    for j, (u, v) in enumerate(picked):
+        edges.remove((u, v))
+        edges += [(u, g.n + j), (g.n + j, v)]
+    return MultiGraph(g.n + len(picked), edges)
+
+
 def generalized_petersen(n, k):
     """GP(n, k): outer cycle 0..n-1, spokes i - n+i, inner star polygon."""
     gp = nx.Graph()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (complete_graph, cycle_graph, disjoint_cycles,
-                      naive_bridges, petersen)
+                      naive_bridges, petersen, subdivided)
 from twoec import graph, oracle
 from twoec.errors import BudgetExceeded, NotTwoEdgeConnected, PatchNotFound
 from twoec.generate import random_2ec
@@ -273,6 +273,41 @@ def test_cut_enumeration_is_lexicographic(monkeypatch):
                         or real(adj, removed))
     assert len(list(iterate_vertex_cuts(cycle_graph(7), 3))) == 35 - 7
     assert passes == [list(p) for p in itertools.combinations(range(6), 2)]
+
+
+def test_region_limits_the_two_cut_scan(monkeypatch):
+    # a dense graph with the edge uv subdivided by x: the core is every
+    # vertex but x, the region N(x) = {u, v}, and the scan limited to it
+    # makes |R| - 1 = 1 pass and finds the one 2-cut
+    dense = random_2ec(16, p=0.7, seed=3)
+    _, u, v = dense.edges[0]
+    g = subdivided(dense, [(u, v)])
+    core = graph.three_cut_core(g)
+    region = graph.cut_region(g, core)
+    assert core == set(range(16)) and region == {u, v}
+    assert list(iterate_vertex_cuts(g, 2)) == [(u, v)]
+    passes = []
+    real = graph.splitting_vertices
+    monkeypatch.setattr(graph, "splitting_vertices",
+                        lambda adj, removed: passes.append(sorted(removed))
+                        or real(adj, removed))
+    assert list(iterate_vertex_cuts(g, 2, region)) == [(u, v)]
+    assert passes == [[u]] and len(passes) == len(region) - 1
+
+
+def test_core_of_a_chorded_cycle_tries_no_fan(monkeypatch):
+    # C_12 with the chords 0-4, 4-8 and 8-0: only 3 vertices have 4
+    # neighbors, so the core is empty before any fan is tried
+    fans = []
+    real = graph._fan
+    monkeypatch.setattr(graph, "_fan",
+                        lambda *args: fans.append(args) or real(*args))
+    g = cycle_graph(12)
+    for a, b in ((0, 4), (4, 8), (8, 0)):
+        g.add_edge(a, b)
+    assert graph.three_cut_core(g) == set()
+    assert graph.cut_region(g, set()) == set(range(12))
+    assert fans == []
 
 
 def naive_vertex_cuts(g, k):
@@ -828,16 +863,6 @@ def hamiltonian_union(rng, n, k):
         order = rng.sample(range(n), n)
         pairs |= {tuple(sorted((order[i - 1], order[i]))) for i in range(n)}
     return MultiGraph(n, sorted(pairs))
-
-
-def subdivided(g, picked):
-    """g with each picked edge (u, v) replaced by a path u - x - v through a
-    new degree-2 vertex x."""
-    edges = [(u, v) for _, u, v in g.edges]
-    for j, (u, v) in enumerate(picked):
-        edges.remove((u, v))
-        edges += [(u, g.n + j), (g.n + j, v)]
-    return MultiGraph(g.n + len(picked), edges)
 
 
 def contractibility_sample():

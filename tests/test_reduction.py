@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (complete_graph, cycle_graph, disjoint_cycles,
-                      from_networkx, naive_is_2ecss, naive_min_2ecss, petersen)
+                      from_networkx, naive_is_2ecss, naive_min_2ecss, petersen,
+                      subdivided)
 from twoec.cover import TwoEdgeCover, canonicalize, min_triangle_free_cover
 from twoec.errors import (BudgetExceeded, NotCanonical, NotTwoEdgeConnected,
                           PatchNotFound, StructuredViolation, Stuck,
@@ -662,6 +663,57 @@ def test_large_three_cut_matches_naive_scan():
     assert skipped >= 1
 
 
+def region_scans(g):
+    """`graph.cut_region` of g, after checking that the irrelevant-edge, 2-cut
+    and (with no 2-cut but isolating ones) large-3-cut scans limited to it
+    find what the full scans find; None when g has a cut vertex."""
+    if graph.find_vertex_cut(g, 1) is not None:
+        return None
+    core = graph.three_cut_core(g)
+    region = graph.cut_region(g, core)
+    cuts = list(graph.iterate_vertex_cuts(g, 2))
+    assert list(graph.iterate_vertex_cuts(g, 2, region)) == cuts
+    assert _find_irrelevant_edges(g, region) == _find_irrelevant_edges(g)
+    if all(len(comps) == 2 and min(map(len, comps)) == 1
+           for comps in (graph.connected_components(g, cut) for cut in cuts)):
+        assert reduction._find_large_three_cut(g, core, region) == \
+            reduction._find_large_three_cut(g)
+    return region
+
+
+def relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return MultiGraph(g.n, [(perm[u], perm[v]) for _, u, v in g.edges])
+
+
+def test_cut_region_scans_match_full_scans():
+    # dense random graphs with 0-3 edges subdivided, and glued cliques
+    # sharing 2 or 3 vertices under seeded relabelings
+    graphs = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        dense = random_2ec(rng.randint(12, 20), p=0.8, seed=seed)
+        pairs = [(u, v) for _, u, v in dense.edges]
+        graphs.append(subdivided(dense, rng.sample(pairs, seed % 4)))
+    for a, b, shared in ((10, 10, 3), (8, 12, 3), (10, 12, 3), (9, 9, 2)):
+        graphs += [relabeled(glued_cliques(a, b, shared), s) for s in range(2)]
+    regions = [region_scans(g) for g in graphs]
+    assert None not in regions
+    assert set() in regions
+    assert any(0 < len(r) < g.n for g, r in zip(graphs, regions))
+    # a large 3-cut that the region scan still finds
+    assert any(reduction._find_large_three_cut(
+        g, graph.three_cut_core(g), r) is not None and len(r) < g.n
+        for g, r in zip(graphs, regions))
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_connected_graphs())
+def test_cut_region_scans_match_full_scans_on_2_connected_graphs(g):
+    assert region_scans(g) is not None
+
+
 @pytest.mark.parametrize("mode", ("off", "auto", "force"))
 def test_small_input_is_solved_exactly_once(monkeypatch, mode):
     # the base case runs on reduction.min_2ecss, never on the reference, and
@@ -744,9 +796,7 @@ def _glued_at_a_vertex():
         for _, u, v in p.edges:
             g.add_edge(*(base + x if x else 0 for x in (u, v)))
         base += p.n - 1
-    perm = list(range(g.n))
-    random.Random(5).shuffle(perm)
-    return MultiGraph(g.n, [(perm[u], perm[v]) for _, u, v in g.edges])
+    return relabeled(g, 5)
 
 
 def _non_isolating_two_cut():
@@ -975,13 +1025,13 @@ def test_stuck_gives_the_largest_block_of_a_bridged_component():
     g = disjoint_cycles([4, 5, 6])
     bridge = g.add_edge(0, 4)
     h = TwoEdgeCover(g, frozenset(g.edge_ids()))
-    sv = _violation_from_stuck(g, h, Stuck({}))
+    sv = _violation_from_stuck(h, Stuck({}))
     assert sv.edges == frozenset(range(4, 9))      # the C5, not the C6
     assert is_2ec_edge_set(g, sv.edges)
 
     bridgeless = TwoEdgeCover(g, frozenset(g.edge_ids()) - {bridge})
     with pytest.raises(Stuck):
-        _violation_from_stuck(g, bridgeless, Stuck({}))
+        _violation_from_stuck(bridgeless, Stuck({}))
 
 
 # ---------------------------------------------------------------------------
