@@ -9,10 +9,11 @@ the three timed workloads at seed 301) with the oracle off, under
 each function of src/twoec with a line that no instance ran, its qualified
 name and those line numbers ("never called" when no line ran), then the
 number of reduction steps and of glue steps of each kind over all
-instances, then how many covers `glue_all` received and how many of their
-components are of each kind (`TwoEdgeCover.classification()`).
+instances, then how many glue steps each rung of the two glue ladders made,
+then how many covers `glue_all` received and how many of their components
+are of each kind (`TwoEdgeCover.classification()`).
 
-It takes no options.  One run takes about 55 s in one process on a 2-core
+It takes no options.  One run takes about 45 s in one process on a 2-core
 x86-64 VM.
 
 Example:
@@ -61,6 +62,27 @@ def ranges(lines):
     return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in out)
 
 
+RUNGS = ("trivial: Large2EC pair", "trivial: C4/C5 swap",
+         "trivial: C6/C7 Hamiltonian path", "non-trivial: C4/C5 cycle",
+         "non-trivial: shortest cycle")
+
+
+def rung(h, step):
+    """The ladder rung that made a segment glue step on cover h, or None for
+    MakeHuge.  In a non-trivial segment only the C4/C5 cycle removes edges;
+    in a trivial one only the Large2EC pair removes none, and the others
+    remove edges of the component they absorb, whose kind names the rung."""
+    if step.kind == "MakeHuge":
+        return None
+    if step.kind == "NonTrivialSegmentGlue":
+        return RUNGS[3] if step.removed else RUNGS[4]
+    if not step.removed:
+        return RUNGS[0]
+    kind = next(k for i, k in enumerate(h.classification())
+                if step.removed <= set(h.component_edges(i)))
+    return RUNGS[1] if kind in ("C4", "C5") else RUNGS[2]
+
+
 def main():
     ran = {}                     # file name -> line numbers run
 
@@ -83,6 +105,7 @@ def main():
         ran[str(path)] = set()
     steps = Counter()
     glue = Counter()
+    rungs = Counter()
     kinds = Counter()
     covers = 0
     count = 0
@@ -93,6 +116,9 @@ def main():
         out = glue_all(g, h)
         covers += 1
         kinds.update(h.classification())
+        for step in out[1]:
+            rungs[rung(h, step)] += 1
+            h = h.replace(h.members - step.removed | step.added)
         return out
 
     pipeline.glue_all = counting_glue_all
@@ -123,6 +149,9 @@ def main():
         print(f"# {title}: {sum(counts.values())}")
         for kind, k in sorted(counts.items()):
             print(f"{kind}\t{k}")
+    print(f"# segment glue steps by rung: {sum(rungs[r] for r in RUNGS)}")
+    for r in RUNGS:
+        print(f"{r}\t{rungs[r]}")
     print(f"# cover kinds entering glue: {covers} covers")
     for kind in ("C4", "C5", "C6", "C7", "Large2EC", "Complex", "Other"):
         print(f"{kind}\t{kinds[kind]}")

@@ -26,6 +26,8 @@ def random_2ec(n: int, p: float | None = None, seed: int = 0) -> MultiGraph:
     if p is None:
         # dense enough that rejection usually succeeds quickly
         p = min(0.9, max(0.25, 3.0 / n + 0.15))
+    if not 0 < p <= 1:
+        raise ValueError(f"need 0 < p <= 1, got p={p}")
     rng = random.Random(seed)
     for _ in range(REJECTION_CAP):
         g = MultiGraph(n)
@@ -89,6 +91,8 @@ def structured_random(n: int, p: float = 0.4, seed: int = 0) -> MultiGraph:
     3-vertex cut (certified by exhaustive cut enumeration)."""
     if n < 8:
         raise ValueError("need n >= 8")
+    if not 0 < p <= 1:
+        raise ValueError(f"need 0 < p <= 1, got p={p}")
     rng = random.Random(seed)
     for _ in range(REJECTION_CAP):
         g = MultiGraph(n)

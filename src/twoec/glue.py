@@ -7,7 +7,8 @@ vertices) absorbs one neighbour per step.  Its segment is its 2EC class in
 the component graph with parallel edges collapsed: when that is the node
 alone, a trivial-segment step merges it with a neighbour across a matching;
 otherwise a non-trivial-segment step adds a cycle of >= 3 nodes through it,
-replacing a C4/C5 node's cycle by a Hamiltonian path where one is on it.
+replacing a C4/C5 node's cycle by a Hamiltonian path where one is on it;
+`graph.fan`, which also grows the 3-cut core, finds the cycle's paths.
 Each rung of a ladder lists its candidate (added, removed) moves in order and
 `_first` takes the first one `_apply` accepts.  When no move merges a small
 node, the step raises `StructuredViolation` with that node's component as
@@ -34,7 +35,9 @@ bridgeless component with >= 8 edges, which is canonical.  So:
   graph with parallel edges collapsed, a simple graph, so it holds a cycle
   of k >= 3 nodes through the huge node.  With no C4/C5 node in it, every
   other node has credit >= 3/2, and adding the cycle costs
-  <= k - 3(k - 1)/2 <= 0.
+  <= k - 3(k - 1)/2 <= 0.  With one, the C4/C5 rung's moves are all
+  accepted (see `cycle_through_huge_and_small`), so it raises only when it
+  lists none.
 - Every step lowers the component count and only merges components (a move
   removes edges of the small component it absorbs, and keeps it spanned),
   so once a huge node exists it stays, `make_huge` runs at most once, and
@@ -50,9 +53,9 @@ from fractions import Fraction
 from .cover import TwoEdgeCover, swap
 from .credits import cost
 from .errors import StructuredViolation
-from .graph import (MultiGraph, contract_many, find_cycle_through_edges,
-                    induced_subgraph, low_link, max_matching_across,
-                    member_adjacency, two_ec_classes)
+from .graph import (MultiGraph, contract_many, fan, induced_subgraph,
+                    low_link, max_matching_across, member_adjacency,
+                    two_ec_classes)
 
 
 @dataclass
@@ -298,36 +301,38 @@ def _c67_glue(g: MultiGraph, h: TwoEdgeCover, cg, a, ends):
 def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
                                  l: int, a: int):
     """Candidate (added, removed) moves merging a C4/C5 node `a` with the huge
-    node `l`.  Each is a cycle of the component graph through both (found by
-    requiring one pair of edges at each node) whose two attachment points in
-    C_A are joined by a Hamiltonian path of G[V(C_A)]; the move adds the
-    cycle and the path and drops C_A's other edges."""
-    cgg = cg.contracted
-    adj = cgg.adjacency()
+    node `l`.  For each pair of edges e1, e2 at a, in adjacency order, with
+    far nodes x1 != x2 and distinct ends u, v in C_A, the cycle is e1, e2
+    and the `fan` paths from l to {x1, x2} - {l} in the component graph less
+    a; the move adds it and a Hamiltonian u-v path P of G[V(C_A)], and drops
+    C_A's other edges.  Such a cycle exists exactly when the paths do.
+
+    Every move is accepted: the cycle runs through k >= 3 nodes (a, x1 and
+    x2), so with C_A a C_i the cover gains k + |P| - i = k - 1 edges, and
+    the merged component's credit 2 replaces l's 2, a's i/4 >= 1 and at
+    least 1 for each of the k - 2 other nodes, so the cost changes by
+    <= 1 - i/4 <= 0.  The result is one bridgeless component with >= 8
+    edges, which is canonical."""
+    adj = cg.contracted.adjacency()
     emap = g.edge_map()
     comp_a = set(cg.node_vertices[a])
-    edges_at_a = sorted({e for _, e in adj[a]})
-    edges_at_l = sorted({e for _, e in adj[l]})
     sub_a, vmap_a = induced_subgraph(g, comp_a)
     comp_a_edges = set(h.component_edges(a))
-    seen = set()
-    for fa in itertools.combinations(edges_at_a, 2):
-        for fl in itertools.combinations(edges_at_l, 2):
-            req = set(fa) | set(fl)
-            if len(req) < 3:
-                continue
-            cyc = find_cycle_through_edges(cgg, req)
-            if cyc is None or frozenset(cyc) in seen:
-                continue
-            seen.add(frozenset(cyc))
-            # a simple cycle through a meets C_A in two edges, one end each
-            u, v = (x for e in cyc for x in emap[e] if x in comp_a)
-            if u == v:
-                continue
-            path = hamiltonian_path_between(sub_a, vmap_a[u], vmap_a[v])
-            if path is None:
-                continue
-            yield set(cyc) | set(path), comp_a_edges - set(path)
+    for (x1, e1), (x2, e2) in itertools.combinations(adj[a], 2):
+        (u,), (v,) = (comp_a.intersection(emap[e]) for e in (e1, e2))
+        if x1 == x2 or u == v:
+            continue
+        targets = {x1, x2} - {l}
+        paths = fan(adj, l, targets, {a})
+        if len(paths) < len(targets):
+            continue
+        path = hamiltonian_path_between(sub_a, vmap_a[u], vmap_a[v])
+        if path is None:
+            continue
+        cycle = {e1, e2} | {next(e for w, e in adj[x] if w == y)
+                            for p in paths
+                            for x, y in itertools.pairwise([l] + p)}
+        yield cycle | set(path), comp_a_edges - set(path)
 
 
 def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,

@@ -1,4 +1,4 @@
-"""Multigraph core: representation, decompositions, cuts, matchings, cycle search.
+"""Multigraph core: representation, decompositions, cuts, matchings, contraction.
 
 Vertices are integers 0..n-1.  Edges carry stable integer ids that survive
 contraction and induced-subgraph extraction, so solutions found on derived
@@ -581,15 +581,19 @@ def find_vertex_cut(g: MultiGraph, k: int):
     return next(iterate_vertex_cuts(g, k), None)
 
 
-def _fan(adj, source, targets, removed=()):
-    """How many paths, up to 4, run from `source` to distinct vertices
-    of `targets` (source not among them) sharing only `source` and avoiding
-    `removed`.  Unit-capacity augmenting paths over the vertex-split graph:
-    node 2v enters v, 2v + 1 leaves it, -1 is the sink behind every target;
-    `flow` holds the arcs that carry a path."""
-    flow = set()
-    found = 0
+def fan(adj, source, targets, removed=()):
+    """Up to 4 paths from `source` to distinct vertices of `targets` (source
+    not among them) that share only `source` and avoid `removed`, ordered by
+    first vertex; each is its vertex list without `source`, ending at its
+    target and passing through no other.
+
+    Unit-capacity augmenting paths over the vertex-split graph: node 2v
+    enters v and 2v + 1 leaves it, and a path ends at a target's exit.  Each
+    node but the start has at most one arc of flow into it, so `pred` holds
+    the flow and the paths are read back from the targets' exits."""
+    pred = {}
     start = 2 * source + 1
+    found = 0
     while found < 4:
         parent = {start: None}
         queue = [start]
@@ -597,34 +601,39 @@ def _fan(adj, source, targets, removed=()):
             v = x >> 1
             if x & 1:
                 # forward to a neighbor's entry, back through v's own arc
-                steps = [(2 * w, (x, 2 * w) not in flow) for w, _ in adj[v]
+                steps = [(2 * w, pred.get(2 * w) != x) for w, _ in adj[v]
                          if w != source and w not in removed]
-                steps.append((2 * v, (2 * v, x) in flow))
+                steps.append((2 * v, x in pred))
+            elif v in targets and x + 1 not in pred:
+                break
             else:
-                # forward out of v (to the sink at a target), back along the
-                # arc that entered v
-                out = -1 if v in targets else x + 1
-                steps = [(out, (x, out) not in flow)]
-                steps += [(2 * u + 1, (2 * u + 1, x) in flow) for u, _ in adj[v]]
+                # forward through v, back along the arc that entered v
+                steps = [(x + 1, x + 1 not in pred), (pred.get(x), x in pred)]
             for y, open_ in steps:
                 if open_ and y not in parent:
                     parent[y] = x
-                    if y == -1:
-                        break
                     queue.append(y)
-            if -1 in parent:
-                break
-        if -1 not in parent:
-            return found
-        y = -1
+        else:
+            break
+        # a target's free exit ends the path
+        pred[x + 1] = x
+        y = x
         while (x := parent[y]) is not None:
-            if (y, x) in flow:
-                flow.discard((y, x))
+            if pred.get(x) == y:
+                del pred[x]
             else:
-                flow.add((x, y))
+                pred[y] = x
             y = x
         found += 1
-    return found
+    paths = []
+    for x in [2 * t + 1 for t in targets if 2 * t + 1 in pred]:
+        path = []
+        while x != start:
+            if x & 1:
+                path.append(x >> 1)
+            x = pred[x]
+        paths.append(path[::-1])
+    return sorted(paths)
 
 
 def three_cut_core(g: MultiGraph):
@@ -660,7 +669,7 @@ def three_cut_core(g: MultiGraph):
     for a, b in itertools.combinations(roots, 2):
         if not masks[a] >> b & 1:
             nb = {w for w, _ in adj[b]}
-            if _fan(adj, a, nb, {b}) < 4:
+            if len(fan(adj, a, nb, {b})) < 4:
                 return set()
     core = set(roots)
     core_mask = sum(1 << r for r in roots)
@@ -670,7 +679,7 @@ def three_cut_core(g: MultiGraph):
         for v in order:
             if v not in core and masks[v].bit_count() >= 4 and (
                     (masks[v] & core_mask).bit_count() >= 4
-                    or _fan(adj, v, core) >= 4):
+                    or len(fan(adj, v, core)) >= 4):
                 core.add(v)
                 core_mask |= 1 << v
                 grown = True
@@ -744,94 +753,6 @@ def induced_subgraph(g: MultiGraph, vertices):
             out.add_edge(vmap[u], vmap[v], eid)
     out._next_eid = max(out._next_eid, g._next_eid)
     return out, vmap
-
-
-# ---------------------------------------------------------------------------
-# constrained cycle search
-
-CYCLE_SEARCH_BUDGET = 10 ** 6   # node expansions per `find_cycle_through_edges`
-
-
-def find_cycle_through_edges(g: MultiGraph, f):
-    """A simple cycle (edge-id list) through every edge of f, or None.
-
-    Exhaustive backtracking over simple paths; |f| <= 4.  Raises
-    BudgetExceeded if the node-expansion budget runs out first.
-    """
-    f = set(f)
-    if len(f) > 4:
-        raise ValueError("at most 4 required edges supported")
-    emap = g.edge_map()
-    for eid in f:
-        if eid not in emap:
-            raise ValueError(f"required edge {eid} not in graph")
-    if not f:
-        raise ValueError("f must be non-empty")
-
-    # quick infeasibility: three required edges sharing a vertex
-    incid = {}
-    for eid in f:
-        u, v = emap[eid]
-        incid[u] = incid.get(u, 0) + 1
-        incid[v] = incid.get(v, 0) + 1
-    if any(c > 2 for c in incid.values()):
-        return None
-
-    adj = g.adjacency()
-    e0 = min(f)
-    start, cur0 = emap[e0]
-    expansions = 0
-
-    path = [e0]
-    visited = {start, cur0}
-    used_req = {e0}
-
-    def req_reachable(cur):
-        # every unused required edge needs an unvisited endpoint or the tip
-        for eid in f - used_req:
-            u, v = emap[eid]
-            if (u in visited and u != cur) and (v in visited and v != cur):
-                return False
-        return True
-
-    def extend(cur):
-        nonlocal expansions
-        expansions += 1
-        if expansions > CYCLE_SEARCH_BUDGET:
-            raise BudgetExceeded(
-                f"cycle search budget {CYCLE_SEARCH_BUDGET} exhausted")
-        for w, eid in adj[cur]:
-            if eid in path_set:
-                continue
-            if w == start:
-                # the closing edge may itself be required; a 2-cycle through a
-                # distinct parallel edge is a valid simple cycle here
-                closing = used_req | ({eid} if eid in f else set())
-                if closing >= f and eid != e0:
-                    path.append(eid)
-                    return True
-                continue
-            if w in visited:
-                continue
-            is_req = eid in f
-            path.append(eid)
-            path_set.add(eid)
-            visited.add(w)
-            if is_req:
-                used_req.add(eid)
-            if req_reachable(w) and extend(w):
-                return True
-            if is_req:
-                used_req.discard(eid)
-            visited.discard(w)
-            path_set.discard(eid)
-            path.pop()
-        return False
-
-    path_set = {e0}
-    if extend(cur0):
-        return path
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,20 @@ def test_cli_family_missing_parameter_is_usage_error(args, flag, capsys):
     assert err == f"error: {args[0]} {args[1]} needs {flag}\n"
 
 
+@pytest.mark.parametrize("family, n, p", [
+    ("random-2ec", "40", "0"),
+    ("random-2ec", "40", "2"),
+    ("structured-random", "10", "1.5"),
+    ("structured-random", "10", "-0.5"),
+])
+def test_cli_edge_probability_outside_unit_interval_is_usage_error(
+        family, n, p, capsys):
+    # rejected before any draw: p = 0 would burn every draw, p > 1 reads as 1
+    assert main(["--family", family, "--n", n, "--p", p]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: need 0 < p <= 1, got p={float(p)}\n"
+
+
 def test_cli_out_file_and_dot_dir(tmp_path, capsys):
     p = write_c8(tmp_path)
     out = tmp_path / "report.json"

@@ -170,6 +170,8 @@ def test_glue_all_full_ladder_ring():
     for s in steps:
         assert s.components_after < s.components_before
     assert Fraction(len(final.members)) <= cost0 + 3 + 1
+    # the C4 is eaten along a cycle: only that rung removes edges
+    assert any(s.kind == "NonTrivialSegmentGlue" and s.removed for s in steps)
 
 
 def test_sparse_c5_ring_still_glues():
@@ -183,6 +185,28 @@ def test_sparse_c5_ring_still_glues():
         g.add_edge(ba + 2, bb + 3)
     final, steps = glue_all(g, cover_of(g, cover))
     assert len(final.decomposition.components) == 1
+    assert verify_2ecss(g, final.members)
+    assert any(s.kind == "NonTrivialSegmentGlue" and s.removed for s in steps)
+
+
+def test_c4_rung_closes_a_cycle_on_a_direct_link_to_the_huge_node():
+    # huge C10, a C4 and a C6 in a triangle of single links; the C4's first
+    # link runs straight to the C10, so the cycle needs one fan path only,
+    # from the C10 to the C6.  The C4 drops its edge 10-11 for the path
+    # 10-13-12-11 between the two link ends
+    g = disjoint_cycles([10, 4, 6])
+    cover = set(g.edge_ids())
+    direct = g.add_edge(0, 10)
+    to_c6 = g.add_edge(11, 14)
+    c6_to_huge = g.add_edge(17, 5)
+    h = cover_of(g, cover)
+    assert segment_of(build_component_graph(g, h), 0) == frozenset(range(3))
+    final, steps = glue_all(g, h)
+    [step] = steps
+    assert step.kind == "NonTrivialSegmentGlue"
+    assert {direct, to_c6, c6_to_huge} <= step.added
+    assert step.removed == {10} and step.cost_delta == Fraction(-1, 2)
+    assert len(final.members) == len(cover) + 2
     assert verify_2ecss(g, final.members)
 
 

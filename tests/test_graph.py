@@ -1,4 +1,4 @@
-"""Core graph layer: decomposition, cuts, matchings, cycle search,
+"""Core graph layer: decomposition, cuts, matchings, disjoint paths,
 contractibility certificates."""
 
 import hashlib
@@ -20,7 +20,7 @@ from twoec.graph import (DegreeSearch, MultiGraph,
                          _no_certifiable_candidate, certify_contractible,
                          connected_components, contract, contract_many,
                          decompose, find_contractible_certificate,
-                         find_cycle_through_edges, find_vertex_cut,
+                         find_vertex_cut,
                          forced_edge_lower_bound, greedy_edges_inside,
                          induced_subgraph, is_2ec_edge_set,
                          is_two_edge_connected, iterate_vertex_cuts,
@@ -299,8 +299,8 @@ def test_core_of_a_chorded_cycle_tries_no_fan(monkeypatch):
     # C_12 with the chords 0-4, 4-8 and 8-0: only 3 vertices have 4
     # neighbors, so the core is empty before any fan is tried
     fans = []
-    real = graph._fan
-    monkeypatch.setattr(graph, "_fan",
+    real = graph.fan
+    monkeypatch.setattr(graph, "fan",
                         lambda *args: fans.append(args) or real(*args))
     g = cycle_graph(12)
     for a, b in ((0, 4), (4, 8), (8, 0)):
@@ -357,7 +357,9 @@ def test_vertex_cuts_match_networkx(k):
 def test_three_cut_core_stays_in_one_component():
     # seeded multigraphs with parallel edges and self-loops: for every 3-set
     # S the core less S lies in one component of G - S, and the fan helper
-    # counts networkx's local vertex connectivity up to 4
+    # finds networkx's local vertex connectivity, up to 4, in paths that
+    # share only their start, follow edges, end at distinct targets without
+    # passing through another and avoid the removed vertex
     rng = random.Random(1414)
     sizes = []
     for i in range(150):
@@ -381,8 +383,17 @@ def test_three_cut_core_stays_in_one_component():
         if i % 10 == 0:
             for a, b in itertools.combinations(range(n), 2):
                 if not h.has_edge(a, b):
-                    assert graph._fan(g.adjacency(), a, set(h[b]), {b}) == \
-                        min(4, nx.node_connectivity(h, a, b))
+                    targets = set(h[b])
+                    paths = graph.fan(g.adjacency(), a, targets, {b})
+                    assert len(paths) == min(4, nx.node_connectivity(h, a, b))
+                    inner = [v for p in paths for v in p]
+                    assert len(inner) == len(set(inner)) and a not in inner
+                    assert all(h.has_edge(x, y) for p in paths
+                               for x, y in itertools.pairwise([a] + p))
+                    assert all(targets.intersection(p) == {p[-1]}
+                               for p in paths)
+                    assert b not in inner
+                    assert [p[0] for p in paths] == sorted(p[0] for p in paths)
     # empty cores, cores short of the whole graph and whole-graph cores
     assert 0 in sizes and 1 in sizes and any(0 < s < 1 for s in sizes)
 
@@ -672,43 +683,6 @@ def test_induced_subgraph_keeps_ids_and_next_eid():
 def test_contract_propagates_next_eid():
     g = cycle_graph(6)
     assert contract(g, {0, 1}).add_edge(0, 1) >= 6
-
-
-# ---------------------------------------------------------------------------
-# cycle search
-
-def test_cycle_through_single_edge():
-    g = cycle_graph(5)
-    cyc = find_cycle_through_edges(g, {2})
-    assert cyc is not None and sorted(cyc) == [0, 1, 2, 3, 4]
-
-
-def test_cycle_through_two_edges_of_k4():
-    g = complete_graph(4)
-    emap = g.edge_map()
-    cyc = find_cycle_through_edges(g, {0, 5})   # edges (0,1) and (2,3)
-    assert cyc is not None
-    assert {0, 5} <= set(cyc)
-    # verify it is a closed walk with all-degree-2 on its support
-    deg = {}
-    for e in cyc:
-        u, v = emap[e]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    assert all(d == 2 for d in deg.values())
-
-
-def test_cycle_impossible_three_edges_at_one_vertex():
-    g = complete_graph(4)
-    # edges 0,1,2 are (0,1),(0,2),(0,3): all share vertex 0
-    assert find_cycle_through_edges(g, {0, 1, 2}) is None
-
-
-def test_cycle_budget_raises(monkeypatch):
-    monkeypatch.setattr(graph, "CYCLE_SEARCH_BUDGET", 1)
-    g = petersen()          # girth 5: no cycle closes within one expansion
-    with pytest.raises(BudgetExceeded):
-        find_cycle_through_edges(g, {0})
 
 
 # ---------------------------------------------------------------------------
