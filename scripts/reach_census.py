@@ -62,7 +62,7 @@ def ranges(lines):
     return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in out)
 
 
-RUNGS = ("trivial: Large2EC pair", "trivial: C4/C5 swap",
+RUNGS = ("trivial: Large2EC pair", "trivial: C4/C5 Hamiltonian path",
          "trivial: C6/C7 Hamiltonian path", "non-trivial: C4/C5 cycle",
          "non-trivial: shortest cycle")
 
@@ -70,8 +70,9 @@ RUNGS = ("trivial: Large2EC pair", "trivial: C4/C5 swap",
 def rung(h, step):
     """The ladder rung that made a segment glue step on cover h, or None for
     MakeHuge.  In a non-trivial segment only the C4/C5 cycle removes edges;
-    in a trivial one only the Large2EC pair removes none, and the others
-    remove edges of the component they absorb, whose kind names the rung."""
+    in a trivial one only the Large2EC pair removes none, and a Hamiltonian
+    path step removes edges of the cycle it absorbs, whose kind, C4/C5 or
+    C6/C7, names the rung."""
     if step.kind == "MakeHuge":
         return None
     if step.kind == "NonTrivialSegmentGlue":

@@ -142,7 +142,9 @@ def _heuristic_cover(g: MultiGraph):
     """Greedy 2-edge cover then triangle elimination; uncertified."""
     deg = [0] * g.n
     members = set()
-    # greedily satisfy degree demands, preferring edges fixing two deficits
+    # greedily satisfy degree demands, preferring edges fixing two deficits;
+    # the caller rejects degree < 2 and the second round takes every edge at
+    # a vertex still short, so no vertex is left short
     edges = sorted(g.edges)
     for rounds in range(2):
         for eid, u, v in edges:
@@ -153,8 +155,6 @@ def _heuristic_cover(g: MultiGraph):
                 members.add(eid)
                 deg[u] += 1
                 deg[v] += 1
-    if any(d < 2 for d in deg):
-        raise Infeasible("a vertex has degree < 2")
     # fix triangle components by adding a crossing edge
     while True:
         tri = _triangle_component(g, members)

@@ -3,12 +3,13 @@ single spanning 2EC component at non-increasing cost (one initial step may pay
 up to +3 to create a huge component that absorbs the rest).
 
 Each component is one node of the component graph.  A huge node (>= 10
-vertices) absorbs one neighbour per step.  Its segment is its 2EC class in
-the component graph with parallel edges collapsed: when that is the node
-alone, a trivial-segment step merges it with a neighbour across a matching;
-otherwise a non-trivial-segment step adds a cycle of >= 3 nodes through it,
-replacing a C4/C5 node's cycle by a Hamiltonian path where one is on it;
-`graph.fan`, which also grows the 3-cut core, finds the cycle's paths.
+vertices), the Pac-Man, eats one neighbour per step.  Its segment is its 2EC
+class in the component graph with parallel edges collapsed: when that is
+the node alone, a trivial-segment step merges it with a neighbour across a
+matching; otherwise a non-trivial-segment step adds a cycle of >= 3 nodes
+through it, closed by `graph.fan` at a C4/C5 node.  Both ladders eat a
+cycle node by one move, `_eat`: enter it at two vertices and keep a
+Hamiltonian path between them.
 Each rung of a ladder lists its candidate (added, removed) moves in order and
 `_first` takes the first one `_apply` accepts.  When no move merges a small
 node, the step raises `StructuredViolation` with that node's component as
@@ -36,8 +37,7 @@ bridgeless component with >= 8 edges, which is canonical.  So:
   of k >= 3 nodes through the huge node.  With no C4/C5 node in it, every
   other node has credit >= 3/2, and adding the cycle costs
   <= k - 3(k - 1)/2 <= 0.  With one, the C4/C5 rung's moves are all
-  accepted (see `cycle_through_huge_and_small`), so it raises only when it
-  lists none.
+  accepted (see `_eat`), so it raises only when it lists none.
 - Every step lowers the component count and only merges components (a move
   removes edges of the small component it absorbs, and keeps it spanned),
   so once a huge node exists it stays, `make_huge` runs at most once, and
@@ -233,7 +233,9 @@ def hamiltonian_path_between(g_induced: MultiGraph, u: int, v: int):
 
 
 def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: int):
-    """Merge the huge component C_L (a trivial segment) with a neighbour.
+    """Merge the huge component C_L (a trivial segment) with a neighbour: a
+    Large2EC across two matching edges, a cycle C_A by `_eat` at the pairs
+    of its ends of a maximum matching of >= 3 edges, in sorted order.
 
     Neighbours are tried in order.  When none glues, the violation raised is
     that of the last neighbour with no 3-matching or, for a C6/C7, no move;
@@ -259,8 +261,9 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
             for eid in m:
                 u, v = emap[eid]
                 ends[u if u in comp_a else v] = eid
-            moves = (_swap_adjacent_pair(g, h, a, ends) if cls in ("C4", "C5")
-                     else _c67_glue(g, h, cg, a, ends))
+            moves = _eat(g, h, cg, a, (
+                (u, v, (ends[u], ends[v]))
+                for u, v in itertools.combinations(sorted(ends), 2)))
         got = _first(g, h, moves, "TrivialSegmentGlue")
         if got:
             return got
@@ -274,65 +277,49 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
         edges=h.component_edges(neighbors[0]))
 
 
-def _swap_adjacent_pair(g: MultiGraph, h: TwoEdgeCover, a, ends):
-    """C4/C5 moves: remove a cycle edge between two matched ends, add their
-    two matching edges.  `ends` maps each matched C_A vertex to its edge;
-    two of >= 3 matched vertices of a C4 or C5 are cycle-adjacent."""
-    emap = g.edge_map()
-    for e in h.component_edges(a):
-        u, v = emap[e]
-        if u in ends and v in ends:
-            yield (ends[u], ends[v]), (e,)
+def _eat(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, a, entries):
+    """The huge node l eats the cycle node a: for each (u, v, edges) of
+    `entries`, `edges` closing a cycle of the component graph through l and
+    a that enters C_A at u != v, the move (edges + P, E(C_A) - P) for a
+    Hamiltonian u-v path P of G[V(C_A)], where one exists.
 
-
-def _c67_glue(g: MultiGraph, h: TwoEdgeCover, cg, a, ends):
-    """C6/C7 moves: for two matched ends of C_A joined by a Hamiltonian path
-    in G[V(C_A)], replace the cycle by the path and both matching edges.
-    A 4-matching (when available) widens the candidate pairs, which is how the
-    non-pendant case of the analysis is realized."""
+    Every move is accepted.  Let the cycle have k >= 2 nodes (k = 2: two
+    matching edges; k >= 3: a `fan` cycle) and C_A be a C_i.  The cover
+    gains k + |P| - i = k - 1 edges, and the merged component's credit 2
+    replaces l's 2, a's i/4 >= 1 and >= 1 for each of the k - 2 other nodes,
+    so the cost changes by <= 1 - i/4 <= 0.  The result is one bridgeless
+    component with >= 8 edges, which is canonical.  Any 3 vertices of a C4
+    or C5 include two adjacent ones, so given the pairs of a 3-matching's
+    ends a C4/C5 always has a move (the cycle less that edge); only a C6/C7
+    can have none."""
     sub, vmap = induced_subgraph(g, cg.node_vertices[a])
     comp_edges = set(h.component_edges(a))
-    for u, v in itertools.combinations(sorted(ends), 2):
+    for u, v, edges in entries:
         path = hamiltonian_path_between(sub, vmap[u], vmap[v])
         if path is not None:
-            yield set(path) | {ends[u], ends[v]}, comp_edges - set(path)
+            yield set(edges) | set(path), comp_edges - set(path)
 
 
-def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
-                                 l: int, a: int):
-    """Candidate (added, removed) moves merging a C4/C5 node `a` with the huge
-    node `l`.  For each pair of edges e1, e2 at a, in adjacency order, with
-    far nodes x1 != x2 and distinct ends u, v in C_A, the cycle is e1, e2
-    and the `fan` paths from l to {x1, x2} - {l} in the component graph less
-    a; the move adds it and a Hamiltonian u-v path P of G[V(C_A)], and drops
-    C_A's other edges.  Such a cycle exists exactly when the paths do.
-
-    Every move is accepted: the cycle runs through k >= 3 nodes (a, x1 and
-    x2), so with C_A a C_i the cover gains k + |P| - i = k - 1 edges, and
-    the merged component's credit 2 replaces l's 2, a's i/4 >= 1 and at
-    least 1 for each of the k - 2 other nodes, so the cost changes by
-    <= 1 - i/4 <= 0.  The result is one bridgeless component with >= 8
-    edges, which is canonical."""
+def cycle_through_huge_and_small(g: MultiGraph, cg: ComponentGraph, l: int, a: int):
+    """The `_eat` entries (u, v, cycle) that merge a C4/C5 node `a` with the
+    huge node `l`.  For each pair of edges e1, e2 at a, in adjacency order,
+    with far nodes x1 != x2 and distinct ends u, v in C_A, the cycle is e1,
+    e2 and the `fan` paths from l to {x1, x2} - {l} in the component graph
+    less a.  Such a cycle exists exactly when the paths do; it runs through
+    k >= 3 nodes (a, x1 and x2), and `_eat` shows its moves are accepted."""
     adj = cg.contracted.adjacency()
     emap = g.edge_map()
     comp_a = set(cg.node_vertices[a])
-    sub_a, vmap_a = induced_subgraph(g, comp_a)
-    comp_a_edges = set(h.component_edges(a))
     for (x1, e1), (x2, e2) in itertools.combinations(adj[a], 2):
         (u,), (v,) = (comp_a.intersection(emap[e]) for e in (e1, e2))
         if x1 == x2 or u == v:
             continue
         targets = {x1, x2} - {l}
         paths = fan(adj, l, targets, {a})
-        if len(paths) < len(targets):
-            continue
-        path = hamiltonian_path_between(sub_a, vmap_a[u], vmap_a[v])
-        if path is None:
-            continue
-        cycle = {e1, e2} | {next(e for w, e in adj[x] if w == y)
-                            for p in paths
-                            for x, y in itertools.pairwise([l] + p)}
-        yield cycle | set(path), comp_a_edges - set(path)
+        if len(paths) == len(targets):
+            yield u, v, {e1, e2} | {next(e for w, e in adj[x] if w == y)
+                                    for p in paths
+                                    for x, y in itertools.pairwise([l] + p)}
 
 
 def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
@@ -345,8 +332,8 @@ def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
                    if n != l and cg.node_class[n] in ("C4", "C5"))
     if small:
         got = _first(g, h, itertools.chain.from_iterable(
-            cycle_through_huge_and_small(g, h, cg, l, a) for a in small),
-            "NonTrivialSegmentGlue")
+            _eat(g, h, cg, a, cycle_through_huge_and_small(g, cg, l, a))
+            for a in small), "NonTrivialSegmentGlue")
         if got:
             return got
         raise StructuredViolation(

@@ -657,12 +657,10 @@ def _typed_branch(g, cut, v1, v2, recurse, ctx):
         # a spanning 2EC subgraph of G1 exists at minimum size; treat it as a
         # contractible-subgraph step (the analysis excludes this case only
         # under the full contractibility scan, which we deliberately weaken)
-        sol = opts["A"][1]
         _note(ctx, "3-cut t_min=A handled as a contraction step")
-        ctx["trace"].append({"step": "3-cut-contract-A", "cut": list(cut)})
-        emap = g.edge_map()
-        return set(sol) | recurse(contract(g, {x for e in sol
-                                                for x in emap[e]}))
+        return _contract_step(g, set(opts["A"][1]), "3-cut-contract-A",
+                              f"minimum type A on the small side of 3-cut "
+                              f"{list(cut)}", recurse, ctx)
 
     # the kind of far-side step, the cut vertices it names (as g1 ids) and
     # the small-side sets it may join to the far side
@@ -795,7 +793,7 @@ def verify_approx_bound(size: int, n: int, cfg: ReductionConfig,
         report["ratio"] = size / opt
     if n <= cfg.base_case_limit:
         report["bound"] = "exact regime"
-        report["within_bound"] = (opt is None) or size == opt
+        report["within_bound"] = None if opt is None else size == opt
     elif certified and opt is not None:
         bound = cfg.alpha * opt + 4 * cfg.epsilon * n - 4
         report["bound"] = str(bound)

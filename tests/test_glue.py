@@ -112,23 +112,27 @@ def test_make_huge_noop_when_huge_exists():
 # ---------------------------------------------------------------------------
 # glue ladder
 
-def huge_plus_c4():
-    """C10 component plus a C4 neighbor with a 3-matching between them."""
-    g = disjoint_cycles([10, 4])
+@pytest.mark.parametrize("length,links,removed", [
+    (4, [(0, 10), (2, 11), (4, 12)], 10),
+    # the first pair of matched ends, (10, 12), has no Hamiltonian path in
+    # the C4, so the next, (10, 13), removes edge 13-10
+    (4, [(0, 10), (3, 12), (6, 13)], 13),
+    (5, [(0, 10), (3, 12), (6, 14)], 14),
+], ids=["C4", "C4-opposite-first-pair", "C5"])
+def test_trivial_glue_c4_neighbor(length, links, removed):
+    # C10 plus a C4 or C5 with a 3-matching between them: the C4/C5 is
+    # replaced by the Hamiltonian path between the first pair of matched
+    # ends that has one, here two adjacent ends
+    g = disjoint_cycles([10, length])
     cover = set(g.edge_ids())
-    g.add_edge(0, 10)
-    g.add_edge(2, 11)
-    g.add_edge(4, 12)
-    return g, cover
-
-
-def test_trivial_glue_c4_neighbor():
-    g, cover = huge_plus_c4()
-    h = cover_of(g, cover)
-    final, steps = glue_all(g, h)
+    for u, v in links:
+        g.add_edge(u, v)
+    final, [step] = glue_all(g, cover_of(g, cover))
+    assert step.kind == "TrivialSegmentGlue" and step.removed == {removed}
+    assert set(g.edge_map()[removed]) <= {v for _, v in links}
+    assert step.cost_delta <= 0
     assert len(final.decomposition.components) == 1
     assert verify_2ecss(g, final.members)
-    assert all(s.cost_delta <= 0 for s in steps)
 
 
 def test_trivial_glue_large_neighbor_two_matching_edges():
@@ -274,7 +278,11 @@ def test_glue_golden():
     # that reach every step kind.  Re-recorded when the typed C2(iii) step
     # came to pass over candidates that miss its accounting bound:
     # random_regular_graph(3, 34, seed=1) then takes 3-cut-C2-iii in place
-    # of 3-cut-both-large, at the same size 36 and with one glue step fewer
+    # of 3-cut-both-large, at the same size 36 and with one glue step fewer.
+    # Re-recorded when every trivial C4/C5 step came to keep a Hamiltonian
+    # path like a C6/C7 step: the four such steps (the C4 stress case,
+    # GP(13, 2) and both random regular graphs) list the kept path edges in
+    # `added`; every removed set, cost delta and final member set is as before
     results = []
     for g, cover in glue_stress_cases():
         h, _ = cover_bridges(g, canonicalize(g, TwoEdgeCover(g, frozenset(cover))))
@@ -298,4 +306,4 @@ def test_glue_golden():
     kinds = {s[0] for steps, _ in results for s in steps}
     assert kinds == {"MakeHuge", "TrivialSegmentGlue", "NonTrivialSegmentGlue"}
     assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
-        "fddaa4a4ca772701d19c33f869ee61b5b282ea0d4b9931074f68592317d20ea6")
+        "60673738e4971efa8d9b0cc465a51a9623713a2899fea2c9f75f8e9f06d8f527")

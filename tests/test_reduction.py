@@ -32,7 +32,7 @@ from twoec import cover, graph, oracle, reduction
 from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
                              _find_irrelevant_edges, classify_solution_type,
                              enumerate_min_typed_subgraph, find_min_patch,
-                             reduce)
+                             reduce, verify_approx_bound)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -819,7 +819,9 @@ def _wheel(n):
 
 def test_traced_reports_golden(monkeypatch):
     # one traced report per step kind of the reduction; recorded before the
-    # 1-cut, 2-cut and both-large 3-cut branches shared one split step
+    # 1-cut, 2-cut and both-large 3-cut branches shared one split step.
+    # Re-recorded when `bound.within_bound` came to be null, not true, for
+    # a run in the exact regime with no known optimum; nothing else moved
     repeated = cycle_graph(14)
     repeated.add_edge(0, 1)
     repeated.add_edge(5, 6)
@@ -844,7 +846,7 @@ def test_traced_reports_golden(monkeypatch):
         assert kind in {t["step"] for t in report["trace"]}, kind
         reports.append(serialize_report(report))
     assert digest(reports) == (
-        "e3fe960f3b0aa27061f84bf857fb0ab07882c8fdd4c9bd1e6f43bf1a2abe5e51")
+        "74e4c612a67e96e1ff9e450e45ee6bdfbf3f5793415cd11396a8eaa66cbbfbf5")
 
 
 def test_wheels_solve_to_a_hamiltonian_cycle():
@@ -1098,3 +1100,22 @@ def test_canonicalize_stall_gives_a_contraction_witness():
         _structured_leaf_solver([])(g)
     assert exc.value.edges == {0, 1, 10}
     assert is_2ec_edge_set(g, exc.value.edges)
+
+
+@pytest.mark.parametrize("size,n,certified,opt,within", [
+    # exact regime (n <= 4/eps = 96): within the bound only when optimal,
+    # and unknown without an optimum
+    (21, 23, False, 21, True),
+    (23, 23, False, 21, False),
+    (23, 23, False, None, None),
+    # n > 96: a certified run is within alpha * OPT + 4 eps n - 4, here
+    # 5/4 * 100 + 16 2/3 - 4 = 137 2/3; an uncertified run has no bound
+    (137, 100, True, 100, True),
+    (138, 100, True, 100, False),
+    (110, 100, False, 100, None),
+])
+def test_verify_approx_bound(size, n, certified, opt, within):
+    report = verify_approx_bound(size, n, ReductionConfig(), certified, opt)
+    assert report["within_bound"] is within
+    assert report["bound"] == ("exact regime" if n <= 96 else
+                               "413/3" if certified else None)
