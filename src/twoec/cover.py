@@ -169,7 +169,9 @@ def _heuristic_cover(g: MultiGraph):
 
 
 def min_triangle_free_cover(g: MultiGraph) -> TwoEdgeCover:
-    """Minimum triangle-free 2-edge cover; exact when |V| <= TF_EXACT_MAX_N."""
+    """Minimum triangle-free 2-edge cover; exact when |V| <= TF_EXACT_MAX_N
+    or when the heuristic cover has |V| edges, the least any 2-edge cover
+    has (its degree sum is at least 2|V|)."""
     if any(g.degree(v) < 2 for v in range(g.n)):
         raise Infeasible("a vertex has degree < 2")
     if g.n <= TF_EXACT_MAX_N:
@@ -187,7 +189,8 @@ def min_triangle_free_cover(g: MultiGraph) -> TwoEdgeCover:
     members = _heuristic_cover(g)
     if not is_tf_two_edge_cover(g, members):
         raise Infeasible("heuristic could not remove all triangle components")
-    return TwoEdgeCover(g, frozenset(members), certified_minimum=False)
+    return TwoEdgeCover(g, frozenset(members),
+                        certified_minimum=len(members) == g.n)
 
 
 # ---------------------------------------------------------------------------

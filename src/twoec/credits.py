@@ -42,17 +42,15 @@ def _credit(h: TwoEdgeCover) -> Fraction:
     return Fraction(quarters, 4)
 
 
-def cost(h: TwoEdgeCover, credit: Fraction | None = None) -> Fraction:
-    """|h| + credit(h).  Without `credit`, h is taken to be canonical, as
-    every cover that `cover.swap` accepts is; `init_credits` checks it."""
-    if credit is None:
-        credit = _credit(h)
-    return Fraction(len(h.members)) + credit
+def cost(h: TwoEdgeCover) -> Fraction:
+    """|h| + credit(h).  h is taken to be canonical, as every cover that
+    `cover.swap` accepts is; `init_credits` checks it."""
+    return Fraction(len(h.members)) + _credit(h)
 
 
-def assert_cost_bound(h: TwoEdgeCover, credit: Fraction | None = None):
+def assert_cost_bound(h: TwoEdgeCover):
     """cost(H) <= (5/4)|H| for canonical covers, in exact arithmetic."""
-    c = cost(h, credit)
+    c = cost(h)
     bound = Fraction(5, 4) * len(h.members)
     if c > bound:
         raise AssertionError(f"cost bound violated: cost={c} > (5/4)|H|={bound}")
@@ -112,8 +110,7 @@ def _local_removal_pool(h: TwoEdgeCover, x, y):
                   if e not in d.bridges and d.class_of[emap[e][0]] in classes)
 
 
-def cover_bridges(g: MultiGraph, h: TwoEdgeCover, credit: Fraction | None = None,
-                  observer=None):
+def cover_bridges(g: MultiGraph, h: TwoEdgeCover, observer=None) -> TwoEdgeCover:
     """Transform a canonical cover into a bridgeless canonical cover.
 
     Each iteration takes, for every ear, the first removal set (smallest
@@ -126,14 +123,14 @@ def cover_bridges(g: MultiGraph, h: TwoEdgeCover, credit: Fraction | None = None
     `observer(bridge_count, cost)` is called once on entry and after every
     applied move, for contract instrumentation.
     """
-    cur = h
-    cur_cost = cost(cur, init_credits(h) if credit is None else credit)
+    init_credits(h)                # raises NotCanonical unless h is canonical
+    cur, cur_cost = h, cost(h)
     while True:
         nbridges = len(cur.decomposition.bridges)
         if observer is not None:
             observer(nbridges, cur_cost)
         if nbridges == 0:
-            return cur, _credit(cur)
+            return cur
         moves = []                 # (key, cover, cost), one per working ear
         for widen in (False, True):
             for x, y, add in _ear_candidates(g, cur, MAX_EAR):

@@ -2,12 +2,15 @@
 single spanning 2EC component at non-increasing cost (one initial step may pay
 up to +3 to create a huge component that absorbs the rest).
 
-Each component is one node of the component graph.  A huge node (>= 10
-vertices), the Pac-Man, eats one neighbour per step.  Its segment is its 2EC
-class in the component graph with parallel edges collapsed: when that is
-the node alone, a trivial-segment step merges it with a neighbour across a
-matching; otherwise a non-trivial-segment step adds a cycle of >= 3 nodes
-through it, closed by `graph.fan` at a C4/C5 node.  Both ladders eat a
+Each component is one node of the component graph `cg`, the host with the
+cover's components contracted (`contract_many(g, h.decomposition.components)`).
+Both number by smallest vertex, so node i is component i, and a node's
+vertices and kind are read from the cover.  A huge node (>= 10 vertices),
+the Pac-Man, eats one neighbour per step.  Its segment is its 2EC class in
+the component graph with parallel edges collapsed: when that is the node
+alone, a trivial-segment step merges it with a neighbour across a matching;
+otherwise a non-trivial-segment step adds a cycle of >= 3 nodes through it,
+closed by `graph.fan` at a C4/C5 node.  Both ladders eat a
 cycle node by one move, `_eat`: enter it at two vertices and keep a
 Hamiltonian path between them.
 Each rung of a ladder lists its candidate (added, removed) moves in order and
@@ -54,19 +57,7 @@ from .cover import TwoEdgeCover, swap
 from .credits import cost
 from .errors import StructuredViolation
 from .graph import (MultiGraph, contract_many, fan, induced_subgraph,
-                    low_link, max_matching_across, member_adjacency,
-                    two_ec_classes)
-
-
-@dataclass
-class ComponentGraph:
-    contracted: MultiGraph
-    node_vertices: list             # node -> sorted host vertex list
-    node_class: list                # node -> component classification string
-
-    @property
-    def n(self):
-        return self.contracted.n
+                    low_link, max_matching_across, two_ec_classes)
 
 
 @dataclass
@@ -79,50 +70,32 @@ class GlueStep:
     components_after: int
 
 
-def build_component_graph(g: MultiGraph, h: TwoEdgeCover) -> ComponentGraph:
-    d = h.decomposition
-    # components are ordered by smallest vertex, matching contract_many's
-    # representative numbering, so node i corresponds to component i
-    return ComponentGraph(
-        contracted=contract_many(g, d.components),
-        node_vertices=[list(c) for c in d.components],
-        node_class=h.classification(),
-    )
-
-
-def segment_of(cg: ComponentGraph, l: int) -> frozenset:
-    """The nodes of l's 2EC class in the component graph with parallel edges
-    collapsed.  In a simple graph a class of >= 2 nodes holds a cycle of
-    >= 3 nodes through l, so the segment is non-trivial exactly when it has
-    more than one node."""
-    simple = {}
-    for eid, u, v in cg.contracted.edges:
-        simple.setdefault((min(u, v), max(u, v)), eid)
-    adj = member_adjacency(cg.contracted, simple.values())
-    bridges = low_link(cg.n, adj)[2]
-    class_of = two_ec_classes(cg.n, adj, bridges)[1]
+def segment_of(cg: MultiGraph, l: int) -> frozenset:
+    """The nodes of l's 2EC class in the component graph `cg` with parallel
+    edges collapsed.  In a simple graph a class of >= 2 nodes holds a cycle
+    of >= 3 nodes through l, so the segment is non-trivial exactly when it
+    has more than one node."""
+    adj = cg.without_edges(cg.redundant_edges()).adjacency()
+    class_of = two_ec_classes(cg.n, adj, low_link(cg.n, adj)[2])[1]
     return frozenset(v for v in range(cg.n) if class_of[v] == class_of[l])
 
 
 # ---------------------------------------------------------------------------
 # step helpers
 
-def _huge_node(cg: ComponentGraph):
-    for i, vs in enumerate(cg.node_vertices):
-        if len(vs) >= 10:
-            return i
-    return None
+def _huge_node(h: TwoEdgeCover):
+    return next((i for i, vs in enumerate(h.decomposition.components)
+                 if len(vs) >= 10), None)
 
 
-def _shortest_cycle_through(cg: ComponentGraph, node, min_len=2, forbid_nodes=()):
+def _shortest_cycle_through(cg: MultiGraph, node, min_len=2, forbid_nodes=()):
     """Shortest cycle (host edge-id list) through `node` in the component
-    graph; length-2 cycles use a parallel pair when min_len == 2.
+    graph `cg`; length-2 cycles use a parallel pair when min_len == 2.
 
     With min_len >= 3 the search from a neighbour w never takes a second
     w-node edge: a simple cycle through >= 3 nodes cannot use one, and taking
     it would end the search at a 2-cycle before any longer path is tried."""
-    g = cg.contracted
-    adj = g.adjacency()
+    adj = cg.adjacency()
     forbidden = set(forbid_nodes)
     best = None
     for w, eid in adj[node]:
@@ -192,47 +165,41 @@ def make_huge(g: MultiGraph, h: TwoEdgeCover):
     the component graph; the single glue step allowed to cost up to +3.
     Returns (h, None) when h already has a huge or a single component.  The
     module docstring shows that both cycles exist and the step is accepted."""
-    cg = build_component_graph(g, h)
-    if _huge_node(cg) is not None or cg.n == 1:
+    comps = h.decomposition.components
+    if _huge_node(h) is not None or len(comps) == 1:
         return h, None
     # start at the node with the most vertices
-    a = max(range(cg.n), key=lambda i: (len(cg.node_vertices[i]), -i))
-    added = set(_shortest_cycle_through(cg, a, min_len=2))
-    cg2 = build_component_graph(g, h.replace(h.members | added))
-    if _huge_node(cg2) is None and cg2.n > 1:
+    a = max(range(len(comps)), key=lambda i: (len(comps[i]), -i))
+    added = set(_shortest_cycle_through(contract_many(g, comps), a, min_len=2))
+    merged = h.replace(h.members | added)
+    d = merged.decomposition
+    if _huge_node(merged) is None and len(d.components) > 1:
         # the merged node contains the previous start component
-        rep = min(cg.node_vertices[a])
-        b = next(i for i, vs in enumerate(cg2.node_vertices) if rep in vs)
-        added |= set(_shortest_cycle_through(cg2, b, min_len=2))
+        b = d.component_of[comps[a][0]]
+        added |= set(_shortest_cycle_through(contract_many(g, d.components), b,
+                                             min_len=2))
     return _apply(g, h, added, (), "MakeHuge", max_delta=3)
 
 
 def hamiltonian_path_between(g_induced: MultiGraph, u: int, v: int):
-    """Exhaustive Hamiltonian u-v path search; returns an edge-id list."""
-    n = g_induced.n
-    adj = g_induced.adjacency()
-
-    def dfs(cur, visited, eids):
-        if len(visited) == n and cur == v:
-            return list(eids)
-        for w, eid in adj[cur]:
-            if w in visited:
-                continue
-            if w == v and len(visited) + 1 < n:
-                continue
-            visited.add(w)
-            eids.append(eid)
-            got = dfs(w, visited, eids)
-            if got is not None:
-                return got
-            eids.pop()
-            visited.discard(w)
-        return None
-
-    return dfs(u, {u}, [])
+    """The first Hamiltonian u-v path of g_induced as an edge-id list, over
+    the orders of the other vertices in sorted order and taking the
+    smallest-id edge at each step; None when there is none.  It runs on a
+    cycle component C_A of at most 7 vertices, so it tries at most 5! orders.
+    """
+    link = {}                       # (x, y) -> smallest id of an x-y edge
+    for x, nbrs in enumerate(g_induced.adjacency()):
+        for y, eid in nbrs:
+            link.setdefault((x, y), eid)
+    middle = sorted(set(range(g_induced.n)) - {u, v})
+    for order in itertools.permutations(middle):
+        path = [link.get(step) for step in itertools.pairwise((u, *order, v))]
+        if None not in path:
+            return path
+    return None
 
 
-def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: int):
+def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: MultiGraph, l: int):
     """Merge the huge component C_L (a trivial segment) with a neighbour: a
     Large2EC across two matching edges, a cycle C_A by `_eat` at the pairs
     of its ends of a maximum matching of >= 3 edges, in sorted order.
@@ -242,11 +209,12 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
     when no neighbour is such, the first neighbour's "no valid trivial glue".
     """
     emap = g.edge_map()
-    neighbors = sorted({w for w, _ in cg.contracted.adjacency()[l]})
+    comps, kinds = h.decomposition.components, h.classification()
+    neighbors = sorted({w for w, _ in cg.adjacency()[l]})
     violation = None
     for a in neighbors:
-        cls = cg.node_class[a]
-        m = max_matching_across(g, cg.node_vertices[a], cg.node_vertices[l])
+        cls = kinds[a]
+        m = max_matching_across(g, comps[a], comps[l])
         if cls == "Large2EC":
             # any two matching edges merge the components
             moves = [(m[:2], ())] if len(m) >= 2 else []
@@ -256,12 +224,12 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
                 edges=h.component_edges(a))
             continue
         else:
-            comp_a = set(cg.node_vertices[a])
+            comp_a = set(comps[a])
             ends = {}                       # C_A end -> its matching edge
             for eid in m:
                 u, v = emap[eid]
                 ends[u if u in comp_a else v] = eid
-            moves = _eat(g, h, cg, a, (
+            moves = _eat(g, h, a, (
                 (u, v, (ends[u], ends[v]))
                 for u, v in itertools.combinations(sorted(ends), 2)))
         got = _first(g, h, moves, "TrivialSegmentGlue")
@@ -277,7 +245,7 @@ def glue_trivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, l: 
         edges=h.component_edges(neighbors[0]))
 
 
-def _eat(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, a, entries):
+def _eat(g: MultiGraph, h: TwoEdgeCover, a, entries):
     """The huge node l eats the cycle node a: for each (u, v, edges) of
     `entries`, `edges` closing a cycle of the component graph through l and
     a that enters C_A at u != v, the move (edges + P, E(C_A) - P) for a
@@ -292,7 +260,7 @@ def _eat(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, a, entries):
     or C5 include two adjacent ones, so given the pairs of a 3-matching's
     ends a C4/C5 always has a move (the cycle less that edge); only a C6/C7
     can have none."""
-    sub, vmap = induced_subgraph(g, cg.node_vertices[a])
+    sub, vmap = induced_subgraph(g, h.decomposition.components[a])
     comp_edges = set(h.component_edges(a))
     for u, v, edges in entries:
         path = hamiltonian_path_between(sub, vmap[u], vmap[v])
@@ -300,16 +268,17 @@ def _eat(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph, a, entries):
             yield set(edges) | set(path), comp_edges - set(path)
 
 
-def cycle_through_huge_and_small(g: MultiGraph, cg: ComponentGraph, l: int, a: int):
+def cycle_through_huge_and_small(g: MultiGraph, h: TwoEdgeCover, cg: MultiGraph,
+                                 l: int, a: int):
     """The `_eat` entries (u, v, cycle) that merge a C4/C5 node `a` with the
     huge node `l`.  For each pair of edges e1, e2 at a, in adjacency order,
     with far nodes x1 != x2 and distinct ends u, v in C_A, the cycle is e1,
     e2 and the `fan` paths from l to {x1, x2} - {l} in the component graph
     less a.  Such a cycle exists exactly when the paths do; it runs through
     k >= 3 nodes (a, x1 and x2), and `_eat` shows its moves are accepted."""
-    adj = cg.contracted.adjacency()
+    adj = cg.adjacency()
     emap = g.edge_map()
-    comp_a = set(cg.node_vertices[a])
+    comp_a = set(h.decomposition.components[a])
     for (x1, e1), (x2, e2) in itertools.combinations(adj[a], 2):
         (u,), (v,) = (comp_a.intersection(emap[e]) for e in (e1, e2))
         if x1 == x2 or u == v:
@@ -322,17 +291,17 @@ def cycle_through_huge_and_small(g: MultiGraph, cg: ComponentGraph, l: int, a: i
                                     for x, y in itertools.pairwise([l] + p)}
 
 
-def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: ComponentGraph,
+def glue_nontrivial_segment(g: MultiGraph, h: TwoEdgeCover, cg: MultiGraph,
                             l: int, seg: frozenset):
     """Merge a node of the huge node's non-trivial segment: a C4/C5 node
     through a cycle and a Hamiltonian path, else (the segment holding only
     C6/C7 and large nodes) every node of a shortest cycle of >= 3 nodes,
     which the module docstring shows is accepted."""
-    small = sorted(n for n in seg
-                   if n != l and cg.node_class[n] in ("C4", "C5"))
+    kinds = h.classification()
+    small = sorted(n for n in seg if n != l and kinds[n] in ("C4", "C5"))
     if small:
         got = _first(g, h, itertools.chain.from_iterable(
-            _eat(g, h, cg, a, cycle_through_huge_and_small(g, cg, l, a))
+            _eat(g, h, a, cycle_through_huge_and_small(g, h, cg, l, a))
             for a in small), "NonTrivialSegmentGlue")
         if got:
             return got
@@ -349,8 +318,9 @@ def glue_all(g: MultiGraph, h: TwoEdgeCover):
     triangle-free 2-edge cover of the simple 2EC host g (see the module
     docstring for why the loop then ends)."""
     steps = []
-    while (cg := build_component_graph(g, h)).n > 1:
-        l = _huge_node(cg)
+    while len(comps := h.decomposition.components) > 1:
+        l = _huge_node(h)
+        cg = contract_many(g, comps)
         if l is None:
             h, step = make_huge(g, h)
         elif len(seg := segment_of(cg, l)) > 1:

@@ -103,13 +103,13 @@ def _structured_leaf_solver(leaf_records: list):
         except NotCanonical as exc:
             raise _violation_from_not_canonical(sub, h, exc) from exc
         record["canonical_size"] = len(h)
-        credit = init_credits(h)
-        record["canonical_cost"] = str(assert_cost_bound(h, credit))
+        init_credits(h)              # the accounting starts: h must be canonical
+        record["canonical_cost"] = str(assert_cost_bound(h))
         try:
-            h, credit = cover_bridges(sub, h, credit)
+            h = cover_bridges(sub, h)
         except Stuck as exc:
             raise _violation_from_stuck(h, exc) from exc
-        cost_h0 = assert_cost_bound(h, credit)
+        cost_h0 = assert_cost_bound(h)
         record["post_bridge_cost"] = str(cost_h0)
         record["post_bridge_size"] = len(h)
         final, steps = glue_all(sub, h)

@@ -192,7 +192,7 @@ def test_criterion_5_bridge_covering_contract(corpus_reports, capsys):
     for g, cover in bridged_hosts():
         h = TwoEdgeCover(g, frozenset(cover))
         history = []
-        out, _ = cover_bridges(g, h, observer=lambda b, c: history.append((b, c)))
+        out = cover_bridges(g, h, observer=lambda b, c: history.append((b, c)))
         checked += 1
         bridges = [b for b, _ in history]
         costs = [c for _, c in history]
@@ -284,8 +284,8 @@ def test_criterion_6_gluing_contract(corpus_reports, capsys):
                         leaf["final_size"])
     for i, (g, cover) in enumerate(glue_stress_cases()):
         h = canonicalize(g, TwoEdgeCover(g, frozenset(cover)))
-        h, credit = cover_bridges(g, h)
-        cost0 = cover_cost(h, credit)
+        h = cover_bridges(g, h)
+        cost0 = cover_cost(h)
         final, steps = glue_all(g, h)
         check_steps(f"stress/{i}",
                     [{"cost_delta": str(s.cost_delta),

@@ -9,7 +9,8 @@ import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import complete_graph, cycle_graph, disjoint_cycles
+from conftest import (complete_graph, cycle_graph, disjoint_cycles,
+                      from_networkx, generalized_petersen)
 from twoec import cover
 from twoec.cover import (TwoEdgeCover, _candidate_swaps, _improving_move,
                          _objective, _triangle_component, canonicalize,
@@ -177,7 +178,10 @@ def test_min_cover_golden(monkeypatch):
     # recorded before the exact cover search moved onto graph.DegreeSearch.
     # The node budgets 30 and 300 run out on most of these graphs, so the
     # record pins the fallback to the heuristic cover as well as the
-    # branching order of the exact search
+    # branching order of the exact search.  Re-recorded when a heuristic
+    # cover of exactly n edges came to be certified: every member set is as
+    # before, and 14 of the 900 flags, all of n-edge covers taken after the
+    # budget of 30 or 300 ran out, went from false to true
     rng = random.Random(5150)
     results = []
     full = cover.TF_NODE_BUDGET
@@ -187,11 +191,12 @@ def test_min_cover_golden(monkeypatch):
         for budget in (30, 300, full):
             monkeypatch.setattr(cover, "TF_NODE_BUDGET", budget)
             h = min_triangle_free_cover(g)
+            assert h.certified_minimum or len(h) > n
             results.append([sorted(h.members), h.certified_minimum])
     exact = [c for _, c in results]
     assert any(exact[0::3]) and not all(exact[0::3]) and all(exact[2::3])
     assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
-        "79098f52a9069d853208d259cf4b7d779a6a0f12ac034c9b15339a83e41560bb")
+        "5f44b32239af7821fcc32843fdb3914d2ec409385fd647b908e631be188b3cb1")
 
 
 def test_tf_cover_node_counts_golden():
@@ -214,9 +219,19 @@ def test_tf_cover_node_counts_golden():
 
 def test_heuristic_path_flagged_uncertified(monkeypatch):
     monkeypatch.setattr(cover, "TF_EXACT_MAX_N", 10)   # force the heuristic path
-    g = cycle_graph(20)
+    g = from_networkx(nx.wheel_graph(20))
     h = min_triangle_free_cover(g)
-    assert not h.certified_minimum
+    assert len(h) == 21 and not h.certified_minimum
+    assert is_tf_two_edge_cover(g, h.members)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(20), generalized_petersen(10, 1)],
+                         ids=["C20", "GP(10,1)"])
+def test_heuristic_cover_of_n_edges_is_certified(monkeypatch, g):
+    # a 2-edge cover has >= n edges, so a heuristic one of n is a minimum
+    monkeypatch.setattr(cover, "TF_EXACT_MAX_N", 10)   # force the heuristic path
+    h = min_triangle_free_cover(g)
+    assert len(h) == g.n and h.certified_minimum
     assert is_tf_two_edge_cover(g, h.members)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (cycle_graph, disjoint_cycles, from_networkx,
                       generalized_petersen)
@@ -13,8 +14,9 @@ from test_acceptance import glue_stress_cases
 from twoec.cover import TwoEdgeCover, canonicalize, check_canonical
 from twoec.credits import cost, cover_bridges
 from twoec.errors import StructuredViolation
-from twoec.glue import build_component_graph, glue_all, make_huge, segment_of
-from twoec.graph import MultiGraph, is_two_edge_connected
+from twoec.glue import (glue_all, hamiltonian_path_between, make_huge,
+                        segment_of)
+from twoec.graph import MultiGraph, contract_many, is_two_edge_connected
 from twoec.oracle import verify_2ecss
 from twoec.pipeline import PipelineConfig, run_pipeline
 
@@ -45,24 +47,32 @@ def ring_of_cycles(lengths, links=2, spread=True):
 # ---------------------------------------------------------------------------
 # component graph and segments
 
+def component_graph(g, h):
+    return contract_many(g, h.decomposition.components)
+
+
 def test_component_graph_nodes_match_components():
     g, cover = ring_of_cycles([4, 5, 6])
     h = cover_of(g, cover)
-    cg = build_component_graph(g, h)
+    cg = component_graph(g, h)
     assert cg.n == 3
-    assert cg.node_class == ["C4", "C5", "C6"]
-    assert [len(vs) for vs in cg.node_vertices] == [4, 5, 6]
+    assert h.classification() == ["C4", "C5", "C6"]
+    assert [len(vs) for vs in h.decomposition.components] == [4, 5, 6]
+    # node i is component i: each link's nodes are its ends' components
+    emap, comp_of = g.edge_map(), h.decomposition.component_of
+    assert cg.m == 6 and all({x, y} == {comp_of[u] for u in emap[e]}
+                             for e, x, y in cg.edges)
 
 
 def test_component_graph_drops_self_loops():
     g, cover = ring_of_cycles([4, 4])
-    cg = build_component_graph(g, cover_of(g, cover))
-    assert all(u != v for _, u, v in cg.contracted.edges)
+    cg = component_graph(g, cover_of(g, cover))
+    assert all(u != v for _, u, v in cg.edges)
 
 
 def test_segments_ring_is_one_nontrivial_segment():
     g, cover = ring_of_cycles([4, 4, 4, 4])
-    cg = build_component_graph(g, cover_of(g, cover))
+    cg = component_graph(g, cover_of(g, cover))
     assert all(segment_of(cg, v) == frozenset(range(4)) for v in range(4))
 
 
@@ -72,9 +82,23 @@ def test_segments_path_attachment_is_trivial():
     g = disjoint_cycles([6, 6])
     g.add_edge(0, 6)
     g.add_edge(3, 9)
-    cg = build_component_graph(g, cover_of(g, set(range(12))))
-    assert cg.n == 2 and cg.contracted.m == 2
+    cg = component_graph(g, cover_of(g, set(range(12))))
+    assert cg.n == 2 and cg.m == 2
     assert [segment_of(cg, v) for v in range(2)] == [frozenset([0]), frozenset([1])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16))
+def test_segment_of_matches_networkx(n, pairs):
+    # small multigraphs, parallel edges kept and self-loops dropped: each
+    # node's segment is its 2-edge-connected class of the simple graph
+    cg = MultiGraph(n, [(u % n, v % n) for u, v in pairs])
+    simple = nx.Graph()
+    simple.add_nodes_from(range(n))
+    simple.add_edges_from((u, v) for _, u, v in cg.edges)
+    for c in nx.k_edge_components(simple, 2):
+        assert all(segment_of(cg, v) == frozenset(c) for v in c)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +111,8 @@ def test_make_huge_merges_and_bounds_delta():
     out, step = make_huge(g, h)
     assert step is not None
     assert step.cost_delta <= 3
-    cg = build_component_graph(g, out)
-    assert cg.n == 1 or any(len(vs) >= 10 for vs in cg.node_vertices)
+    comps = out.decomposition.components
+    assert len(comps) == 1 or any(len(vs) >= 10 for vs in comps)
 
 
 def test_make_huge_adds_a_second_cycle():
@@ -98,7 +122,7 @@ def test_make_huge_adds_a_second_cycle():
     h = cover_of(g, cover)
     out, step = make_huge(g, h)
     assert step.kind == "MakeHuge" and step.cost_delta == 3
-    assert [len(vs) for vs in build_component_graph(g, out).node_vertices] == [12]
+    assert [len(vs) for vs in out.decomposition.components] == [12]
     assert verify_2ecss(g, out.members)
 
 
@@ -111,6 +135,16 @@ def test_make_huge_noop_when_huge_exists():
 
 # ---------------------------------------------------------------------------
 # glue ladder
+
+def test_hamiltonian_path_takes_the_smaller_parallel_id():
+    # the path 0-1-2-3 with 1-2 doubled, the lower id added last
+    g = MultiGraph(4, [(0, 0, 1), (5, 1, 2), (2, 1, 2), (3, 2, 3)])
+    assert hamiltonian_path_between(g, 0, 3) == [0, 2, 3]
+
+
+def test_hamiltonian_path_absent_between_opposite_c4_vertices():
+    assert hamiltonian_path_between(cycle_graph(4), 0, 2) is None
+
 
 @pytest.mark.parametrize("length,links,removed", [
     (4, [(0, 10), (2, 11), (4, 12)], 10),
@@ -204,7 +238,7 @@ def test_c4_rung_closes_a_cycle_on_a_direct_link_to_the_huge_node():
     to_c6 = g.add_edge(11, 14)
     c6_to_huge = g.add_edge(17, 5)
     h = cover_of(g, cover)
-    assert segment_of(build_component_graph(g, h), 0) == frozenset(range(3))
+    assert segment_of(component_graph(g, h), 0) == frozenset(range(3))
     final, steps = glue_all(g, h)
     [step] = steps
     assert step.kind == "NonTrivialSegmentGlue"
@@ -285,7 +319,7 @@ def test_glue_golden():
     # `added`; every removed set, cost delta and final member set is as before
     results = []
     for g, cover in glue_stress_cases():
-        h, _ = cover_bridges(g, canonicalize(g, TwoEdgeCover(g, frozenset(cover))))
+        h = cover_bridges(g, canonicalize(g, TwoEdgeCover(g, frozenset(cover))))
         final, steps = glue_all(g, h)
         results.append([[[s.kind, sorted(s.added), sorted(s.removed),
                           str(s.cost_delta)] for s in steps],

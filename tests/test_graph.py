@@ -218,6 +218,23 @@ def test_member_adjacency_and_two_ec_classes_match_networkx(seed):
         len(classes), nx_numbered(n, classes))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16))
+def test_two_ec_classes_match_networkx_bridges(n, pairs):
+    # small multigraphs, parallel edges kept and self-loops dropped; the
+    # classes are the components left once networkx's bridges are removed
+    g = MultiGraph(n, [(u % n, v % n) for u, v in pairs])
+    adj = g.adjacency()
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from((u, v) for _, u, v in g.edges)
+    h.remove_edges_from(list(nx.bridges(h)))
+    classes = list(nx.connected_components(h))
+    assert two_ec_classes(n, adj, low_link(n, adj)[2]) == (
+        len(classes), nx_numbered(n, classes))
+
+
 # ---------------------------------------------------------------------------
 # cuts
 
